@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json invariants attr-invariants check bench bench-check obs-smoke serve-smoke fleet-smoke serve-bench postmortem-smoke kernel-check kernel-ab
+.PHONY: build test race vet lint lint-json invariants attr-invariants check obs-smoke serve-smoke fleet-smoke serve-bench postmortem-smoke kernel-check
 
 build:
 	$(GO) build ./...
@@ -49,42 +49,17 @@ attr-invariants:
 # invariant-checked build.
 check: lint test race invariants
 
-# The discrete-event kernel's proof obligations with the runtime
-# invariants compiled in and the race detector on: serialized results
-# are deterministic and byte-identical across kernels, stall-cycle
+# The event kernel's proof obligations against the test-only tick
+# reference (internal/sim/tickref_test.go), with the runtime invariants
+# compiled in and the race detector on: serialized results are
+# deterministic and byte-identical across the two loops, stall-cycle
 # attribution stays exact under both, and the event kernel reproduces
-# the tick kernel's full probe-event stream for every config class.
+# the reference's Result and full probe-event stream for every config
+# class. The benchmark lives in bench/ (see bench/README.md).
 kernel-check:
 	$(GO) test -race -tags=invariants \
 		-run 'TestRunDeterministic|TestAttributionSumsMatchResult|TestKernelEventMatchesTick' \
 		./internal/sim
-
-# Byte-diff the two kernels end to end: the same smoke configs run
-# under -kernel tick and -kernel event, and the canonical JSON results
-# must be identical. cmp exits non-zero on the first differing byte.
-kernel-ab:
-	$(GO) run ./cmd/mnpusim -workloads ncf,gpt2 -scale tiny -sharing +dwt \
-		-kernel tick -json > /tmp/mnpusim_ab_dual_tick.json
-	$(GO) run ./cmd/mnpusim -workloads ncf,gpt2 -scale tiny -sharing +dwt \
-		-kernel event -json > /tmp/mnpusim_ab_dual_event.json
-	cmp /tmp/mnpusim_ab_dual_tick.json /tmp/mnpusim_ab_dual_event.json
-	$(GO) run ./cmd/mnpusim -workloads res,dlrm -scale tiny -sharing static \
-		-kernel tick -json > /tmp/mnpusim_ab_static_tick.json
-	$(GO) run ./cmd/mnpusim -workloads res,dlrm -scale tiny -sharing static \
-		-kernel event -json > /tmp/mnpusim_ab_static_event.json
-	cmp /tmp/mnpusim_ab_static_tick.json /tmp/mnpusim_ab_static_event.json
-	@echo "kernel A/B: outputs byte-identical"
-
-# Machine-readable wall-clock benchmark of the dual-core paper sweep
-# (serial vs worker pool, tick vs event kernel, host-time breakdown)
-# -> BENCH_sweep.json.
-bench:
-	$(GO) run ./cmd/mnpubench -sweep-bench BENCH_sweep.json
-
-# Validate the committed benchmark record: non-empty, parses, plausible
-# measurement, zero determinism drift, host-time breakdowns present.
-bench-check:
-	$(GO) run ./cmd/mnpubench -check-bench BENCH_sweep.json
 
 # End-to-end observability smoke: run a tiny dual-core simulation with
 # the Chrome-trace exporter and counter registry on, then re-validate

@@ -25,7 +25,6 @@ import (
 	"mnpusim/internal/experiments"
 	"mnpusim/internal/obs"
 	"mnpusim/internal/report"
-	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
 
@@ -99,9 +98,6 @@ func run(ctx context.Context, args []string) error {
 		verbose    = fs.Bool("v", false, "log each simulation")
 		csvFlag    = fs.String("csv", "", "directory for machine-readable CSV output")
 		workers    = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		kernelFlag = fs.String("kernel", "", "simulation kernel for every run: event (default) or tick; results identical")
-		sweepBench = fs.String("sweep-bench", "", "write a JSON wall-clock benchmark of the dual-core sweep to this file and exit")
-		checkBench = fs.String("check-bench", "", "validate a previously written -sweep-bench JSON file and exit")
 		obsCtr     = fs.String("obs-counters", "", "write the accumulated metric counters of every simulation as sorted 'name value' lines to this file, or - for stdout")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while experiments run")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
@@ -132,19 +128,9 @@ func run(ctx context.Context, args []string) error {
 		}
 		return nil
 	}
-	if *checkBench != "" {
-		return runCheckBench(*checkBench)
-	}
 	scale, err := config.ParseScale(*scaleFlag)
 	if err != nil {
 		return err
-	}
-	kernel, err := sim.ParseKernel(*kernelFlag)
-	if err != nil {
-		return err
-	}
-	if *sweepBench != "" {
-		return runSweepBench(*sweepBench, scale, *workers)
 	}
 	if *expFlag == "" {
 		return fmt.Errorf("need -exp <name> or -list")
@@ -156,7 +142,6 @@ func run(ctx context.Context, args []string) error {
 		experiments.WithMapSample(*mapSample),
 		experiments.WithSeed(*seedFlag),
 		experiments.WithWorkers(*workers),
-		experiments.WithKernel(kernel),
 	}
 	if *verbose {
 		eopts = append(eopts, experiments.WithProgress(os.Stderr))

@@ -85,7 +85,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		scale     = fs.String("scale", "tiny", "system scale: tiny, small, or paper")
 		sharing   = fs.String("sharing", "", "with -one: the sharing level; load mode: comma-separated levels (default all four)")
 		ideal     = fs.Bool("ideal", false, "with -one: run the solo Ideal baseline instead of a mix")
-		kernel    = fs.String("kernel", "", "simulation kernel: event (default) or tick")
 		timeout   = fs.Duration("timeout", 0, "per-job simulation timeout (0 = server default)")
 		cores     = fs.Int("cores", 2, "load mode: mix width of the request population")
 		sample    = fs.Int("sample", 0, "load mode: sample the mix population down to at most this many mixes (0 = all)")
@@ -109,7 +108,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *one {
 		spec := api.JobSpec{
 			Scale: *scale, Sharing: *sharing, Ideal: *ideal,
-			Kernel: *kernel, TimeoutMS: timeout.Milliseconds(),
+			TimeoutMS: timeout.Milliseconds(),
 		}
 		if *wlFlag == "" {
 			return fmt.Errorf("-one needs -workloads")
@@ -143,7 +142,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		for _, lv := range levels {
 			population = append(population, api.JobSpec{
 				Workloads: mix, Scale: *scale, Sharing: lv,
-				Kernel: *kernel, TimeoutMS: timeout.Milliseconds(),
+				TimeoutMS: timeout.Milliseconds(),
 			})
 		}
 	}
@@ -154,7 +153,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				seen[w] = true
 				population = append(population, api.JobSpec{
 					Workloads: []string{w}, Scale: *scale, Ideal: true,
-					Kernel: *kernel, TimeoutMS: timeout.Milliseconds(),
+					TimeoutMS: timeout.Milliseconds(),
 				})
 			}
 		}

@@ -16,8 +16,9 @@
 // plus a CPU profile (GET /v1/jobs/{id}/profile) when a job lingers
 // near its deadline. Logs are structured (log/slog), keyed
 // by job ID; -log-level and -log-format select verbosity and text/json
-// encoding. -debug-addr optionally serves net/http/pprof and a
-// /debug/registry metrics dump on a second listener (off by default).
+// encoding. -debug-addr optionally serves net/http/pprof on a second
+// listener (off by default); the metric registry is on the API itself,
+// as GET /v1/registry (JSON) and GET /metrics (Prometheus).
 // POST /v1/sweeps expands and runs a whole experiment grid
 // server-side (poll GET /v1/sweeps/{id} for the aggregated result).
 // -cache-dir persists the result cache on disk — one crash-safely
@@ -57,7 +58,6 @@ import (
 
 	"mnpusim/internal/obs"
 	"mnpusim/internal/serve"
-	"mnpusim/internal/sim"
 )
 
 func main() {
@@ -98,10 +98,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		jobTimeout   = fs.Duration("job-timeout", 0, "default per-job simulation timeout (0 = none; specs may override)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs before cancelling them")
 		cacheEntries = fs.Int("cache", 1024, "result-cache capacity (distinct configurations)")
-		kernelFlag   = fs.String("kernel", "", "simulation kernel for jobs that do not pick one: event (default) or tick; results byte-identical")
 		logLevel     = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 		logFormat    = fs.String("log-format", "text", "log encoding: text or json")
-		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof and /debug/registry on this extra address (empty = off)")
+		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this extra address (empty = off)")
 		wdFraction   = fs.Float64("watchdog", 0.75, "anomaly watchdog: capture a flight-recorder dump and CPU profile when a job reaches this fraction of its timeout still running (0 = off; needs a job timeout)")
 		wdProfile    = fs.Duration("watchdog-profile", 250*time.Millisecond, "CPU-profile capture duration when the watchdog fires")
 		ringCap      = fs.Int("recorder-ring", 0, "flight-recorder ring capacity per (core, channel) track, in events (0 = default)")
@@ -119,10 +118,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
 	logger, err := newLogger(stdout, *logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	kernel, err := sim.ParseKernel(*kernelFlag)
 	if err != nil {
 		return err
 	}
@@ -154,7 +149,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		QueueDepth:        *queue,
 		DefaultJobTimeout: *jobTimeout,
 		CacheEntries:      *cacheEntries,
-		DefaultKernel:     kernel,
 		Registry:          reg,
 		Logger:            logger,
 		WatchdogFraction:  *wdFraction,
@@ -180,7 +174,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		defer dln.Close()
-		ds := &http.Server{Handler: debugMux(reg)}
+		ds := &http.Server{Handler: debugMux()}
 		go func() { _ = ds.Serve(dln) }()
 		defer ds.Close()
 		logger.Info("debug listening", "debug_addr", dln.Addr().String())
@@ -218,19 +212,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 }
 
 // debugMux is the optional diagnostics surface: the standard pprof
-// endpoints plus a plain-text dump of the process metric registry. It
-// binds to its own listener so the production API surface never exposes
-// profiling handlers.
-func debugMux(reg *obs.Registry) http.Handler {
+// endpoints. It binds to its own listener so the production API surface
+// never exposes profiling handlers.
+func debugMux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/registry", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = reg.Snapshot().WriteText(w)
-	})
 	return mux
 }

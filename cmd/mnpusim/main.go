@@ -58,7 +58,6 @@ func run(ctx context.Context, args []string) error {
 		obsFlag       = fs.String("obs", "", "write a Chrome trace-event timeline (Perfetto-loadable JSON) to this file")
 		obsCounters   = fs.String("obs-counters", "", "write the run's metric counters as sorted 'name value' lines to this file, or - for stdout")
 		jsonFlag      = fs.Bool("json", false, "write the result as canonical JSON to stdout instead of the text summary (byte-identical to the serving daemon's result endpoint)")
-		kernelFlag    = fs.String("kernel", "", "simulation kernel: event (default) or tick; results are byte-identical either way")
 		timeoutFlag   = fs.Duration("timeout", 0, "abort the simulation after this wall-clock duration (0 = no limit)")
 		hostprofFlag  = fs.Bool("hostprof", false, "profile the simulator's own wall time (kernel scheduling vs component ticks vs obs) and print the breakdown to stderr; simulation results are byte-identical on or off")
 	)
@@ -101,12 +100,6 @@ func run(ctx context.Context, args []string) error {
 		fs.Usage()
 		return fmt.Errorf("need -workloads or six positional config arguments")
 	}
-
-	kernel, err := sim.ParseKernel(*kernelFlag)
-	if err != nil {
-		return err
-	}
-	cfg.Kernel = kernel
 
 	var chrome *obs.ChromeTrace
 	if *obsFlag != "" {

@@ -69,7 +69,6 @@ func run(args []string) error {
 		limit    = fs.Int64("limit", 100_000, "maximum log records (log mode)")
 		obsF     = fs.String("obs", "", "write a Chrome trace-event timeline of the traced simulation (rate and log modes)")
 		obsCtr   = fs.String("obs-counters", "", "write metric counters as sorted 'name value' lines to this file, or - for stdout")
-		kernelF  = fs.String("kernel", "", "simulation kernel: event (default) or tick; traces are identical either way")
 		inF      = fs.String("in", "", "trace JSON file to check (validate mode)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -90,12 +89,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	kernel, err := sim.ParseKernel(*kernelF)
-	if err != nil {
-		return err
-	}
 
-	eopts := []experiments.Option{experiments.WithScale(scale), experiments.WithKernel(kernel)}
+	eopts := []experiments.Option{experiments.WithScale(scale)}
 	var chrome *obs.ChromeTrace
 	if *obsF != "" {
 		switch *mode {
@@ -163,7 +158,6 @@ func run(args []string) error {
 			return err
 		}
 		cfg := sim.IdealFor(base, 0)
-		cfg.Kernel = kernel
 		if chrome != nil {
 			cfg.Obs = chrome
 		}

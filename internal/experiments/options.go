@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"mnpusim/internal/obs"
-	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
 
@@ -82,10 +81,4 @@ func WithMapSample(n int) Option {
 // training.
 func WithSeed(seed int64) Option {
 	return func(r *Runner) { r.opts.Seed = seed }
-}
-
-// WithKernel selects the simulation kernel every run uses (see
-// sim.Config.Kernel); results are identical either way.
-func WithKernel(k sim.Kernel) Option {
-	return func(r *Runner) { r.opts.Kernel = k }
 }

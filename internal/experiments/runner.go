@@ -27,7 +27,6 @@ type config struct {
 	MapSample  int
 	Seed       int64
 	Workers    int
-	Kernel     sim.Kernel
 	Obs        obs.Sink
 	Metrics    *obs.Registry
 }
@@ -144,9 +143,6 @@ func (r *Runner) logf(format string, args ...any) {
 // is held only around sim.RunContext itself; a cancelled runner stops
 // waiting for a free worker slot instead of starting a doomed run.
 func (r *Runner) run(cfg sim.Config) (sim.Result, error) {
-	if r.opts.Kernel != sim.KernelDefault {
-		cfg.Kernel = r.opts.Kernel
-	}
 	if r.opts.Obs != nil {
 		cfg.Obs = obs.Tee(cfg.Obs, r.opts.Obs)
 	}

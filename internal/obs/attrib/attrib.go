@@ -17,7 +17,7 @@
 // the -tags=invariants build verifies the bookkeeping at finalization.
 //
 // Global event timestamps map onto the local axis through the core's
-// clock.Domain exactly as the simulator's own tick loop does: a core
+// clock.Domain exactly as the simulator's main loop does: a core
 // event stamped at ToGlobal(L)+start maps back to local cycle L, and
 // the "first-inference done" phase event at global g closes the window
 // at LocalFloor(g-start+1) — the same expression npu.Core.Tick used to

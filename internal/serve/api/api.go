@@ -70,11 +70,6 @@ type JobSpec struct {
 	// fields cannot be expressed in JSON.
 	Config *sim.Config `json:"config,omitempty"`
 
-	// Kernel selects the simulation kernel: "event" (the default) or
-	// "tick". Results are byte-identical either way; the job's content
-	// address and cached result do not depend on it.
-	Kernel string `json:"kernel,omitempty"`
-
 	// TimeoutMS bounds the simulation's run time in wall-clock
 	// milliseconds; 0 uses the server default. The timeout starts when
 	// a worker picks the job up, not while it queues.
@@ -83,18 +78,11 @@ type JobSpec struct {
 
 // BuildConfig resolves the spec into a runnable configuration.
 func (s JobSpec) BuildConfig() (sim.Config, error) {
-	kernel, err := sim.ParseKernel(s.Kernel)
-	if err != nil {
-		return sim.Config{}, err
-	}
 	if s.Config != nil {
 		if len(s.Workloads) > 0 || s.Scale != "" || s.Sharing != "" || s.Ideal {
 			return sim.Config{}, fmt.Errorf("serve: spec has both a raw config and preset fields; use one")
 		}
 		cfg := *s.Config
-		if kernel != sim.KernelDefault {
-			cfg.Kernel = kernel
-		}
 		if err := cfg.Validate(); err != nil {
 			return sim.Config{}, err
 		}
@@ -127,7 +115,6 @@ func (s JobSpec) BuildConfig() (sim.Config, error) {
 		}
 		cfg = sim.IdealFor(cfg, 0)
 		cfg.NoTranslation = s.NoTranslation
-		cfg.Kernel = kernel
 		return cfg, nil
 	}
 	sharingName := s.Sharing
@@ -143,7 +130,6 @@ func (s JobSpec) BuildConfig() (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	cfg.NoTranslation = s.NoTranslation
-	cfg.Kernel = kernel
 	return cfg, nil
 }
 
@@ -212,8 +198,6 @@ type SweepSpec struct {
 	// sampling. The same (grid, sample, seed) always expands to the
 	// same jobs.
 	Seed int64 `json:"seed,omitempty"`
-	// Kernel selects the simulation kernel for every expanded job.
-	Kernel string `json:"kernel,omitempty"`
 	// TimeoutMS bounds each expanded job's simulation wall-clock time.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }

@@ -59,6 +59,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 	}{
 		{"job bad body", "POST", "/v1/jobs", "{not json", 400, api.ErrInvalidRequest, false},
 		{"job unknown field", "POST", "/v1/jobs", `{"bogus":1}`, 400, api.ErrInvalidRequest, false},
+		{"job kernel field", "POST", "/v1/jobs", `{"workloads":["ncf","gpt2"],"kernel":"tick"}`, 400, api.ErrInvalidRequest, false},
 		{"job bad workload", "POST", "/v1/jobs", `{"workloads":["nope","nope"]}`, 400, api.ErrInvalidRequest, false},
 		{"job queue full", "POST", "/v1/jobs", `{"workloads":["alex","alex"]}`, 503, api.ErrUnavailable, true},
 		{"job missing", "GET", "/v1/jobs/j999", "", 404, api.ErrNotFound, false},
@@ -76,6 +77,9 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"sweep bad cores", "POST", "/v1/sweeps", `{"cores":16}`, 400, api.ErrInvalidRequest, false},
 		{"sweep bad workload", "POST", "/v1/sweeps", `{"workloads":["nope"]}`, 400, api.ErrInvalidRequest, false},
 		{"sweep bad sharing", "POST", "/v1/sweeps", `{"sharing":["bogus"]}`, 400, api.ErrInvalidRequest, false},
+		{"sweep list bad status", "GET", "/v1/sweeps?status=bogus", "", 400, api.ErrInvalidRequest, false},
+		{"sweep list bad cursor", "GET", "/v1/sweeps?cursor=s999", "", 400, api.ErrInvalidRequest, false},
+		{"sweep list bad limit", "GET", "/v1/sweeps?limit=x", "", 400, api.ErrInvalidRequest, false},
 		{"sweep missing", "GET", "/v1/sweeps/s999", "", 404, api.ErrNotFound, false},
 		{"sweep events missing", "GET", "/v1/sweeps/s999/events", "", 404, api.ErrNotFound, false},
 		{"sweep cancel missing", "DELETE", "/v1/sweeps/s999", "", 404, api.ErrNotFound, false},

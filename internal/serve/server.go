@@ -53,8 +53,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
+	"net/url"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -83,11 +86,6 @@ type Config struct {
 	// CacheEntries bounds the content-addressed result cache. Zero
 	// means 1024.
 	CacheEntries int
-	// DefaultKernel selects the simulation kernel for jobs whose spec
-	// leaves it unset (zero resolves to the event kernel). Results are
-	// byte-identical either way, so the content-addressed cache is
-	// shared across kernels.
-	DefaultKernel sim.Kernel
 	// MaxJobs bounds how many job records are retained; once exceeded,
 	// the oldest terminal jobs are forgotten. Zero means 4096.
 	MaxJobs int
@@ -493,9 +491,6 @@ func (s *Server) runJob(job *Job) {
 		defer cancel()
 	}
 	cfg := job.cfg
-	if cfg.Kernel == sim.KernelDefault {
-		cfg.Kernel = s.cfg.DefaultKernel
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = s.reg
 	}
@@ -751,68 +746,69 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, job.View(false))
 }
 
-// handleJobsList is GET /v1/jobs: jobs in submission order, optionally
-// filtered with ?status=, paged with ?cursor= (a job ID to resume
-// after) and ?limit= (default 100, max 1000).
+// handleJobsList is GET /v1/jobs: jobs in submission order, paged by
+// listPage.
 func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	s.mu.Lock()
+	order, jobs := slices.Clone(s.order), maps.Clone(s.jobs)
+	s.mu.Unlock()
+	page, next, err := listPage(r.URL.Query(), order, jobs)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	list := api.JobList{Jobs: make([]JobView, 0, len(page)), NextCursor: next}
+	for _, j := range page {
+		list.Jobs = append(list.Jobs, j.View(false))
+	}
+	writeJSON(w, http.StatusOK, list)
+}
+
+// listPage is the one paginator behind GET /v1/jobs and GET /v1/sweeps.
+// It walks order (record IDs in submission order, snapshotted with
+// records under the server lock), keeps the records matching ?status=,
+// starts after ?cursor= (the ID of the last record of the previous
+// page), and stops at ?limit= records (default 100, max 1000). next is
+// the cursor of the following page, empty on the last one.
+func listPage[T interface{ Status() Status }](q url.Values, order []string, records map[string]T) (page []T, next string, err error) {
 	var filter Status
 	if v := q.Get("status"); v != "" {
 		filter = Status(v)
 		switch filter {
 		case StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled:
 		default:
-			writeError(w, errf(http.StatusBadRequest, "unknown status filter %q", v))
-			return
+			return nil, "", errf(http.StatusBadRequest, "unknown status filter %q", v)
 		}
 	}
 	limit := 100
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			writeError(w, errf(http.StatusBadRequest, "bad limit %q", v))
-			return
+			return nil, "", errf(http.StatusBadRequest, "bad limit %q", v)
 		}
 		limit = min(n, 1000)
 	}
-	cursor := q.Get("cursor")
-
-	s.mu.Lock()
-	order := make([]string, len(s.order))
-	copy(order, s.order)
-	jobs := make(map[string]*Job, len(s.jobs))
-	for id, j := range s.jobs {
-		jobs[id] = j
-	}
-	s.mu.Unlock()
-
 	start := 0
-	if cursor != "" {
-		found := false
-		for i, id := range order {
-			if id == cursor {
-				start, found = i+1, true
-				break
-			}
+	if cursor := q.Get("cursor"); cursor != "" {
+		i := slices.Index(order, cursor)
+		if i < 0 {
+			return nil, "", errf(http.StatusBadRequest, "unknown cursor %q", cursor)
 		}
-		if !found {
-			writeError(w, errf(http.StatusBadRequest, "unknown cursor %q", cursor))
-			return
-		}
+		start = i + 1
 	}
-	list := api.JobList{Jobs: []JobView{}}
+	last := ""
 	for _, id := range order[start:] {
-		j, ok := jobs[id]
-		if !ok || (filter != "" && j.Status() != filter) {
+		rec, ok := records[id]
+		if !ok || (filter != "" && rec.Status() != filter) {
 			continue
 		}
-		if len(list.Jobs) == limit {
-			list.NextCursor = list.Jobs[limit-1].ID
-			break
+		if len(page) == limit {
+			return page, last, nil
 		}
-		list.Jobs = append(list.Jobs, j.View(false))
+		page = append(page, rec)
+		last = id
 	}
-	writeJSON(w, http.StatusOK, list)
+	return page, "", nil
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -5,13 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"strconv"
-	"strings"
 
 	"mnpusim/internal/config"
 	"mnpusim/internal/experiments"
@@ -226,7 +227,7 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 		mix, lv := mixes[i/nl], levels[i%nl]
 		js := JobSpec{
 			Workloads: mix, Scale: spec.Scale, Sharing: lv.String(),
-			Kernel: spec.Kernel, TimeoutMS: spec.TimeoutMS,
+			TimeoutMS: spec.TimeoutMS,
 		}
 		if err := addUnit(js, mix, lv.String(), false); err != nil {
 			return nil, err
@@ -241,7 +242,7 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 			seen[w] = true
 			js := JobSpec{
 				Workloads: []string{w}, Scale: spec.Scale, Ideal: true,
-				Kernel: spec.Kernel, TimeoutMS: spec.TimeoutMS,
+				TimeoutMS: spec.TimeoutMS,
 			}
 			if err := addUnit(js, []string{w}, "", true); err != nil {
 				return nil, err
@@ -657,66 +658,19 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sw.View(r.URL.Query().Get("jobs") == "true"))
 }
 
-// handleSweepList is GET /v1/sweeps: sweeps in submission order,
-// optionally filtered with ?status=, paged with ?cursor= (a sweep ID
-// to resume after) and ?limit= (default 100, max 1000) — the same
-// shape as GET /v1/jobs.
+// handleSweepList is GET /v1/sweeps: sweeps in submission order, paged
+// by listPage exactly like GET /v1/jobs.
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var filter Status
-	if v := q.Get("status"); v != "" {
-		filter = Status(v)
-		switch filter {
-		case StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled:
-		default:
-			writeError(w, errf(http.StatusBadRequest, "unknown status filter %q", v))
-			return
-		}
-	}
-	limit := 100
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, errf(http.StatusBadRequest, "bad limit %q", v))
-			return
-		}
-		limit = min(n, 1000)
-	}
-	cursor := q.Get("cursor")
-
 	s.mu.Lock()
-	order := make([]string, len(s.sweepOrder))
-	copy(order, s.sweepOrder)
-	sweeps := make(map[string]*Sweep, len(s.sweeps))
-	for id, sw := range s.sweeps {
-		sweeps[id] = sw
-	}
+	order, sweeps := slices.Clone(s.sweepOrder), maps.Clone(s.sweeps)
 	s.mu.Unlock()
-
-	start := 0
-	if cursor != "" {
-		found := false
-		for i, id := range order {
-			if id == cursor {
-				start, found = i+1, true
-				break
-			}
-		}
-		if !found {
-			writeError(w, errf(http.StatusBadRequest, "unknown cursor %q", cursor))
-			return
-		}
+	page, next, err := listPage(r.URL.Query(), order, sweeps)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
-	list := api.SweepList{Sweeps: []api.SweepView{}}
-	for _, id := range order[start:] {
-		sw, ok := sweeps[id]
-		if !ok || (filter != "" && sw.Status() != filter) {
-			continue
-		}
-		if len(list.Sweeps) == limit {
-			list.NextCursor = list.Sweeps[limit-1].ID
-			break
-		}
+	list := api.SweepList{Sweeps: make([]api.SweepView, 0, len(page)), NextCursor: next}
+	for _, sw := range page {
 		list.Sweeps = append(list.Sweeps, sw.View(false))
 	}
 	writeJSON(w, http.StatusOK, list)

@@ -350,3 +350,66 @@ func TestJobsListPagination(t *testing.T) {
 		t.Errorf("failed filter = %d jobs, want 0", len(failed.Jobs))
 	}
 }
+
+// TestSweepsListPagination pages GET /v1/sweeps through the paginator
+// it shares with GET /v1/jobs: cursors walk every sweep exactly once in
+// submission order, the last page carries no cursor, and the status
+// filter applies.
+func TestSweepsListPagination(t *testing.T) {
+	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+		return dualResult(100, 200), nil
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+
+	grids := [][]string{{"ncf", "gpt2"}, {"alex", "res"}, {"dlrm", "ds2"}, {"sfrnn", "yt"}, {"ncf", "alex"}}
+	var ids []string
+	for _, wl := range grids {
+		v, err := cl.SubmitSweep(ctx, api.SweepSpec{Workloads: wl, Sharing: []string{"+dwt"}})
+		if err != nil {
+			t.Fatalf("SubmitSweep: %v", err)
+		}
+		if _, err := cl.WaitSweep(ctx, v.ID, 5*time.Millisecond); err != nil {
+			t.Fatalf("WaitSweep: %v", err)
+		}
+		ids = append(ids, v.ID)
+	}
+
+	var got []string
+	cursor := ""
+	pages := 0
+	for {
+		l, err := cl.ListSweeps(ctx, "", cursor, 2)
+		if err != nil {
+			t.Fatalf("ListSweeps: %v", err)
+		}
+		for _, v := range l.Sweeps {
+			got = append(got, v.ID)
+		}
+		pages++
+		if l.NextCursor == "" {
+			break
+		}
+		cursor = l.NextCursor
+	}
+	if strings.Join(got, ",") != strings.Join(ids, ",") || pages != 3 {
+		t.Fatalf("paged %v over %d pages, want %v over 3", got, pages, ids)
+	}
+
+	done, err := cl.ListSweeps(ctx, StatusDone, "", 0)
+	if err != nil {
+		t.Fatalf("ListSweeps done: %v", err)
+	}
+	if len(done.Sweeps) != len(grids) {
+		t.Errorf("done filter = %d sweeps, want %d", len(done.Sweeps), len(grids))
+	}
+	failed, err := cl.ListSweeps(ctx, StatusFailed, "", 0)
+	if err != nil {
+		t.Fatalf("ListSweeps failed: %v", err)
+	}
+	if len(failed.Sweeps) != 0 {
+		t.Errorf("failed filter = %d sweeps, want 0", len(failed.Sweeps))
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -9,32 +10,31 @@ import (
 )
 
 // TestAttributionSumsMatchResult is the attribution engine's exactness
-// contract, checked across the same seven configuration classes the
-// fast-forward determinism test uses (shared/static sharing, a solo
-// Ideal, non-integer clock ratios, DRAM-backed walks, no translation,
-// staggered starts): for every core, the buckets are non-negative,
-// non-overlapping by construction, and sum exactly to the core's
-// measured first-inference cycles. The whole matrix runs under both
-// kernels — attribution consumes the probe stream, so the event
-// kernel's skip windows must leave it exact too.
+// contract, checked across the same configuration classes the kernel
+// equivalence test uses (shared/static sharing, a solo Ideal,
+// non-integer clock ratios, DRAM-backed walks, no translation,
+// staggered starts, a gather-heavy static mix): for every core, the
+// buckets are non-negative, non-overlapping by construction, and sum
+// exactly to the core's measured first-inference cycles. The whole matrix runs under the
+// event kernel and the tick reference — attribution consumes the probe
+// stream, so the event kernel's skip windows must leave it exact too.
 func TestAttributionSumsMatchResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full simulations")
 	}
-	for _, kernel := range []Kernel{KernelTick, KernelEvent} {
+	for _, l := range Loops {
 		for name, cfg := range skipConfigs(t) {
-			cfg.Kernel = kernel
-			t.Run(string(kernel)+"/"+name, func(t *testing.T) {
-				checkAttributionExact(t, cfg)
+			t.Run(l.Name+"/"+name, func(t *testing.T) {
+				checkAttributionExact(t, cfg, l)
 			})
 		}
 	}
 }
 
-func checkAttributionExact(t *testing.T, cfg Config) {
+func checkAttributionExact(t *testing.T, cfg Config, l Loop) {
 	eng := NewAttribution(cfg)
 	cfg.Obs = obs.Tee(cfg.Obs, eng)
-	res, err := Run(cfg)
+	res, err := l.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +66,9 @@ func checkAttributionExact(t *testing.T, cfg Config) {
 }
 
 // TestAttributionIdenticalAcrossKernels pins the local-cycle partition
-// against the simulation driver: neither the tick kernel's fast-forward
-// nor the event kernel's selective waking suppresses a probe event, so
-// the breakdown must be identical cycle for cycle.
+// against the simulation driver: neither the tick reference's
+// fast-forward nor the event kernel's selective waking suppresses a
+// probe event, so the breakdown must be identical cycle for cycle.
 func TestAttributionIdenticalAcrossKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full simulations")
@@ -77,17 +77,16 @@ func TestAttributionIdenticalAcrossKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(k Kernel) any {
+	run := func(l Loop) any {
 		c := cfg
-		c.Kernel = k
 		eng := NewAttribution(c)
 		c.Obs = eng
-		if _, err := Run(c); err != nil {
+		if _, err := l.Run(context.Background(), c); err != nil {
 			t.Fatal(err)
 		}
 		return eng.Report()
 	}
-	ticked, evented := run(KernelTick), run(KernelEvent)
+	ticked, evented := run(Loops[0]), run(Loops[1])
 	if !reflect.DeepEqual(ticked, evented) {
 		t.Errorf("kernel changed attribution:\ntick:  %+v\nevent: %+v", ticked, evented)
 	}

@@ -38,21 +38,20 @@ func TestRunContextPreCancelled(t *testing.T) {
 
 // TestRunContextMidRunCancel cancels from inside the OnIssue hook, so
 // the cancellation deterministically lands mid-simulation. The run must
-// abort at its next cancellation poll — a loop-iteration budget under
-// the tick kernel, a heap-pop budget under the event kernel — with an
-// error wrapping context.Canceled, rather than run to completion.
+// abort at its next cancellation poll — a processed-cycle budget under
+// the event kernel and the tick reference alike — with an error
+// wrapping context.Canceled, rather than run to completion.
 func TestRunContextMidRunCancel(t *testing.T) {
-	for _, k := range []sim.Kernel{sim.KernelTick, sim.KernelEvent} {
-		t.Run(string(k), func(t *testing.T) {
+	for _, l := range sim.Loops {
+		t.Run(l.Name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			cfg := tinyDual(t)
-			cfg.Kernel = k
 			var once sync.Once
 			cfg.OnIssue = func(now clock.Global, r *mem.Request) { once.Do(cancel) }
 
 			start := time.Now()
-			_, err := sim.RunContext(ctx, cfg)
+			_, err := l.Run(ctx, cfg)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("error %v does not wrap context.Canceled", err)
 			}

@@ -39,14 +39,6 @@ type Config struct {
 	// bandwidth-isolation experiments).
 	NoTranslation bool
 
-	// Kernel selects the simulation driver: KernelEvent (the default)
-	// runs a discrete-event kernel that ticks each component only on
-	// cycles where it has work; KernelTick runs the legacy
-	// tick-everything loop. Results are bit-identical either way; the
-	// knob exists so tests can prove it and anomalies can be bisected to
-	// the kernel.
-	Kernel Kernel
-
 	// DRAMBackedWalks times page-table walks as real DRAM PTE reads
 	// instead of the default NeuMMU-style fixed latency (see
 	// mmu.WalkMemoryModel); used by the walk-model ablation.
@@ -85,7 +77,7 @@ type Config struct {
 	// Obs set or nil. Sinks shared across concurrent runs must be safe
 	// for concurrent use (obs.Locked).
 	//
-	// Hooks (Obs through OnLoopStats) are process-local and excluded
+	// Hooks (Obs through OnIssue) are process-local and excluded
 	// from JSON: a Config crosses the wire (internal/serve) as data
 	// only, and the content fingerprint ignores them for the same
 	// reason.
@@ -113,20 +105,6 @@ type Config struct {
 	// OnIssue, if non-nil, observes every DMA request issue (the
 	// request burstiness of Fig. 2b).
 	OnIssue func(now clock.Global, r *mem.Request) `json:"-"`
-	// OnLoopStats, if non-nil, receives the main loop's bookkeeping when
-	// the run completes: ticked loop iterations, fast-forward jumps, and
-	// total cycles crossed by those jumps. iters + skippedCycles equals
-	// the run's GlobalCycles (modulo the final partial tick), so the
-	// skipped fraction measures how much of the timeline the event
-	// layer never had to simulate. Reported via a hook rather than in
-	// Result so skip-on and skip-off runs stay bit-identical.
-	//
-	// Deprecated: the same numbers live in the Metrics registry as
-	// sim.loop_iters, sim.skip_windows, and sim.skipped_cycles; the
-	// callback is a shim over a registry snapshot taken at run end. Note
-	// that with a caller-provided accumulating Metrics registry the
-	// callback reports cumulative totals across its runs.
-	OnLoopStats func(iters, skips, skippedCycles int64) `json:"-"`
 }
 
 // Cores returns the number of cores.
@@ -137,9 +115,6 @@ func (c Config) Validate() error {
 	n := c.Cores()
 	if n == 0 {
 		return fmt.Errorf("sim: no cores configured")
-	}
-	if err := c.Kernel.Validate(); err != nil {
-		return err
 	}
 	if len(c.Nets) != n {
 		return fmt.Errorf("sim: %d networks for %d cores", len(c.Nets), n)
@@ -270,6 +245,5 @@ func IdealFor(cfg Config, i int) Config {
 	out.Metrics = nil
 	out.OnTransfer = nil
 	out.OnIssue = nil
-	out.OnLoopStats = nil
 	return out
 }

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -11,10 +12,11 @@ import (
 )
 
 // TestRunDeterministic runs a small full-sharing simulation twice under
-// each kernel and byte-compares the serialized metrics. Any
-// map-iteration-order or wall-clock leak anywhere in the pipeline shows
-// up here as a diff, and the final cross-kernel comparison pins the
-// event kernel's results to the tick kernel's byte for byte.
+// the event kernel and the tick reference and byte-compares the
+// serialized metrics. Any map-iteration-order or wall-clock leak
+// anywhere in the pipeline shows up here as a diff, and the final
+// cross-loop comparison pins the event kernel's results to the tick
+// reference's byte for byte.
 // CI runs this under -tags=invariants so the runtime checks are live.
 func TestRunDeterministic(t *testing.T) {
 	base, err := sim.NewWorkloadConfig(workloads.ScaleTiny, sim.ShareDWT, "ncf", "gpt2")
@@ -22,11 +24,9 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serialize := func(k sim.Kernel) ([]byte, []byte) {
+	serialize := func(l sim.Loop) ([]byte, []byte) {
 		t.Helper()
-		cfg := base
-		cfg.Kernel = k
-		res, err := sim.Run(cfg)
+		res, err := l.Run(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,21 +41,21 @@ func TestRunDeterministic(t *testing.T) {
 		return js, csv.Bytes()
 	}
 
-	outputs := map[sim.Kernel][2][]byte{}
-	for _, k := range []sim.Kernel{sim.KernelTick, sim.KernelEvent} {
-		t.Run(string(k), func(t *testing.T) {
-			js1, csv1 := serialize(k)
-			js2, csv2 := serialize(k)
+	outputs := map[string][2][]byte{}
+	for _, l := range sim.Loops {
+		t.Run(l.Name, func(t *testing.T) {
+			js1, csv1 := serialize(l)
+			js2, csv2 := serialize(l)
 			if !bytes.Equal(js1, js2) {
 				t.Errorf("JSON output differs between identical runs:\nfirst:  %s\nsecond: %s", js1, js2)
 			}
 			if !bytes.Equal(csv1, csv2) {
 				t.Errorf("CSV output differs between identical runs:\nfirst:\n%s\nsecond:\n%s", csv1, csv2)
 			}
-			outputs[k] = [2][]byte{js1, csv1}
+			outputs[l.Name] = [2][]byte{js1, csv1}
 		})
 	}
-	tick, event := outputs[sim.KernelTick], outputs[sim.KernelEvent]
+	tick, event := outputs["tick"], outputs["event"]
 	if !bytes.Equal(tick[0], event[0]) {
 		t.Errorf("JSON output differs across kernels:\ntick:  %s\nevent: %s", tick[0], event[0])
 	}

@@ -14,11 +14,9 @@ import (
 )
 
 // canonicalConfig mirrors the Config fields that determine the Result.
-// Observation hooks (Obs, Metrics, OnTransfer, OnIssue, OnLoopStats) are
-// excluded because observation never alters execution, and the Kernel
-// selector is excluded because results are bit-identical under either
-// loop — two configs differing only in those fields share one cache
-// slot. Field order is fixed: encoding/json emits struct fields in
+// Observation hooks (Obs, Metrics, HostProf, OnTransfer, OnIssue) are
+// excluded because observation never alters execution — two configs
+// differing only in those fields share one cache slot. Field order is fixed: encoding/json emits struct fields in
 // declaration order, so the canonical bytes are deterministic. Cycle
 // fields are stored as raw int64 so the canonical bytes are identical
 // to the pre-typed-clock encoding.

@@ -3,7 +3,10 @@ package sim_test
 import (
 	"testing"
 
+	"mnpusim/internal/clock"
+	"mnpusim/internal/mem"
 	"mnpusim/internal/obs"
+	"mnpusim/internal/obs/hostprof"
 	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
@@ -43,12 +46,12 @@ func TestFingerprintStableAndDiscriminating(t *testing.T) {
 		}
 	}
 
-	// Hooks and the kernel selector never affect results, so they must
-	// not affect the key either: those configs share one cache slot.
+	// Hooks never affect results, so they must not affect the key
+	// either: those configs share one cache slot.
 	hooked := tinyDual(t)
 	hooked.Metrics = obs.NewRegistry()
-	hooked.OnLoopStats = func(int64, int64, int64) {}
-	hooked.Kernel = sim.KernelTick
+	hooked.HostProf = hostprof.New()
+	hooked.OnIssue = func(clock.Global, *mem.Request) {}
 	got, err := hooked.Fingerprint()
 	if err != nil {
 		t.Fatal(err)

@@ -14,49 +14,6 @@ import (
 	"mnpusim/internal/obs/hostprof"
 )
 
-// Kernel selects the simulation driver (see Config.Kernel).
-type Kernel string
-
-const (
-	// KernelDefault resolves to KernelEvent.
-	KernelDefault Kernel = ""
-	// KernelTick is the legacy driver: every component ticks on every
-	// global cycle, with optional fast-forward across quiet windows.
-	KernelTick Kernel = "tick"
-	// KernelEvent is the discrete-event driver: a binary-heap event
-	// queue over per-component wake times ticks each component only on
-	// cycles where it has work. Results are byte-identical to
-	// KernelTick.
-	KernelEvent Kernel = "event"
-)
-
-// ParseKernel converts a command-line kernel name to a Kernel.
-func ParseKernel(s string) (Kernel, error) {
-	k := Kernel(s)
-	if err := k.Validate(); err != nil {
-		return KernelDefault, err
-	}
-	return k, nil
-}
-
-// Validate rejects unknown kernel names.
-func (k Kernel) Validate() error {
-	switch k {
-	case KernelDefault, KernelTick, KernelEvent:
-		return nil
-	}
-	return fmt.Errorf("sim: unknown kernel %q (want %q or %q)", string(k), KernelTick, KernelEvent)
-}
-
-// effectiveKernel resolves the configured kernel: an explicit choice
-// wins; everything else defaults to the event kernel.
-func (c Config) effectiveKernel() Kernel {
-	if c.Kernel != KernelDefault {
-		return c.Kernel
-	}
-	return KernelEvent
-}
-
 // component is the event kernel's view of one piece of hardware: a DRAM
 // channel, the MMU, or an NPU core. The wake contract: after tick(now),
 // the component's observable state cannot change before next(now) unless
@@ -89,7 +46,8 @@ func (c mmuComp) skipTo(now clock.Global)            {}
 func (c mmuComp) next(now clock.Global) clock.Global { return c.u.NextEventAfter(now) }
 
 // coreComp shifts the global clock onto the core's delayed timeline
-// (StartCycles), mirroring the tick loop's now-starts[i] convention.
+// (StartCycles), mirroring the tick reference's now-starts[i]
+// convention.
 type coreComp struct {
 	c     *npu.Core
 	start clock.Global
@@ -113,11 +71,11 @@ func (c coreComp) next(now clock.Global) clock.Global {
 // wakeSubmitter wraps the MMU port handed to a core so that a
 // successful DMA submission re-arms the MMU's wake entry. The MMU has
 // already ticked this cycle (cores tick last), so its post-submit
-// NextEventAfter is the exact horizon — the tick kernel's fast-forward
-// recomputes the same value after this cycle. A coalesced miss that
+// NextEventAfter is the exact horizon — the tick reference's
+// fast-forward recomputes the same value after this cycle. A coalesced miss that
 // merely joins an in-flight walk leaves the horizon at the walk's
 // completion, so waking at now+1 unconditionally would make the event
-// kernel visit cycles the tick kernel skips.
+// kernel visit cycles the tick reference skips.
 type wakeSubmitter struct {
 	mmu   *mmu.MMU
 	ek    *eventKernel
@@ -134,9 +92,9 @@ func (w *wakeSubmitter) Submit(now clock.Global, r *mem.Request) bool {
 }
 
 // wakeEntry is one heap entry: component id armed at cycle at. Ordering
-// is (at, id); ids follow the tick loop's within-cycle component order
-// (channels, then MMU, then cores), so draining the heap at one cycle
-// reproduces the tick loop's ordering exactly.
+// is (at, id); ids follow the tick reference's within-cycle component
+// order (channels, then MMU, then cores), so draining the heap at one
+// cycle reproduces its ordering exactly.
 type wakeEntry struct {
 	at clock.Global
 	id int
@@ -299,13 +257,16 @@ func (k *eventKernel) absorb(t clock.Global) {
 	}
 }
 
-// runEvent is the discrete-event main loop. It visits exactly the
-// cycles the tick kernel's fast-forward would tick — a cycle is
+// runEvent is the simulator's main loop. It visits exactly the cycles a
+// tick-everything loop with fast-forward would tick — a cycle is
 // processed iff some component's horizon lands on it — but ticks only
 // the components armed there, so idle hardware costs nothing. The probe
 // stream (including skip windows and loop-iteration counts) and the
-// final Result are byte-identical to runTick's by construction.
-func (s *system) runEvent(ctx context.Context, ek *eventKernel) (clock.Global, error) {
+// final Result are byte-identical to that loop's by construction;
+// TestKernelEventMatchesTick proves it against the tick kernel, which
+// survives as a test-only reference (tickref_test.go).
+func (s *system) runEvent(ctx context.Context) (clock.Global, error) {
+	ek := s.ek
 	cfg := s.cfg
 	hp := cfg.HostProf
 	chs := s.memory.Channels()

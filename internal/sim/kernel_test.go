@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -8,17 +9,15 @@ import (
 	"mnpusim/internal/obs"
 )
 
-// captureRun executes cfg under the given kernel with a capturing sink
-// and returns the result plus the full probe-event stream.
-func captureRun(t *testing.T, cfg Config, k Kernel) (Result, []obs.Event) {
+// captureRun executes cfg under the given main loop with a capturing
+// sink and returns the result plus the full probe-event stream.
+func captureRun(t *testing.T, cfg Config, l Loop) (Result, []obs.Event) {
 	t.Helper()
 	var events []obs.Event
-	run := cfg
-	run.Kernel = k
-	run.Obs = obs.Func(func(e obs.Event) { events = append(events, e) })
-	res, err := Run(run)
+	cfg.Obs = obs.Func(func(e obs.Event) { events = append(events, e) })
+	res, err := l.Run(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("kernel %q: %v", k, err)
+		t.Fatalf("%s loop: %v", l.Name, err)
 	}
 	return res, events
 }
@@ -26,17 +25,18 @@ func captureRun(t *testing.T, cfg Config, k Kernel) (Result, []obs.Event) {
 // TestKernelEventMatchesTick is the event kernel's central proof
 // obligation: across every determinism config class, the discrete-event
 // kernel must produce a byte-identical Result AND an identical probe
-// stream — same events, same cycles, same order — as the tick kernel.
-// Skip windows and loop-iteration counts are included: the event kernel
-// processes exactly the cycles the tick kernel's fast-forward ticks.
+// stream — same events, same cycles, same order — as the tick reference
+// (tickref_test.go). Skip windows and loop-iteration counts are
+// included: the event kernel processes exactly the cycles the tick
+// kernel's fast-forward ticks.
 func TestKernelEventMatchesTick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full simulations per config")
 	}
 	for name, cfg := range skipConfigs(t) {
 		t.Run(name, func(t *testing.T) {
-			tickRes, tickEv := captureRun(t, cfg, KernelTick)
-			evRes, evEv := captureRun(t, cfg, KernelEvent)
+			tickRes, tickEv := captureRun(t, cfg, Loops[0])
+			evRes, evEv := captureRun(t, cfg, Loops[1])
 			if !reflect.DeepEqual(tickRes, evRes) {
 				t.Errorf("event kernel changed the result:\ntick:  %+v\nevent: %+v", tickRes, evRes)
 			}

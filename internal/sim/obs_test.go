@@ -154,19 +154,21 @@ func TestObsSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestObsLoopStatsShim checks the deprecated OnLoopStats callback still
-// reports the loop's iteration and skip accounting via the registry.
-func TestObsLoopStatsShim(t *testing.T) {
+// TestObsLoopStats checks the registry's main-loop accounting: the
+// processed cycles plus the cycles skipped between them cover the whole
+// run.
+func TestObsLoopStats(t *testing.T) {
 	cfg, err := sim.NewWorkloadConfig(workloads.ScaleTiny, sim.Static, "ncf", "ncf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var iters, skips, skipped int64
-	cfg.OnLoopStats = func(i, s, c int64) { iters, skips, skipped = i, s, c }
+	cfg.Metrics = obs.NewRegistry()
 	res, err := sim.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := cfg.Metrics.Snapshot()
+	iters, skips, skipped := snap.Value("sim.loop_iters"), snap.Value("sim.skip_windows"), snap.Value("sim.skipped_cycles")
 	if iters <= 0 {
 		t.Errorf("loop iters = %d", iters)
 	}

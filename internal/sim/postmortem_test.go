@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -16,7 +17,13 @@ import (
 // the same serialization mnpusim -json and the serve layer compare.
 func runJSON(t *testing.T, cfg sim.Config) []byte {
 	t.Helper()
-	res, err := sim.Run(cfg)
+	return loopJSON(t, sim.Loops[1], cfg)
+}
+
+// loopJSON is runJSON under the given main loop.
+func loopJSON(t *testing.T, l sim.Loop, cfg sim.Config) []byte {
+	t.Helper()
+	res, err := l.Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,23 +37,20 @@ func runJSON(t *testing.T, cfg sim.Config) []byte {
 // TestHostProfDoesNotPerturbResults is the hostprof non-perturbation
 // contract: attaching the profiler (and a metrics registry for it to
 // publish into) must leave the serialized result byte-identical to a
-// bare run, under both kernels.
+// bare run, under the event kernel and the tick reference.
 func TestHostProfDoesNotPerturbResults(t *testing.T) {
 	base, err := sim.NewWorkloadConfig(workloads.ScaleTiny, sim.ShareDWT, "ncf", "gpt2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []sim.Kernel{sim.KernelTick, sim.KernelEvent} {
-		t.Run(string(k), func(t *testing.T) {
-			plain := base
-			plain.Kernel = k
-			bare := runJSON(t, plain)
+	for _, l := range sim.Loops {
+		t.Run(l.Name, func(t *testing.T) {
+			bare := loopJSON(t, l, base)
 
 			profiled := base
-			profiled.Kernel = k
 			profiled.HostProf = hostprof.New()
 			profiled.Metrics = obs.NewRegistry()
-			withProf := runJSON(t, profiled)
+			withProf := loopJSON(t, l, profiled)
 
 			if !bytes.Equal(bare, withProf) {
 				t.Errorf("hostprof perturbed the result:\nbare:     %s\nprofiled: %s", bare, withProf)

@@ -10,7 +10,8 @@ import (
 // skipConfigs builds a spread of configurations that exercise every
 // fast-forward path: pure compute stretches, memory-bound stretches,
 // mixed clock domains, delayed starts, fixed-latency and DRAM-backed
-// walks, and translation removed entirely.
+// walks, translation removed entirely, and a translation-heavy static
+// split.
 func skipConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	mustCfg := func(level Sharing, names ...string) Config {
@@ -44,6 +45,10 @@ func skipConfigs(t *testing.T) map[string]Config {
 	stagger := mustCfg(ShareDWT, "ncf", "res")
 	stagger.StartCycles = []clock.Global{0, 5000}
 	out["staggered-start"] = stagger
+
+	// Translation-heavy gathers against a compute-bound co-runner on
+	// split channels and walkers.
+	out["res+dlrm-static"] = mustCfg(Static, "res", "dlrm")
 
 	return out
 }

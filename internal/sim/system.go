@@ -6,7 +6,6 @@ import (
 
 	"mnpusim/internal/clock"
 	"mnpusim/internal/dram"
-	"mnpusim/internal/invariant"
 	"mnpusim/internal/mem"
 	"mnpusim/internal/mmu"
 	"mnpusim/internal/npu"
@@ -61,12 +60,9 @@ func (r Result) DRAMEnergy(p dram.EnergyParams) dram.EnergyBreakdown {
 // farFuture is the "no pending event" horizon on the global clock.
 const farFuture clock.Global = clock.FarFuture
 
-// cancelCheckMask throttles how often both kernels poll the context's
-// done channel: every 64 processed cycles (tick-kernel iterations or
-// event-kernel drained cycles), plus — in the tick kernel —
-// unconditionally at every fast-forward boundary. A processed cycle is
-// the unit of real work in both kernels, so the poll interval bounds
-// cancellation latency the same way in each.
+// cancelCheckMask throttles how often the main loop polls the context's
+// done channel: every 64 processed cycles. A processed cycle is the
+// unit of real work, so the poll interval bounds cancellation latency.
 const cancelCheckMask = 63
 
 // Run executes the configured system until every core completes its
@@ -79,23 +75,26 @@ func Run(cfg Config) (Result, error) {
 }
 
 // system is one fully built simulation: the hardware, the probe sink,
-// and the main-loop bookkeeping shared by both kernels.
+// the event kernel, and the main-loop bookkeeping.
 type system struct {
 	cfg    Config
 	memory *dram.Memory
 	unit   *mmu.MMU
 	cores  []*npu.Core
+	scheds []*tile.Schedule
 	starts []clock.Global
 	sink   obs.Sink
+	ek     *eventKernel
+
+	// Per-core completed DRAM traffic, split by class.
+	dataBytes, ptBytes []int64
 
 	// finished tracks which cores already emitted their first-inference
 	// phase event; nil when no sink is attached.
 	finished []bool
 
-	// Loop bookkeeping, identical across kernels by construction: the
-	// event kernel processes exactly the cycles the tick kernel's
-	// fast-forward would tick, so loopIters/loopSkips/loopSkipped (and
-	// the probe events derived from them) match byte-for-byte.
+	// Loop bookkeeping: processed cycles, and the quiet windows jumped
+	// between them (reported as skip-window probe events).
 	loopIters, loopSkips, loopSkipped int64
 
 	// compTicks counts per-component Tick invocations (one per channel,
@@ -114,8 +113,8 @@ func (s *system) allDone() bool {
 }
 
 // phaseScan emits a first-inference phase event for every core that
-// newly finished during cycle now; both kernels call it after every
-// processed cycle so the phase stream is identical.
+// newly finished during cycle now; the main loop calls it after every
+// processed cycle.
 func (s *system) phaseScan(now clock.Global) {
 	if s.sink == nil {
 		return
@@ -134,28 +133,39 @@ func (s *system) cancelled(ctx context.Context, at clock.Global) error {
 
 // RunContext is Run with cancellation: if ctx is cancelled or its
 // deadline passes mid-run, the simulation stops within a bounded number
-// of loop iterations (tick kernel) or heap pops (event kernel) and
-// returns an error wrapping ctx.Err(). A cancelled run returns a zero
-// Result; partial simulation state is discarded. The simulation itself
-// is single-goroutine, so cancellation leaks nothing.
+// of processed cycles and returns an error wrapping ctx.Err(). A
+// cancelled run returns a zero Result; partial simulation state is
+// discarded. The simulation itself is single-goroutine, so cancellation
+// leaks nothing.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("sim: run not started: %w", err)
 	}
-	if err := cfg.Validate(); err != nil {
+	s, err := newSystem(cfg, true)
+	if err != nil {
 		return Result{}, err
 	}
+	return s.run(ctx, s.runEvent)
+}
+
+// newSystem validates cfg and builds its hardware and software. With
+// event set it also creates the event kernel and wires its stimulus
+// seams; without, the system carries no wake hooks at all (the form
+// the tests' tick-everything reference loop drives).
+func newSystem(cfg Config, event bool) (*system, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	n := cfg.Cores()
-	kern := cfg.effectiveKernel()
 
 	// Build the hardware.
 	memory, err := dram.New(cfg.DRAM)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	for i, set := range cfg.channelSets() {
 		if err := memory.SetCoreChannels(i, set); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 
@@ -167,19 +177,14 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	}
 	unit, err := mmu.New(cfg.mmuConfig(), memory, tables, ids)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
 	// One probe stream, fanned out to the caller's sink and the metrics
-	// registry. The deprecated OnLoopStats shim needs a registry even
-	// when the caller provided none.
-	reg := cfg.Metrics
-	if reg == nil && cfg.OnLoopStats != nil {
-		reg = obs.NewRegistry()
-	}
+	// registry.
 	sink := cfg.Obs
-	if reg != nil {
-		sink = obs.Tee(sink, obs.NewRegistrySink(reg))
+	if cfg.Metrics != nil {
+		sink = obs.Tee(sink, obs.NewRegistrySink(cfg.Metrics))
 	}
 	// The profiler times the whole sink chain (caller's sink + registry
 	// fold) at the emission boundary; with no profiler the sink passes
@@ -197,18 +202,17 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	// can be wired into the stimulus seams: DRAM enqueues and burst
 	// completions (memory hooks) and DMA submissions (the per-core
 	// Submitter wrapper). Component ids are heap tie-break priorities
-	// and mirror the tick loop's within-cycle order: channels, MMU,
-	// cores.
+	// and fix the within-cycle order: channels, MMU, cores.
 	var ek *eventKernel
-	if kern == KernelEvent {
+	if event {
 		chs := memory.Channels()
 		ek = newEventKernel(chs + 1 + n)
 		// An enqueue re-arms the landing channel at the channel's own
 		// recomputed horizon, not blindly now+1: the fresh request's
-		// earliest command may sit behind bank or bus timers, and the
-		// tick kernel's fast-forward (which recomputes the device
-		// horizon after every cycle) would skip straight to it. More
-		// work can only move the horizon earlier, so wake()'s
+		// earliest command may sit behind bank or bus timers, and a
+		// tick-everything loop's fast-forward (which recomputes the
+		// device horizon after every cycle) would skip straight to it.
+		// More work can only move the horizon earlier, so wake()'s
 		// earlier-only rule applies cleanly.
 		memory.OnEnqueue = func(now clock.Global, ch int) { ek.wake(ch, memory.ChannelNextEventAfter(ch, now)) }
 		memory.OnComplete = func(done clock.Global, r *mem.Request) {
@@ -233,7 +237,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 			BlockBytes: a.BlockBytes,
 		})
 		if err != nil {
-			return Result{}, fmt.Errorf("sim: core %d: %w", i, err)
+			return nil, fmt.Errorf("sim: core %d: %w", i, err)
 		}
 		scheds[i] = sched
 		dom := clock.NewDomain(a.FreqHz, clock.Hz(cfg.DRAM.FreqHz))
@@ -243,7 +247,7 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		}
 		core, err := npu.NewCore(i, a, sched, dom, submitter, ids)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		if cfg.OnIssue != nil {
 			core.OnIssue = cfg.OnIssue
@@ -253,49 +257,53 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		cores[i] = core
 	}
 
+	s := &system{
+		cfg:       cfg,
+		memory:    memory,
+		unit:      unit,
+		cores:     cores,
+		scheds:    scheds,
+		starts:    starts,
+		sink:      sink,
+		ek:        ek,
+		dataBytes: make([]int64, n),
+		ptBytes:   make([]int64, n),
+	}
+
 	// Per-core transfer accounting (plus the caller's hook).
-	dataBytes := make([]int64, n)
-	ptBytes := make([]int64, n)
 	memory.OnTransfer = func(now clock.Global, core int, bytes int, class mem.Class) {
 		if core >= 0 && core < n {
 			if class == mem.PageTable {
-				ptBytes[core] += int64(bytes)
+				s.ptBytes[core] += int64(bytes)
 			} else {
-				dataBytes[core] += int64(bytes)
+				s.dataBytes[core] += int64(bytes)
 			}
 		}
 		if cfg.OnTransfer != nil {
 			cfg.OnTransfer(now, core, bytes, class)
 		}
 	}
+	return s, nil
+}
 
-	sys := &system{
-		cfg:    cfg,
-		memory: memory,
-		unit:   unit,
-		cores:  cores,
-		starts: starts,
-		sink:   sink,
-	}
-
-	if sink != nil {
-		sink.Emit(obs.Event{Cycle: 0, Kind: obs.KindRunStart, Core: -1, A: int64(n), Str: cfg.Sharing.String()})
+// run drives the built system to completion with loop (the event
+// kernel, or the tests' tick reference) and assembles the Result.
+func (s *system) run(ctx context.Context, loop func(context.Context) (clock.Global, error)) (Result, error) {
+	cfg := s.cfg
+	n := cfg.Cores()
+	if s.sink != nil {
+		s.sink.Emit(obs.Event{Cycle: 0, Kind: obs.KindRunStart, Core: -1, A: int64(n), Str: cfg.Sharing.String()})
 		for i := 0; i < n; i++ {
-			sink.Emit(obs.Event{Cycle: 0, Kind: obs.KindCoreInfo, Core: int32(i), Str: cfg.Nets[i].Name})
+			s.sink.Emit(obs.Event{Cycle: 0, Kind: obs.KindCoreInfo, Core: int32(i), Str: cfg.Nets[i].Name})
 		}
-		sys.finished = make([]bool, n)
+		s.finished = make([]bool, n)
 	}
 
 	var hpRun int64
 	if cfg.HostProf != nil {
 		hpRun = hostprof.Now()
 	}
-	var now clock.Global
-	if kern == KernelTick {
-		now, err = sys.runTick(ctx)
-	} else {
-		now, err = sys.runEvent(ctx, ek)
-	}
+	now, err := loop(ctx)
 	if cfg.HostProf != nil {
 		cfg.HostProf.Add(hostprof.SecRun, hostprof.Now()-hpRun)
 	}
@@ -303,175 +311,45 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	if sink != nil {
-		sink.Emit(obs.Event{Cycle: now, Kind: obs.KindRunEnd, Core: -1, A: now.Int64(), B: sys.loopIters})
+	if s.sink != nil {
+		s.sink.Emit(obs.Event{Cycle: now, Kind: obs.KindRunEnd, Core: -1, A: now.Int64(), B: s.loopIters})
 	}
-	if reg != nil {
-		// Kernel cost counters, written directly (not via the probe
-		// stream, which stays identical across kernels): component-tick
-		// invocations, and for the event kernel its heap traffic.
-		reg.Counter("sim.component_ticks").Add(sys.compTicks)
-		if ek != nil {
-			reg.Counter("sim.heap_pops").Add(ek.pops)
+	if reg := cfg.Metrics; reg != nil {
+		// Kernel cost counters, written directly rather than through
+		// the probe stream: component-tick invocations and heap traffic.
+		reg.Counter("sim.component_ticks").Add(s.compTicks)
+		if s.ek != nil {
+			reg.Counter("sim.heap_pops").Add(s.ek.pops)
 		}
 		cfg.HostProf.Publish(reg)
-	}
-	if cfg.OnLoopStats != nil {
-		// Deprecated shim: the loop bookkeeping now flows through the
-		// probe stream into the registry; replay it from a snapshot.
-		snap := reg.Snapshot()
-		cfg.OnLoopStats(snap.Value("sim.loop_iters"), snap.Value("sim.skip_windows"), snap.Value("sim.skipped_cycles"))
 	}
 
 	res := Result{
 		Cores:        make([]CoreResult, n),
 		GlobalCycles: now.Int64(),
-		DRAM:         memory.Stats(),
+		DRAM:         s.memory.Stats(),
 		Sharing:      cfg.Sharing,
 	}
-	for i, c := range cores {
+	for i, c := range s.cores {
 		st := c.Stats()
 		res.Cores[i] = CoreResult{
 			Net:            cfg.Nets[i].Name,
 			Cycles:         st.FirstIterCycles,
 			Utilization:    st.Utilization(cfg.Arch[i]),
 			Iterations:     st.Iterations,
-			TrafficBytes:   scheds[i].TrafficBytes(),
-			FootprintBytes: scheds[i].FootprintBytes,
+			TrafficBytes:   s.scheds[i].TrafficBytes(),
+			FootprintBytes: s.scheds[i].FootprintBytes,
 			LayerEndCycles: st.LayerEndCycles,
 			NPU:            st,
-			MMU:            unit.Stats(i),
-			DataBytes:      dataBytes[i],
-			PTBytes:        ptBytes[i],
+			MMU:            s.unit.Stats(i),
+			DataBytes:      s.dataBytes[i],
+			PTBytes:        s.ptBytes[i],
 		}
 		if !cfg.NoTranslation {
-			res.Cores[i].TLBHitRate = unit.TLBFor(i).HitRate()
+			res.Cores[i].TLBHitRate = s.unit.TLBFor(i).HitRate()
 		}
 	}
 	return res, nil
-}
-
-// runTick is the legacy tick-everything loop: every component ticks on
-// every global cycle, with a fast-forward across windows in which no
-// component can change state. It returns the final global cycle count.
-func (s *system) runTick(ctx context.Context) (clock.Global, error) {
-	cfg := s.cfg
-	chTicks := int64(s.memory.Channels())
-	hp := cfg.HostProf
-
-	// done is nil for context.Background(), turning every cancellation
-	// poll into a single branch.
-	done := ctx.Done()
-
-	var now clock.Global
-	var prevNow clock.Global = -1
-	for !s.allDone() {
-		if done != nil && s.loopIters&cancelCheckMask == 0 {
-			select {
-			case <-done:
-				return 0, s.cancelled(ctx, now)
-			default:
-			}
-		}
-		s.loopIters++
-		if invariant.Enabled {
-			invariant.Check(now > prevNow,
-				"sim: global clock not monotonic: %d after %d", now, prevNow)
-			prevNow = now
-		}
-		if cfg.MaxGlobalCycles > 0 && now > cfg.MaxGlobalCycles {
-			return 0, fmt.Errorf("sim: exceeded MaxGlobalCycles=%d (deadlock or runaway config)", cfg.MaxGlobalCycles)
-		}
-		// Host-time ladder: one clock read per section boundary, and none
-		// at all when no profiler is attached.
-		var hpT int64
-		if hp != nil {
-			hpT = hostprof.Now()
-		}
-		s.memory.Tick(now)
-		if hp != nil {
-			hpT = hp.AddSince(hostprof.SecTickDRAM, hpT)
-		}
-		s.unit.Tick(now)
-		if hp != nil {
-			hpT = hp.AddSince(hostprof.SecTickMMU, hpT)
-		}
-		s.compTicks += chTicks + 1
-		for i, c := range s.cores {
-			if now < s.starts[i] {
-				continue
-			}
-			c.Tick(now - s.starts[i])
-			s.compTicks++
-		}
-		if hp != nil {
-			hpT = hp.AddSince(hostprof.SecTickCore, hpT)
-		}
-		s.phaseScan(now)
-		// Event skipping: every component reports the earliest cycle at
-		// which its state can change. The horizon must be computed after
-		// the ticks — a request submitted this cycle may have armed the
-		// MMU or DRAM. Anything at or before now+1 means the next cycle
-		// must tick normally; otherwise no component changes state in
-		// (now, next), so the window is fast-forwarded and the ticks it
-		// would have run are no-ops by construction.
-		next := s.memory.NextEventAfter(now)
-		if next > now+1 {
-			if e := s.unit.NextEventAfter(now); e < next {
-				next = e
-			}
-		}
-		if next > now+1 {
-			for i, c := range s.cores {
-				if now < s.starts[i] {
-					next = min(next, s.starts[i])
-				} else if e := c.NextEventAfter(now-s.starts[i]) + s.starts[i]; e < next {
-					next = e
-				}
-				if next <= now+1 {
-					break
-				}
-			}
-		}
-		if next <= now+1 {
-			if hp != nil {
-				hp.AddSince(hostprof.SecKernelHeap, hpT)
-			}
-			now++
-			continue
-		}
-		if next >= farFuture {
-			return 0, fmt.Errorf("sim: system wedged at cycle %d with no pending events: %s", now, describeWedge(s.cores, s.unit))
-		}
-		if invariant.Enabled {
-			invariant.Check(next > now+1,
-				"sim: fast-forward target %d does not advance past %d", next, now)
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return 0, s.cancelled(ctx, now)
-			default:
-			}
-		}
-		s.loopSkips++
-		s.loopSkipped += (next - now - 1).Int64()
-		if s.sink != nil {
-			s.sink.Emit(obs.Event{Cycle: now, Kind: obs.KindSkipWindow, Core: -1, A: (next - now - 1).Int64()})
-		}
-		s.memory.SkipTo(next)
-		s.unit.SkipTo(next)
-		for i, c := range s.cores {
-			if now >= s.starts[i] {
-				c.SkipTo(next - s.starts[i])
-			}
-		}
-		if hp != nil {
-			hp.AddSince(hostprof.SecKernelHeap, hpT)
-		}
-		now = next
-	}
-	return now, nil
 }
 
 // RunIdeal runs each core's workload alone on the Ideal configuration
