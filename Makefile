@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json invariants attr-invariants check obs-smoke serve-smoke fleet-smoke serve-bench postmortem-smoke kernel-check
+.PHONY: build test race vet lint lint-json invariants attr-invariants check obs-smoke serve-smoke fleet-smoke postmortem-smoke kernel-check
 
 build:
 	$(GO) build ./...
@@ -85,12 +85,6 @@ serve-smoke:
 # survivors (see scripts/fleet_smoke.sh).
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
-
-# Serving-layer load benchmark: boot a daemon, replay a dual-core grid
-# 25x through cmd/mnpuload, and record latency percentiles, throughput,
-# and the cache-hit rate (must be >= 0.9) -> BENCH_serve.json.
-serve-bench:
-	sh scripts/serve_bench.sh BENCH_serve.json
 
 # End-to-end post-mortem smoke, race + invariants enabled: kill a job
 # mid-run, fetch its flight-recorder dump over HTTP, validate it with

@@ -220,12 +220,7 @@ func BandwidthPartitioning(r *Runner) (BWPartitionResult, error) {
 			metrics.Speedup(ideal[mix[0]], res.Cores[0].Cycles),
 			metrics.Speedup(ideal[mix[1]], res.Cores[1].Cycles),
 		}
-		scores[i] = MixScore{
-			Workloads: []string{mix[0], mix[1]},
-			Speedups:  sp,
-			Geomean:   metrics.MustGeomean(sp),
-			Fairness:  metrics.FairnessFromSpeedups(sp),
-		}
+		scores[i] = newMixScore(mix[:], sp)
 		return nil
 	})
 	if err != nil {

@@ -182,3 +182,51 @@ func TestRunnerDefaults(t *testing.T) {
 		t.Errorf("default workers: %d", r.Workers())
 	}
 }
+
+// TestSharingGridScore pins the grid's bookkeeping without simulating:
+// cells enumerate mix-major x level-minor, Ideals lists each workload
+// once in first-appearance order, Score normalizes every core's cycles
+// to its workload's Ideal, and malformed inputs are errors rather than
+// partial results.
+func TestSharingGridScore(t *testing.T) {
+	g := SharingGrid{
+		Cores:  2,
+		Levels: []sim.Sharing{sim.Static, sim.ShareDWT},
+		Mixes:  [][]string{{"ncf", "gpt2"}, {"gpt2", "res"}},
+	}
+	if mix, lv := g.Cell(1); mix[0] != "ncf" || lv != sim.ShareDWT {
+		t.Errorf("cell 1 = %v %s, want [ncf gpt2] +dwt", mix, lv)
+	}
+	if mix, lv := g.Cell(2); mix[0] != "gpt2" || lv != sim.Static {
+		t.Errorf("cell 2 = %v %s, want [gpt2 res] static", mix, lv)
+	}
+	if got := g.Ideals(); len(got) != 3 || got[0] != "ncf" || got[1] != "gpt2" || got[2] != "res" {
+		t.Errorf("Ideals = %v, want [ncf gpt2 res]", got)
+	}
+
+	ideal := map[string]int64{"ncf": 100, "gpt2": 200, "res": 400}
+	cells := [][]int64{{200, 400}, {100, 200}, {400, 800}, {200, 400}}
+	res, err := g.Score(cells, ideal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Mixes[sim.Static]); n != 2 {
+		t.Fatalf("%d static mixes, want 2", n)
+	}
+	if m := res.Mixes[sim.ShareDWT][1]; m.Speedups[0] != 1 || m.Speedups[1] != 1 || m.Geomean != 1 {
+		t.Errorf("gpt2+res at +dwt scored %+v, want speedups 1 and 1", m)
+	}
+	if m := res.Mixes[sim.Static][0]; m.Speedups[0] != 0.5 || m.Speedups[1] != 0.5 {
+		t.Errorf("ncf+gpt2 static scored %+v, want speedups 0.5 and 0.5", m)
+	}
+
+	if _, err := g.Score(cells[:3], ideal); err == nil {
+		t.Error("Score accepted 3 cells for a 4-cell grid")
+	}
+	if _, err := g.Score([][]int64{{1}, {1, 1}, {1, 1}, {1, 1}}, ideal); err == nil {
+		t.Error("Score accepted one core's cycles for a two-workload mix")
+	}
+	if _, err := g.Score(cells, map[string]int64{"ncf": 1, "gpt2": 1}); err == nil {
+		t.Error("Score accepted a grid with no Ideal for res")
+	}
+}

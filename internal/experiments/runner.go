@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -65,10 +66,10 @@ func (mm *memoMap[V]) do(key string, fn func() (V, error)) (V, error) {
 }
 
 // Runner executes simulations with memoization: the Ideal baselines and
-// the dual-core mix results are shared across experiments (Figs 4, 6, 8,
-// and 17 all consume the same 36 mixes). All methods are safe for
-// concurrent use; independent simulations run on a bounded worker pool
-// sized by Options.Workers.
+// the mix results are shared across experiments (Figs 4, 6, 8, and 17
+// all consume the same 36 dual mixes; Figs 5 and 7 the same quad
+// mixes). All methods are safe for concurrent use; independent
+// simulations run on a bounded worker pool sized by Options.Workers.
 type Runner struct {
 	opts  config
 	names []string
@@ -86,9 +87,9 @@ type Runner struct {
 	sem chan struct{}
 
 	ideal *memoMap[sim.CoreResult]
-	// dual caches mix results: key "a+b@level".
-	dual *memoMap[sim.Result]
-	runs atomic.Int64
+	// mixes caches mix results of any width: key "a+b+...@level".
+	mixes *memoMap[sim.Result]
+	runs  atomic.Int64
 
 	logMu sync.Mutex
 }
@@ -101,7 +102,7 @@ func NewRunner(opts ...Option) *Runner {
 		ctx:   context.Background(),
 		names: workloads.Names(),
 		ideal: newMemoMap[sim.CoreResult](),
-		dual:  newMemoMap[sim.Result](),
+		mixes: newMemoMap[sim.Result](),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -294,17 +295,23 @@ func (r *Runner) Ideal(name string) (sim.CoreResult, error) {
 // Dual returns the cached dual-core mix result for (a, b) at the given
 // sharing level.
 func (r *Runner) Dual(a, b string, level sim.Sharing) (sim.Result, error) {
-	key := a + "+" + b + "@" + level.String()
-	return r.dual.do(key, func() (sim.Result, error) {
-		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, level, a, b)
+	return r.mix([]string{a, b}, level)
+}
+
+// mix returns the cached result of one mix (one workload per core) at
+// the given sharing level, simulating it on first use.
+func (r *Runner) mix(names []string, level sim.Sharing) (sim.Result, error) {
+	mix := strings.Join(names, "+")
+	return r.mixes.do(mix+"@"+level.String(), func() (sim.Result, error) {
+		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, level, names...)
 		if err != nil {
 			return sim.Result{}, err
 		}
 		res, err := r.run(cfg)
 		if err != nil {
-			return sim.Result{}, fmt.Errorf("experiments: %s+%s %s: %w", a, b, level, err)
+			return sim.Result{}, fmt.Errorf("experiments: %s %s: %w", mix, level, err)
 		}
-		r.logf("dual %s+%s %s done", a, b, level)
+		r.logf("mix %s %s done", mix, level)
 		return res, nil
 	})
 }

@@ -99,37 +99,123 @@ func (r SharingResult) String() string {
 	return b.String()
 }
 
-// DualCoreSharing runs Fig 4 (performance) and Fig 6 (fairness): all 36
-// dual-core mixes under Static, +D, +DW, +DWT, normalized to Ideal. The
-// mix x level grid fans out onto the worker pool; scores are assembled
-// in enumeration order so the result is identical at any worker count.
-func DualCoreSharing(r *Runner) (SharingResult, error) {
-	out := SharingResult{Cores: 2, Levels: sim.Levels(), Mixes: map[sim.Sharing][]MixScore{}}
-	mixes := r.DualMixes()
-	nl := len(out.Levels)
-	scores := make([]MixScore, len(mixes)*nl)
-	err := r.ForEach(len(scores), func(i int) error {
-		mix, lv := mixes[i/nl], out.Levels[i%nl]
-		sa, sb, err := r.mixSpeedups(mix[0], mix[1], lv)
+// newMixScore scores one mix from its workloads' speedups: their
+// geomean and the Eq-1 fairness. Every MixScore is built here.
+func newMixScore(names []string, speedups []float64) MixScore {
+	return MixScore{
+		Workloads: append([]string(nil), names...),
+		Speedups:  speedups,
+		Geomean:   metrics.MustGeomean(speedups),
+		Fairness:  metrics.FairnessFromSpeedups(speedups),
+	}
+}
+
+// SharingGrid is the paper's central study (§4.2, Figs 4-7) as data:
+// every mix run at every sharing level, each core's cycles divided by
+// its workload's solo Ideal run. It is the one implementation of that
+// computation: DualCoreSharing and QuadCoreSharing run it on a Runner,
+// and the serving layer's sweeps expand it into jobs and score the
+// jobs' results with it.
+type SharingGrid struct {
+	Cores  int
+	Levels []sim.Sharing
+	Mixes  [][]string
+}
+
+// Len returns the number of cells, len(Mixes) x len(Levels).
+func (g SharingGrid) Len() int { return len(g.Mixes) * len(g.Levels) }
+
+// Cell returns cell i of the mix-major, level-minor enumeration.
+func (g SharingGrid) Cell(i int) (mix []string, level sim.Sharing) {
+	nl := len(g.Levels)
+	return g.Mixes[i/nl], g.Levels[i%nl]
+}
+
+// Ideals lists the grid's distinct workloads in first-appearance order:
+// the solo Ideal runs its speedups are normalized to.
+func (g SharingGrid) Ideals() []string {
+	var out []string
+	seen := make(map[string]bool)
+	for _, mix := range g.Mixes {
+		for _, w := range mix {
+			if !seen[w] {
+				seen[w] = true
+				out = append(out, w)
+			}
+		}
+	}
+	return out
+}
+
+// Score turns measured cycles into the SharingResult: cells[i] holds
+// cell i's per-core cycles and ideal each workload's Ideal cycles.
+func (g SharingGrid) Score(cells [][]int64, ideal map[string]int64) (SharingResult, error) {
+	if len(cells) != g.Len() {
+		return SharingResult{}, fmt.Errorf("experiments: %d cell results for a %d-cell grid", len(cells), g.Len())
+	}
+	out := SharingResult{Cores: g.Cores, Levels: g.Levels, Mixes: make(map[sim.Sharing][]MixScore)}
+	for i, cycles := range cells {
+		mix, lv := g.Cell(i)
+		if len(cycles) < len(mix) {
+			return SharingResult{}, fmt.Errorf("experiments: %v %s: %d core results for %d workloads",
+				mix, lv, len(cycles), len(mix))
+		}
+		sp := make([]float64, len(mix))
+		for k, w := range mix {
+			ib, ok := ideal[w]
+			if !ok {
+				return SharingResult{}, fmt.Errorf("experiments: no ideal baseline for %s", w)
+			}
+			sp[k] = metrics.Speedup(ib, cycles[k])
+		}
+		out.Mixes[lv] = append(out.Mixes[lv], newMixScore(mix, sp))
+	}
+	return out, nil
+}
+
+// Run simulates the grid on r's worker pool and scores it. Cells and
+// Ideal baselines go through r's memo, so grids sharing cells (Figs 4
+// and 6, Figs 5 and 7) simulate each once, and the result is identical
+// at any worker count.
+func (g SharingGrid) Run(r *Runner) (SharingResult, error) {
+	cells := make([][]int64, g.Len())
+	err := r.ForEach(len(cells), func(i int) error {
+		mix, lv := g.Cell(i)
+		res, err := r.mix(mix, lv)
 		if err != nil {
 			return err
 		}
-		sp := []float64{sa, sb}
-		scores[i] = MixScore{
-			Workloads: []string{mix[0], mix[1]},
-			Speedups:  sp,
-			Geomean:   metrics.MustGeomean(sp),
-			Fairness:  metrics.FairnessFromSpeedups(sp),
+		cells[i] = make([]int64, len(res.Cores))
+		for k, c := range res.Cores {
+			cells[i][k] = c.Cycles
+		}
+		// The cell's Ideal baselines run here too, on the pool beside
+		// the cells rather than serially after them.
+		for _, w := range mix {
+			if _, err := r.Ideal(w); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		return SharingResult{}, err
 	}
-	for i, sc := range scores {
-		out.Mixes[out.Levels[i%nl]] = append(out.Mixes[out.Levels[i%nl]], sc)
+	ideal := make(map[string]int64)
+	for _, w := range g.Ideals() {
+		ib, err := r.Ideal(w)
+		if err != nil {
+			return SharingResult{}, err
+		}
+		ideal[w] = ib.Cycles
 	}
-	return out, nil
+	return g.Score(cells, ideal)
+}
+
+// DualCoreSharing runs Fig 4 (performance) and Fig 6 (fairness): all 36
+// dual-core mixes under Static, +D, +DW, +DWT, normalized to Ideal.
+func DualCoreSharing(r *Runner) (SharingResult, error) {
+	return SharingGrid{Cores: 2, Levels: sim.Levels(), Mixes: Mixes(r.Names(), 2, 0, 0)}.Run(r)
 }
 
 // Mixes enumerates the M(len(names), cores) workload mixes in the
@@ -177,42 +263,7 @@ func QuadMixes(names []string, sample int) [][]string {
 // QuadCoreSharing runs Fig 5 (performance CDF) and Fig 7 (fairness
 // CDF): quad-core mixes under the four sharing levels.
 func QuadCoreSharing(r *Runner) (SharingResult, error) {
-	out := SharingResult{Cores: 4, Levels: sim.Levels(), Mixes: map[sim.Sharing][]MixScore{}}
-	mixes := QuadMixes(r.Names(), r.opts.QuadSample)
-	nl := len(out.Levels)
-	scores := make([]MixScore, len(mixes)*nl)
-	err := r.ForEach(len(scores), func(i int) error {
-		mix, lv := mixes[i/nl], out.Levels[i%nl]
-		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, lv, mix...)
-		if err != nil {
-			return err
-		}
-		res, err := r.run(cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: quad %v %s: %w", mix, lv, err)
-		}
-		r.logf("quad %v %s done", mix, lv)
-		sp := make([]float64, 4)
-		for k := range mix {
-			if sp[k], err = r.Speedup(mix[k], res.Cores[k].Cycles); err != nil {
-				return err
-			}
-		}
-		scores[i] = MixScore{
-			Workloads: append([]string(nil), mix...),
-			Speedups:  sp,
-			Geomean:   metrics.MustGeomean(sp),
-			Fairness:  metrics.FairnessFromSpeedups(sp),
-		}
-		return nil
-	})
-	if err != nil {
-		return SharingResult{}, err
-	}
-	for i, sc := range scores {
-		out.Mixes[out.Levels[i%nl]] = append(out.Mixes[out.Levels[i%nl]], sc)
-	}
-	return out, nil
+	return SharingGrid{Cores: 4, Levels: sim.Levels(), Mixes: QuadMixes(r.Names(), r.opts.QuadSample)}.Run(r)
 }
 
 // SensitivityResult reproduces Fig 8: the distribution of each

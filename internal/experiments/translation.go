@@ -109,13 +109,7 @@ func PTWPartitioning(r *Runner) (PTWPartitionResult, error) {
 		if err != nil {
 			return err
 		}
-		sp := []float64{sa, sb}
-		scores[i] = MixScore{
-			Workloads: []string{mix[0], mix[1]},
-			Speedups:  sp,
-			Geomean:   metrics.MustGeomean(sp),
-			Fairness:  metrics.FairnessFromSpeedups(sp),
-		}
+		scores[i] = newMixScore(mix[:], []float64{sa, sb})
 		return nil
 	})
 	if err != nil {

@@ -3,8 +3,8 @@
 // payloads, and the structured error envelope. It is the single
 // consumer-side definition of the protocol — the server
 // (internal/serve), the typed client (internal/serve/client), and every
-// tool speaking to a daemon (cmd/mnpuload, the smoke scripts' helpers)
-// all marshal exactly these types.
+// tool speaking to a daemon through that client (cmd/mnpuload's one-job
+// submit, bench/'s serving workloads) all marshal exactly these types.
 //
 // The package depends only on the simulation configuration layer
 // (internal/sim, internal/config, internal/workloads) and the
@@ -180,8 +180,9 @@ type SweepSpec struct {
 	// Cores is the mix width: 2 (M(n,2) dual mixes), 4 (quad), or 8
 	// (octa). Default 2.
 	Cores int `json:"cores,omitempty"`
-	// Workloads restricts the mix population to these benchmarks;
-	// empty means all eight of Table 1.
+	// Workloads restricts the mix population to these benchmarks, each
+	// named once; empty means all eight of Table 1. An unknown or
+	// repeated name is rejected with 400.
 	Workloads []string `json:"workloads,omitempty"`
 	// Scale is "tiny", "small", or "paper" (default "tiny").
 	Scale string `json:"scale,omitempty"`

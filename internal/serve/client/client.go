@@ -1,9 +1,10 @@
 // Package client is the typed Go client of the mnpuserved HTTP API.
 // It speaks exactly the wire format defined in internal/serve/api —
 // jobs, sweeps, the fleet surface, SSE event streams, and post-mortem
-// dumps — and is the one consumer-side implementation: cmd/mnpuload,
-// the end-to-end tests, the smoke scripts' helpers, and the server's
-// own fleet forwarding all go through it.
+// dumps — and is the one consumer-side implementation: cmd/mnpuload
+// (one job, the smoke scripts' building block), bench/'s serving
+// workloads, the end-to-end tests, and the server's own fleet
+// forwarding all go through it.
 package client
 
 import (
@@ -69,12 +70,6 @@ type Client struct {
 	// ForwardedHeader (set to the forwarding daemon's own URL). Only
 	// fleet members forwarding misrouted submissions set this.
 	Forwarded string
-	// OnServerTiming, when set, receives the total;dur value (in
-	// milliseconds) of every response carrying a Server-Timing header —
-	// the server-side handling time, as opposed to the client-observed
-	// round trip. Called inline from do; keep it fast and, under
-	// concurrent use of one Client, safe for concurrent calls.
-	OnServerTiming func(ms float64)
 }
 
 // New returns a client for the daemon at base (scheme://host:port,
@@ -109,11 +104,6 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader) (*
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return nil, err
-	}
-	if c.OnServerTiming != nil {
-		if ms, ok := parseServerTiming(resp.Header.Get("Server-Timing")); ok {
-			c.OnServerTiming(ms)
-		}
 	}
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		return resp, nil
@@ -167,7 +157,6 @@ func (c *Client) ForJob(v api.JobView) *Client {
 	}
 	peer := New(v.Peer)
 	peer.HTTP = c.HTTP
-	peer.OnServerTiming = c.OnServerTiming
 	return peer
 }
 
@@ -389,19 +378,6 @@ func (c *Client) Registry(ctx context.Context) (map[string]int64, error) {
 	var m map[string]int64
 	err := c.getJSON(ctx, http.MethodGet, "/v1/registry", nil, &m)
 	return m, err
-}
-
-// parseServerTiming extracts the first dur= value (milliseconds) from
-// a Server-Timing header like "total;dur=1.234".
-func parseServerTiming(h string) (float64, bool) {
-	for _, part := range strings.FieldsFunc(h, func(r rune) bool { return r == ';' || r == ',' }) {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(part), "dur="); ok {
-			if v, err := strconv.ParseFloat(rest, 64); err == nil {
-				return v, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // MetricValue scrapes /metrics (Prometheus text exposition) and

@@ -76,6 +76,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"sweep bad body", "POST", "/v1/sweeps", "{not json", 400, api.ErrInvalidRequest, false},
 		{"sweep bad cores", "POST", "/v1/sweeps", `{"cores":16}`, 400, api.ErrInvalidRequest, false},
 		{"sweep bad workload", "POST", "/v1/sweeps", `{"workloads":["nope"]}`, 400, api.ErrInvalidRequest, false},
+		{"sweep duplicate workload", "POST", "/v1/sweeps", `{"workloads":["ncf","ncf"]}`, 400, api.ErrInvalidRequest, false},
 		{"sweep bad sharing", "POST", "/v1/sweeps", `{"sharing":["bogus"]}`, 400, api.ErrInvalidRequest, false},
 		{"sweep list bad status", "GET", "/v1/sweeps?status=bogus", "", 400, api.ErrInvalidRequest, false},
 		{"sweep list bad cursor", "GET", "/v1/sweeps?cursor=s999", "", 400, api.ErrInvalidRequest, false},

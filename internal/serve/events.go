@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -63,19 +64,53 @@ func snapshotJSON(snap obs.Snapshot) []byte {
 	return append(b, '}')
 }
 
-// handleEvents is GET /v1/jobs/{id}/events: a Server-Sent Events stream
-// of the job's life. While the job runs it carries periodic "progress"
-// events (skip-window and inference counters) and occasional "snapshot"
-// events (the registry as a JSON object); once the job ends it carries
-// an "attribution" event when a stall-cycle report exists, then exactly
-// one terminal event — "result" (data bytes identical to
-// GET /v1/jobs/{id}/result), "failed", or "cancelled" — and closes.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no such job %q", r.PathValue("id")))
-		return
+// eventStream is one open SSE response. Event ids come from the
+// record's own counter, so a client that reconnects sees ids continue
+// to climb (its Last-Event-ID is never reissued) and can tell replayed
+// state from stale duplicates.
+type eventStream struct {
+	w   io.Writer
+	fl  http.Flusher
+	seq *atomic.Int64
+}
+
+// send writes one event. Payloads are single-line JSON (json.Marshal
+// emits no newlines), so one data: line carries the exact bytes.
+func (es *eventStream) send(name string, payload []byte) bool {
+	if _, err := fmt.Fprintf(es.w, "id: %d\nevent: %s\ndata: %s\n\n",
+		es.seq.Add(1), name, payload); err != nil {
+		return false
 	}
+	es.fl.Flush()
+	return true
+}
+
+func (es *eventStream) sendJSON(name string, v any) bool {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return false
+	}
+	return es.send(name, b)
+}
+
+// eventFeed is what one record's stream carries besides its lifecycle.
+type eventFeed struct {
+	// progress is the payload of every "progress" event.
+	progress func() any
+	// tick, when set, runs after the progress event of the n-th tick.
+	tick func(es *eventStream, n int) bool
+	// final, when set, runs after the last progress event, before the
+	// terminal event.
+	final func(es *eventStream) bool
+}
+
+// serveEvents is the one SSE writer behind GET /v1/jobs/{id}/events and
+// GET /v1/sweeps/{id}/events. It writes the stream head (headers and a
+// retry: hint), a "progress" event at once and on every EventInterval
+// tick while the record runs, then, once the record is terminal, a last
+// "progress" event and exactly one terminal event — "result" (the
+// record's result bytes), "failed", or "cancelled" — and closes.
+func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, l *lifecycle, f eventFeed) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, errf(http.StatusInternalServerError, "streaming unsupported"))
@@ -92,64 +127,62 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Flush()
 
-	// Payloads are single-line JSON (json.Marshal emits no newlines), so
-	// one data: line carries the exact bytes. Event ids come from the
-	// job's own counter, so a client that reconnects sees ids continue
-	// to climb (its Last-Event-ID is never reissued) and can tell
-	// replayed state from stale duplicates.
-	send := func(name string, payload []byte) bool {
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n",
-			job.eventSeq.Add(1), name, payload); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	sendJSON := func(name string, v any) bool {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		return send(name, b)
-	}
-
-	if !sendJSON("progress", job.progress.view(job.Status())) {
+	es := &eventStream{w: w, fl: fl, seq: &l.eventSeq}
+	if !es.sendJSON("progress", f.progress()) {
 		return
 	}
 	ticker := time.NewTicker(s.cfg.EventInterval)
 	defer ticker.Stop()
-	ticks := 0
-	for {
+	for n := 1; ; n++ {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-job.Done():
-			st := job.Status()
-			if !sendJSON("progress", job.progress.view(st)) {
+		case <-l.Done():
+			if !es.sendJSON("progress", f.progress()) {
 				return
 			}
-			if ab, ok := job.AttributionJSON(); ok && !send("attribution", ab) {
+			if f.final != nil && !f.final(es) {
 				return
 			}
+			st, result, errMsg := l.outcome()
 			switch st {
 			case StatusDone:
-				b, _ := job.ResultJSON()
-				send("result", b)
+				es.send("result", result)
 			case StatusFailed:
-				sendJSON("failed", map[string]string{"error": job.View(false).Error})
+				es.sendJSON("failed", map[string]string{"error": errMsg})
 			case StatusCancelled:
-				sendJSON("cancelled", map[string]string{"error": job.View(false).Error})
+				es.sendJSON("cancelled", map[string]string{"error": errMsg})
 			}
 			return
 		case <-ticker.C:
-			if !sendJSON("progress", job.progress.view(job.Status())) {
+			if !es.sendJSON("progress", f.progress()) {
 				return
 			}
-			if ticks++; ticks%s.cfg.snapshotEvery == 0 {
-				if !send("snapshot", snapshotJSON(s.reg.Snapshot())) {
-					return
-				}
+			if f.tick != nil && !f.tick(es, n) {
+				return
 			}
 		}
 	}
+}
+
+// handleEvents is GET /v1/jobs/{id}/events. Besides serveEvents'
+// progress and terminal events, the job's stream carries a "snapshot"
+// event (the registry as a JSON object) every snapshotEvery ticks, and
+// an "attribution" event before the terminal one when a stall-cycle
+// report exists. Its "result" data bytes equal GET /v1/jobs/{id}/result.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	job, ok := s.jobs.lookup(w, r)
+	if !ok {
+		return
+	}
+	s.serveEvents(w, r, &job.lifecycle, eventFeed{
+		progress: func() any { return job.progress.view(job.Status()) },
+		tick: func(es *eventStream, n int) bool {
+			return n%s.cfg.snapshotEvery != 0 || es.send("snapshot", snapshotJSON(s.reg.Snapshot()))
+		},
+		final: func(es *eventStream) bool {
+			ab, ok := job.AttributionJSON()
+			return !ok || es.send("attribution", ab)
+		},
+	})
 }

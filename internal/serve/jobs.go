@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mnpusim/internal/obs/dtrace"
@@ -42,8 +39,8 @@ const (
 
 // Job is one queued, running, or finished simulation.
 type Job struct {
-	// ID is the server-assigned handle ("j1", "j2", ...).
-	ID string
+	lifecycle
+
 	// Key is the config's content address (sim.Config.Fingerprint):
 	// jobs with equal keys produce byte-identical results.
 	Key string
@@ -51,19 +48,10 @@ type Job struct {
 	cfg     sim.Config
 	timeout time.Duration
 
-	// ctx governs the job end to end; cancel is invoked by
-	// DELETE /v1/jobs/{id} and by shutdown's drain deadline.
-	ctx    context.Context
-	cancel context.CancelFunc
-
 	// progress accumulates the live counters streamed by the events
 	// endpoint; the simulation goroutine writes it through the job's
 	// teed probe sink.
 	progress jobProgress
-
-	// eventSeq numbers the job's SSE events; it lives on the job, not
-	// the stream, so ids stay monotonic across client reconnects.
-	eventSeq atomic.Int64
 
 	// traceSC is the distributed-tracing parent of the job's spans
 	// (cache lookup, queue wait, sim run) — the submitting request's
@@ -75,20 +63,15 @@ type Job struct {
 	// for cache-served jobs that never queued.
 	enqueuedNS int64
 
-	mu       sync.Mutex
-	status   Status
-	cached   bool
-	errMsg   string
-	result   []byte // canonical JSON of the sim.Result
-	attr     []byte // canonical JSON of the attrib.Report, nil if unavailable
-	done     chan struct{}
-	doneOnce sync.Once
+	// Guarded by lifecycle.mu.
+	cached bool
+	attr   []byte // canonical JSON of the attrib.Report, nil if unavailable
 
 	// recorder is the job's always-on flight recorder, attached by the
 	// worker and teed behind the probe stream. dump holds the first
 	// anomaly window captured from it (watchdog fire, cancellation,
 	// timeout, error, or panic); profile holds the watchdog's CPU
-	// profile.
+	// profile. Guarded by lifecycle.mu.
 	recorder   *recorder.Recorder
 	dump       []byte
 	dumpReason string
@@ -108,24 +91,6 @@ func (j *Job) View(withResult bool) JobView {
 	return v
 }
 
-// Status returns the job's current lifecycle state.
-func (j *Job) Status() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
-}
-
-// ResultJSON returns the canonical result bytes, or false while the job
-// has not completed.
-func (j *Job) ResultJSON() ([]byte, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.status != StatusDone {
-		return nil, false
-	}
-	return j.result, true
-}
-
 // AttributionJSON returns the canonical attribution bytes, or false
 // while the job has not completed or produced none (stubbed or raw
 // failed runs).
@@ -137,9 +102,6 @@ func (j *Job) AttributionJSON() ([]byte, bool) {
 	}
 	return j.attr, true
 }
-
-// Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // markRunning moves a queued job to running; it reports false if the
 // job already reached a terminal state (e.g. cancelled while queued).
@@ -219,13 +181,13 @@ func (j *Job) Profile() ([]byte, bool) {
 	return j.profile, j.profile != nil
 }
 
-// finish moves the job to a terminal state exactly once.
+// finish moves the job to a terminal state exactly once, keeping attr
+// with the result.
 func (j *Job) finish(st Status, result, attr []byte, errMsg string) {
 	j.mu.Lock()
 	if !j.status.Terminal() {
-		j.status, j.result, j.attr, j.errMsg = st, result, attr, errMsg
+		j.attr = attr
 	}
 	j.mu.Unlock()
-	j.doneOnce.Do(func() { close(j.done) })
-	j.cancel() // release the context's timer/goroutine resources
+	j.lifecycle.finish(st, result, errMsg)
 }

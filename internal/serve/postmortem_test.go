@@ -176,7 +176,7 @@ func TestDumpOnCancellation(t *testing.T) {
 	defer ts.Close()
 
 	v, _ := postJob(t, ts, ncfSpec())
-	job, _ := s.Job(v.ID)
+	job, _ := s.jobs.get(v.ID)
 	// Wait until the worker has the job running before cancelling.
 	for job.Status() != StatusRunning {
 		time.Sleep(5 * time.Millisecond)
@@ -261,9 +261,9 @@ type idEvent struct {
 
 // readSSEIDs consumes a whole event stream, returning the retry hint
 // from the stream head and each event with its id.
-func readSSEIDs(t *testing.T, ts *httptest.Server, id string) (retryMS int, evs []idEvent) {
+func readSSEIDs(t *testing.T, ts *httptest.Server, path string) (retryMS int, evs []idEvent) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	resp, err := http.Get(ts.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,56 +300,52 @@ func readSSEIDs(t *testing.T, ts *httptest.Server, id string) (retryMS int, evs 
 	return retryMS, evs
 }
 
-// TestSSEReconnectIDs: every event carries an id, ids climb
-// monotonically, and a reconnecting client keeps climbing — the server
-// never reissues an id the first connection saw, so Last-Event-ID
-// comparisons stay meaningful. Both connections get the stream head's
-// retry backoff hint and end with the terminal event.
+// TestSSEReconnectIDs: on the job and the sweep stream alike, every
+// event carries an id, ids climb monotonically, and a reconnecting
+// client keeps climbing — the server never reissues an id the first
+// connection saw, so Last-Event-ID comparisons stay meaningful. Both
+// connections get the stream head's retry backoff hint and end with the
+// terminal event.
 func TestSSEReconnectIDs(t *testing.T) {
 	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
 		emitFakeRun(c.Obs)
-		return fakeResult(11), nil
+		return dualResult(11, 11), nil
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	v, _ := postJob(t, ts, ncfSpec())
 	waitTerminal(t, s, v.ID)
+	sw, err := s.StartSweep(context.Background(), SweepSpec{Workloads: []string{"gpt2"}, Sharing: []string{"+dwt"}})
+	if err != nil {
+		t.Fatalf("StartSweep: %v", err)
+	}
+	waitSweep(t, sw)
 
-	retry1, evs1 := readSSEIDs(t, ts, v.ID)
-	if retry1 != sseRetryMS {
-		t.Errorf("first stream retry hint %d, want %d", retry1, sseRetryMS)
-	}
-	if len(evs1) == 0 {
-		t.Fatal("first stream carried no events")
-	}
-	last := int64(0)
-	for _, e := range evs1 {
-		if e.id <= last {
-			t.Fatalf("ids not strictly increasing: %d after %d (%q)", e.id, last, e.name)
-		}
-		last = e.id
-	}
-	if evs1[len(evs1)-1].name != "result" {
-		t.Errorf("first stream terminal event %q, want result", evs1[len(evs1)-1].name)
-	}
-
-	// Reconnect: the replayed state arrives under fresh, higher ids.
-	retry2, evs2 := readSSEIDs(t, ts, v.ID)
-	if retry2 != sseRetryMS {
-		t.Errorf("second stream retry hint %d, want %d", retry2, sseRetryMS)
-	}
-	if len(evs2) == 0 {
-		t.Fatal("second stream carried no events")
-	}
-	for _, e := range evs2 {
-		if e.id <= last {
-			t.Fatalf("reconnect reissued id %d (first stream ended at %d)", e.id, last)
-		}
-		last = e.id
-	}
-	if evs2[len(evs2)-1].name != "result" {
-		t.Errorf("second stream terminal event %q, want result", evs2[len(evs2)-1].name)
+	for _, path := range []string{"/v1/jobs/" + v.ID + "/events", "/v1/sweeps/" + sw.ID + "/events"} {
+		t.Run(path, func(t *testing.T) {
+			last := int64(0)
+			// The second connection replays the terminal state under
+			// fresh, higher ids.
+			for conn := 1; conn <= 2; conn++ {
+				retry, evs := readSSEIDs(t, ts, path)
+				if retry != sseRetryMS {
+					t.Errorf("stream %d retry hint %d, want %d", conn, retry, sseRetryMS)
+				}
+				if len(evs) == 0 {
+					t.Fatalf("stream %d carried no events", conn)
+				}
+				for _, e := range evs {
+					if e.id <= last {
+						t.Fatalf("stream %d: id %d (%q) not above %d", conn, e.id, e.name, last)
+					}
+					last = e.id
+				}
+				if evs[len(evs)-1].name != "result" {
+					t.Errorf("stream %d terminal event %q, want result", conn, evs[len(evs)-1].name)
+				}
+			}
+		})
 	}
 }
 

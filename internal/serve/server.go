@@ -53,11 +53,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"maps"
 	"net/http"
-	"net/url"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -168,16 +165,14 @@ type Server struct {
 	queue chan *Job
 	wg    sync.WaitGroup
 
+	// mu orders submissions against Shutdown: every send on queue and
+	// every new sweep happens under it, after a draining check.
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string // submission order, for bounded retention
-	nextID   int
 	draining bool
 
-	sweeps      map[string]*Sweep
-	sweepOrder  []string
-	nextSweepID int
-	sweepWG     sync.WaitGroup
+	jobs    *store[*Job]
+	sweeps  *store[*Sweep]
+	sweepWG sync.WaitGroup
 
 	cache *resultCache
 
@@ -251,8 +246,8 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *Job, cfg.QueueDepth),
-		jobs:       make(map[string]*Job),
-		sweeps:     make(map[string]*Sweep),
+		jobs:       newStore[*Job]("j", "job", cfg.MaxJobs),
+		sweeps:     newStore[*Sweep]("s", "sweep", cfg.MaxSweeps),
 		cache:      cache,
 		ring:       ring,
 
@@ -331,16 +326,12 @@ func resolveSpec(spec JobSpec) (sim.Config, string, error) {
 // trace identity only — the job's lifetime is governed by s.baseCtx as
 // before.
 func (s *Server) submitPrepared(ctx context.Context, cfg sim.Config, key string, timeoutMS int64) (*Job, error) {
-	jctx, cancel := context.WithCancel(s.baseCtx)
 	job := &Job{
 		Key:     key,
 		cfg:     cfg,
 		timeout: time.Duration(timeoutMS) * time.Millisecond,
-		ctx:     jctx,
-		cancel:  cancel,
-		status:  StatusQueued,
-		done:    make(chan struct{}),
 	}
+	job.start(s.baseCtx, StatusQueued)
 	if job.timeout <= 0 {
 		job.timeout = s.cfg.DefaultJobTimeout
 	}
@@ -351,46 +342,40 @@ func (s *Server) submitPrepared(ctx context.Context, cfg sim.Config, key string,
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		cancel()
+		job.cancel()
 		return nil, errf(http.StatusServiceUnavailable, "serve: draining, not accepting jobs")
 	}
-	s.nextID++
-	job.ID = fmt.Sprintf("j%d", s.nextID)
-
 	lookupStart := hostprof.WallNow()
 	cached, tier, hit := s.cache.getTier(key)
 	s.cacheLookup[tier].Observe(hostprof.WallNow() - lookupStart)
-	if la := s.tracer.StartChild(job.traceSC, "cache_lookup"); la != nil {
-		la.SetStart(lookupStart)
-		la.SetAttr("tier", tier)
+	job.cached = hit // before the store publishes the job
+	la := s.tracer.StartChild(job.traceSC, "cache_lookup")
+	la.SetStart(lookupStart)
+	la.SetAttr("tier", tier)
+	// Every send on s.queue happens under s.mu, so room seen here is
+	// still there at the send below. Only an admitted job gets an ID.
+	admitted := hit || len(s.queue) < cap(s.queue)
+	if admitted {
+		s.jobs.add(job)
 		la.SetAttr("job", job.ID)
-		la.End()
+	}
+	la.End()
+	if !admitted {
+		s.mu.Unlock()
+		job.cancel()
+		return nil, errf(http.StatusServiceUnavailable, "serve: job queue full (%d deep)", s.cfg.QueueDepth)
 	}
 	if hit {
-		s.register(job)
 		s.mu.Unlock()
-		job.cached = true
-		job.finish(StatusDone, cached.result, cached.attr, "")
 		s.jobsSubmitted.Inc()
 		s.cacheHits.Inc()
 		s.jobsDone.Inc()
+		job.finish(StatusDone, cached.result, cached.attr, "")
 		s.log.Info("job served from cache", "job", job.ID, "key", job.Key)
 		return job, nil
 	}
 	job.enqueuedNS = hostprof.WallNow()
-
-	// Reserve the queue slot while holding the lock so draining and
-	// queue-full rejections cannot race with Shutdown closing the
-	// channel.
-	select {
-	case s.queue <- job:
-	default:
-		s.nextID--
-		s.mu.Unlock()
-		cancel()
-		return nil, errf(http.StatusServiceUnavailable, "serve: job queue full (%d deep)", s.cfg.QueueDepth)
-	}
-	s.register(job)
+	s.queue <- job
 	s.mu.Unlock()
 
 	s.jobsSubmitted.Inc()
@@ -399,55 +384,21 @@ func (s *Server) submitPrepared(ctx context.Context, cfg sim.Config, key string,
 	return job, nil
 }
 
-// register records the job, evicting the oldest terminal jobs beyond
-// the retention bound. Caller holds s.mu.
-func (s *Server) register(job *Job) {
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	for len(s.jobs) > s.cfg.MaxJobs {
-		evicted := false
-		for i, id := range s.order {
-			if old, ok := s.jobs[id]; ok && old.Status().Terminal() {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything live; let the map grow rather than drop state
-		}
-	}
-}
-
-// Job looks up a job by ID.
-func (s *Server) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
-
-// Cancel cancels a queued or running job. Queued jobs transition to
+// cancelJob cancels a queued or running job. Queued jobs transition to
 // cancelled immediately; running jobs abort at the simulation's next
 // cancellation poll (at most one skip window later). Cancelling a
 // terminal job is a no-op.
-func (s *Server) Cancel(id string) (*Job, bool) {
-	job, ok := s.Job(id)
-	if !ok {
-		return nil, false
-	}
+func (s *Server) cancelJob(job *Job) {
 	job.mu.Lock()
 	wasQueued := job.status == StatusQueued
 	job.mu.Unlock()
 	if wasQueued {
-		job.finish(StatusCancelled, nil, nil, "cancelled while queued")
 		s.jobsCancelled.Inc()
+		job.finish(StatusCancelled, nil, nil, "cancelled while queued")
 	} else {
 		job.cancel()
 	}
 	s.log.Info("job cancel requested", "job", job.ID, "was_queued", wasQueued)
-	return job, true
 }
 
 // worker drains the queue until Shutdown closes it.
@@ -466,7 +417,8 @@ func (s *Server) worker() {
 // result bytes (the obs layer's determinism contract, proven in
 // internal/sim). Anomalous exits — cancellation, timeout, simulation
 // error, or an invariant-trip panic — capture the recorder's final
-// window as the job's post-mortem dump.
+// window as the job's post-mortem dump. Outcome counters move before
+// finish closes the done channel, so a job seen ending is counted.
 func (s *Server) runJob(job *Job) {
 	if !job.markRunning() {
 		return // cancelled while queued
@@ -531,8 +483,8 @@ func (s *Server) runJob(job *Job) {
 	case err == nil:
 		b, merr := json.Marshal(res)
 		if merr != nil {
-			job.finish(StatusFailed, nil, nil, fmt.Sprintf("encoding result: %v", merr))
 			s.jobsFailed.Inc()
+			job.finish(StatusFailed, nil, nil, fmt.Sprintf("encoding result: %v", merr))
 			return
 		}
 		// Attribution rides along only when the run produced a complete,
@@ -544,23 +496,23 @@ func (s *Server) runJob(job *Job) {
 			}
 		}
 		s.cache.put(job.Key, b, ab)
-		job.finish(StatusDone, b, ab, "")
 		s.jobsDone.Inc()
+		job.finish(StatusDone, b, ab, "")
 		s.log.Info("job done", "job", job.ID, "elapsed", elapsed, "global_cycles", res.GlobalCycles)
 	case errors.Is(err, context.Canceled):
 		job.captureDump("cancelled")
-		job.finish(StatusCancelled, nil, nil, err.Error())
 		s.jobsCancelled.Inc()
+		job.finish(StatusCancelled, nil, nil, err.Error())
 		s.log.Info("job cancelled", "job", job.ID, "elapsed", elapsed)
 	case errors.Is(err, context.DeadlineExceeded):
 		job.captureDump("timeout")
-		job.finish(StatusFailed, nil, nil, fmt.Sprintf("job timeout (%s): %v", job.timeout, err))
 		s.jobsFailed.Inc()
+		job.finish(StatusFailed, nil, nil, fmt.Sprintf("job timeout (%s): %v", job.timeout, err))
 		s.log.Warn("job timed out", "job", job.ID, "timeout", job.timeout)
 	default:
 		job.captureDump("error: " + err.Error())
-		job.finish(StatusFailed, nil, nil, err.Error())
 		s.jobsFailed.Inc()
+		job.finish(StatusFailed, nil, nil, err.Error())
 		s.log.Warn("job failed", "job", job.ID, "err", err)
 	}
 }
@@ -663,23 +615,18 @@ type Stats = api.Stats
 
 // Stats snapshots queue occupancy.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	draining := s.draining
-	jobs := len(s.jobs)
-	sweeps := len(s.sweeps)
-	s.mu.Unlock()
 	st := Stats{
 		Status:     "ok",
 		Workers:    s.cfg.Workers,
 		Queued:     len(s.queue),
 		Running:    s.running.Value(),
-		Jobs:       jobs,
+		Jobs:       s.jobs.len(),
 		Cached:     s.cache.len(),
 		DiskCached: s.cache.diskLen(),
-		Sweeps:     sweeps,
+		Sweeps:     s.sweeps.len(),
 		Self:       s.cfg.Self,
 	}
-	if draining {
+	if s.Draining() {
 		st.Status = "draining"
 	}
 	return st
@@ -747,12 +694,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobsList is GET /v1/jobs: jobs in submission order, paged by
-// listPage.
+// the store's paginator.
 func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	order, jobs := slices.Clone(s.order), maps.Clone(s.jobs)
-	s.mu.Unlock()
-	page, next, err := listPage(r.URL.Query(), order, jobs)
+	page, next, err := s.jobs.page(r.URL.Query())
 	if err != nil {
 		writeError(w, err)
 		return
@@ -764,71 +708,20 @@ func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
-// listPage is the one paginator behind GET /v1/jobs and GET /v1/sweeps.
-// It walks order (record IDs in submission order, snapshotted with
-// records under the server lock), keeps the records matching ?status=,
-// starts after ?cursor= (the ID of the last record of the previous
-// page), and stops at ?limit= records (default 100, max 1000). next is
-// the cursor of the following page, empty on the last one.
-func listPage[T interface{ Status() Status }](q url.Values, order []string, records map[string]T) (page []T, next string, err error) {
-	var filter Status
-	if v := q.Get("status"); v != "" {
-		filter = Status(v)
-		switch filter {
-		case StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled:
-		default:
-			return nil, "", errf(http.StatusBadRequest, "unknown status filter %q", v)
-		}
-	}
-	limit := 100
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return nil, "", errf(http.StatusBadRequest, "bad limit %q", v)
-		}
-		limit = min(n, 1000)
-	}
-	start := 0
-	if cursor := q.Get("cursor"); cursor != "" {
-		i := slices.Index(order, cursor)
-		if i < 0 {
-			return nil, "", errf(http.StatusBadRequest, "unknown cursor %q", cursor)
-		}
-		start = i + 1
-	}
-	last := ""
-	for _, id := range order[start:] {
-		rec, ok := records[id]
-		if !ok || (filter != "" && rec.Status() != filter) {
-			continue
-		}
-		if len(page) == limit {
-			return page, last, nil
-		}
-		page = append(page, rec)
-		last = id
-	}
-	return page, "", nil
-}
-
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no such job %q", r.PathValue("id")))
-		return
+	if job, ok := s.jobs.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, job.View(true))
 	}
-	writeJSON(w, http.StatusOK, job.View(true))
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
+	job, ok := s.jobs.lookup(w, r)
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no such job %q", r.PathValue("id")))
 		return
 	}
-	b, ok := job.ResultJSON()
-	if !ok {
-		writeError(w, errf(http.StatusConflict, "job %s is %s, result not available", job.ID, job.Status()))
+	st, b, _ := job.outcome()
+	if st != StatusDone {
+		writeError(w, errf(http.StatusConflict, "job %s is %s, result not available", job.ID, st))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -836,12 +729,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Cancel(r.PathValue("id"))
-	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no such job %q", r.PathValue("id")))
-		return
+	if job, ok := s.jobs.lookup(w, r); ok {
+		s.cancelJob(job)
+		writeJSON(w, http.StatusOK, job.View(false))
 	}
-	writeJSON(w, http.StatusOK, job.View(false))
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
@@ -877,9 +768,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // timeout, error, panic) is served as stored; otherwise the recorder's
 // live window is serialized on demand.
 func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
+	job, ok := s.jobs.lookup(w, r)
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no such job %q", r.PathValue("id")))
 		return
 	}
 	b, reason, ok := job.Dump()
@@ -899,9 +789,8 @@ func (s *Server) handleDump(w http.ResponseWriter, r *http.Request) {
 // handleProfile is GET /v1/jobs/{id}/profile: the pprof CPU profile the
 // watchdog captured when it fired.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
+	job, ok := s.jobs.lookup(w, r)
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no such job %q", r.PathValue("id")))
 		return
 	}
 	b, ok := job.Profile()

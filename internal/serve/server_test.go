@@ -88,7 +88,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string) JobView {
 
 func waitTerminal(t *testing.T, s *Server, id string) *Job {
 	t.Helper()
-	job, ok := s.Job(id)
+	job, ok := s.jobs.get(id)
 	if !ok {
 		t.Fatalf("job %s not found", id)
 	}
@@ -200,7 +200,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if st := job.Status(); st != StatusCancelled {
 		t.Fatalf("cancelled job status %s", st)
 	}
-	if _, ok := job.ResultJSON(); ok {
+	if _, result, _ := job.outcome(); result != nil {
 		t.Error("cancelled job has a result")
 	}
 }
@@ -229,9 +229,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	spec2.Workloads = []string{"gpt2"}
 	second, _ := postJob(t, ts, spec2)
 
-	if _, ok := s.Cancel(second.ID); !ok {
+	queued, ok := s.jobs.get(second.ID)
+	if !ok {
 		t.Fatal("cancel: job not found")
 	}
+	s.cancelJob(queued)
 	job := waitTerminal(t, s, second.ID)
 	if st := job.Status(); st != StatusCancelled {
 		t.Fatalf("queued-then-cancelled job status %s", st)
@@ -578,7 +580,7 @@ func TestJobEventsStream(t *testing.T) {
 	if !v2.Cached {
 		t.Fatalf("resubmission not cached: %+v", v2)
 	}
-	if ab, ok := func() ([]byte, bool) { j, _ := s.Job(v2.ID); return j.AttributionJSON() }(); !ok || !bytes.Equal(ab, ae.data) {
+	if ab, ok := func() ([]byte, bool) { j, _ := s.jobs.get(v2.ID); return j.AttributionJSON() }(); !ok || !bytes.Equal(ab, ae.data) {
 		t.Errorf("cached job lost attribution (ok=%v)", ok)
 	}
 }
@@ -647,7 +649,7 @@ func TestEndToEndRealSimulation(t *testing.T) {
 	if st := job.Status(); st != StatusDone {
 		t.Fatalf("job status %s: %s", st, job.View(false).Error)
 	}
-	got, _ := job.ResultJSON()
+	_, got, _ := job.outcome()
 
 	cfg, err := ncfSpec().BuildConfig()
 	if err != nil {

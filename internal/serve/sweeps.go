@@ -5,18 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mnpusim/internal/config"
 	"mnpusim/internal/experiments"
-	"mnpusim/internal/metrics"
 	"mnpusim/internal/obs/dtrace"
 	"mnpusim/internal/serve/api"
 	"mnpusim/internal/serve/client"
@@ -32,12 +29,9 @@ type SweepSpec = api.SweepSpec
 // unit of accounting — each unit resolves to exactly one terminal
 // status, locally or on a peer.
 type sweepUnit struct {
-	spec      JobSpec
-	cfg       sim.Config
-	key       string
-	workloads []string
-	sharing   string // empty for Ideal baselines
-	ideal     bool
+	spec JobSpec
+	cfg  sim.Config
+	key  string
 
 	// Written under the owning sweep's mu.
 	status Status
@@ -48,23 +42,17 @@ type sweepUnit struct {
 	result []byte
 }
 
-// Sweep is one experiment-grid resource: a sampled mix population
-// crossed with sharing levels plus the Ideal baselines, fanned out
-// over the fleet and aggregated into an experiments.SharingResult.
+// Sweep is one experiment-grid resource: an experiments.SharingGrid
+// expanded into jobs, fanned out over the fleet, and scored by the grid
+// into its SharingResult.
 type Sweep struct {
-	ID string
+	lifecycle
 
-	spec   SweepSpec
-	cores  int
-	levels []sim.Sharing
-	mixes  [][]string
-	// units lists the grid cells first — unit i is (mixes[i/nl],
-	// levels[i%nl]), mirroring the experiments enumeration — then one
-	// Ideal baseline per distinct workload.
+	spec SweepSpec
+	grid experiments.SharingGrid
+	// units lists the grid's cells first — unit i is grid.Cell(i) —
+	// then one Ideal baseline per workload, in grid.Ideals() order.
 	units []*sweepUnit
-
-	ctx    context.Context
-	cancel context.CancelFunc
 
 	// span is the sweep-coordination span (nil when the submission was
 	// untraced); traceSC is its context, the parent of every per-unit
@@ -72,26 +60,6 @@ type Sweep struct {
 	// never written again.
 	span    *dtrace.Active
 	traceSC dtrace.SpanContext
-
-	eventSeq atomic.Int64
-
-	mu       sync.Mutex
-	status   Status
-	errMsg   string
-	result   []byte
-	done     chan struct{}
-	doneOnce sync.Once
-}
-
-// Done returns a channel closed when the sweep reaches a terminal
-// state.
-func (sw *Sweep) Done() <-chan struct{} { return sw.done }
-
-// Status returns the sweep's current lifecycle state.
-func (sw *Sweep) Status() Status {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.status
 }
 
 // counts tallies the per-status rollup. Caller holds sw.mu.
@@ -136,7 +104,7 @@ func (sw *Sweep) View(withJobs bool) api.SweepView {
 	p := sw.countsLocked()
 	v := api.SweepView{
 		ID: sw.ID, Status: sw.status, Error: sw.errMsg, Spec: sw.spec,
-		Mixes: len(sw.mixes), Total: p.Total,
+		Mixes: len(sw.grid.Mixes), Total: p.Total,
 		Queued: p.Queued, Running: p.Running, Done: p.Done,
 		Failed: p.Failed, Cancelled: p.Cancelled,
 		CacheHits: p.CacheHits, Forwarded: p.Forwarded,
@@ -148,7 +116,7 @@ func (sw *Sweep) View(withJobs bool) api.SweepView {
 		v.Jobs = make([]api.SweepJobView, len(sw.units))
 		for i, u := range sw.units {
 			v.Jobs[i] = api.SweepJobView{
-				Workloads: u.workloads, Sharing: u.sharing, Ideal: u.ideal,
+				Workloads: u.spec.Workloads, Sharing: u.spec.Sharing, Ideal: u.spec.Ideal,
 				Key: u.key, JobID: u.jobID, Peer: u.peer,
 				Status: u.status, Cached: u.cached, Error: u.errMsg,
 			}
@@ -157,22 +125,9 @@ func (sw *Sweep) View(withJobs bool) api.SweepView {
 	return v
 }
 
-// finish moves the sweep to a terminal state exactly once.
-func (sw *Sweep) finish(st Status, result []byte, errMsg string) {
-	sw.mu.Lock()
-	if !sw.status.Terminal() {
-		sw.status, sw.result, sw.errMsg = st, result, errMsg
-	}
-	sw.mu.Unlock()
-	sw.doneOnce.Do(func() { close(sw.done) })
-	sw.cancel()
-}
-
-// expandSweep validates a spec and expands it into fingerprinted
-// units: the mix x level grid in the exact enumeration order of the
-// experiments package (unit i = mixes[i/len(levels)], levels[i%...]),
-// followed by one Ideal baseline per distinct workload in
-// first-appearance order.
+// expandSweep validates a spec and expands its SharingGrid into
+// fingerprinted units: the cells in the grid's enumeration order, then
+// the grid's Ideal baselines.
 func expandSweep(spec SweepSpec) (*Sweep, error) {
 	cores := spec.Cores
 	if cores == 0 {
@@ -184,6 +139,16 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 	names := spec.Workloads
 	if len(names) == 0 {
 		names = workloads.Names()
+	}
+	// Known, distinct names cap the population at M(8,8) = 6435 mixes;
+	// a repeated name would inflate it before any unit is resolved.
+	for i, w := range names {
+		if !slices.Contains(workloads.Names(), w) {
+			return nil, errf(http.StatusBadRequest, "sweep workload %q unknown (have %v)", w, workloads.Names())
+		}
+		if slices.Contains(names[:i], w) {
+			return nil, errf(http.StatusBadRequest, "sweep workload %q repeated", w)
+		}
 	}
 	var levels []sim.Sharing
 	if len(spec.Sharing) == 0 {
@@ -200,53 +165,30 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 	if spec.Sample < 0 {
 		return nil, errf(http.StatusBadRequest, "sweep sample must be >= 0, got %d", spec.Sample)
 	}
-	mixes := experiments.Mixes(names, cores, spec.Sample, spec.Seed)
 
-	sw := &Sweep{
-		spec:   spec,
-		cores:  cores,
-		levels: levels,
-		mixes:  mixes,
-		status: StatusQueued,
-		done:   make(chan struct{}),
-	}
-	nl := len(levels)
-	addUnit := func(js JobSpec, wl []string, sharing string, ideal bool) error {
+	sw := &Sweep{spec: spec, grid: experiments.SharingGrid{
+		Cores: cores, Levels: levels,
+		Mixes: experiments.Mixes(names, cores, spec.Sample, spec.Seed),
+	}}
+	addUnit := func(js JobSpec) error {
 		cfg, key, err := resolveSpec(js)
 		if err != nil {
 			return err
 		}
-		sw.units = append(sw.units, &sweepUnit{
-			spec: js, cfg: cfg, key: key,
-			workloads: wl, sharing: sharing, ideal: ideal,
-			status: StatusQueued,
-		})
+		sw.units = append(sw.units, &sweepUnit{spec: js, cfg: cfg, key: key, status: StatusQueued})
 		return nil
 	}
-	for i := 0; i < len(mixes)*nl; i++ {
-		mix, lv := mixes[i/nl], levels[i%nl]
-		js := JobSpec{
-			Workloads: mix, Scale: spec.Scale, Sharing: lv.String(),
-			TimeoutMS: spec.TimeoutMS,
-		}
-		if err := addUnit(js, mix, lv.String(), false); err != nil {
+	for i := range sw.grid.Len() {
+		mix, lv := sw.grid.Cell(i)
+		js := JobSpec{Workloads: mix, Scale: spec.Scale, Sharing: lv.String(), TimeoutMS: spec.TimeoutMS}
+		if err := addUnit(js); err != nil {
 			return nil, err
 		}
 	}
-	seen := make(map[string]bool)
-	for _, mix := range mixes {
-		for _, w := range mix {
-			if seen[w] {
-				continue
-			}
-			seen[w] = true
-			js := JobSpec{
-				Workloads: []string{w}, Scale: spec.Scale, Ideal: true,
-				TimeoutMS: spec.TimeoutMS,
-			}
-			if err := addUnit(js, []string{w}, "", true); err != nil {
-				return nil, err
-			}
+	for _, w := range sw.grid.Ideals() {
+		js := JobSpec{Workloads: []string{w}, Scale: spec.Scale, Ideal: true, TimeoutMS: spec.TimeoutMS}
+		if err := addUnit(js); err != nil {
+			return nil, err
 		}
 	}
 	return sw, nil
@@ -265,68 +207,24 @@ func (s *Server) StartSweep(ctx context.Context, spec SweepSpec) (*Sweep, error)
 		s.mu.Unlock()
 		return nil, errf(http.StatusServiceUnavailable, "serve: draining, not accepting sweeps")
 	}
-	s.nextSweepID++
-	sw.ID = fmt.Sprintf("s%d", s.nextSweepID)
-	sw.ctx, sw.cancel = context.WithCancel(s.baseCtx)
-	sw.status = StatusRunning
-	s.registerSweep(sw)
+	sw.start(s.baseCtx, StatusRunning)
+	s.sweeps.add(sw)
 	s.mu.Unlock()
 
 	parent, _ := dtrace.From(ctx)
 	if a := s.tracer.StartChild(parent, "sweep coordinate"); a != nil {
 		a.SetAttr("sweep", sw.ID)
-		a.SetAttr("cores", strconv.Itoa(sw.cores))
+		a.SetAttr("cores", strconv.Itoa(sw.grid.Cores))
 		a.SetAttr("units", strconv.Itoa(len(sw.units)))
 		sw.span, sw.traceSC = a, a.Context()
 	}
 
 	s.sweepsSubmitted.Inc()
-	s.log.Info("sweep started", "sweep", sw.ID, "cores", sw.cores,
-		"mixes", len(sw.mixes), "levels", len(sw.levels), "units", len(sw.units))
+	s.log.Info("sweep started", "sweep", sw.ID, "cores", sw.grid.Cores,
+		"mixes", len(sw.grid.Mixes), "levels", len(sw.grid.Levels), "units", len(sw.units))
 	s.sweepWG.Add(1)
 	go s.runSweep(sw)
 	return sw, nil
-}
-
-// registerSweep records the sweep, evicting the oldest terminal sweeps
-// beyond the retention bound. Caller holds s.mu.
-func (s *Server) registerSweep(sw *Sweep) {
-	s.sweeps[sw.ID] = sw
-	s.sweepOrder = append(s.sweepOrder, sw.ID)
-	for len(s.sweeps) > s.cfg.MaxSweeps {
-		evicted := false
-		for i, id := range s.sweepOrder {
-			if old, ok := s.sweeps[id]; ok && old.Status().Terminal() {
-				delete(s.sweeps, id)
-				s.sweepOrder = append(s.sweepOrder[:i], s.sweepOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break
-		}
-	}
-}
-
-// Sweep looks up a sweep by ID.
-func (s *Server) Sweep(id string) (*Sweep, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	return sw, ok
-}
-
-// CancelSweep cancels a sweep: outstanding units resolve as cancelled,
-// in-flight local jobs are cancelled, remote ones best-effort.
-func (s *Server) CancelSweep(id string) (*Sweep, bool) {
-	sw, ok := s.Sweep(id)
-	if !ok {
-		return nil, false
-	}
-	sw.cancel()
-	s.log.Info("sweep cancel requested", "sweep", sw.ID)
-	return sw, true
 }
 
 // runSweep is the coordinator goroutine: it fans the units out with
@@ -364,6 +262,30 @@ func (sw *Sweep) setUnit(u *sweepUnit, st Status, errMsg string) {
 	u.status, u.errMsg = st, errMsg
 }
 
+// started records the job running a unit; peer is empty for a local job.
+func (sw *Sweep) started(u *sweepUnit, jobID, peer string) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if !u.status.Terminal() {
+		u.status, u.jobID, u.peer = StatusRunning, jobID, peer
+	}
+}
+
+// settle resolves a unit from its job's final view. It reports false,
+// changing nothing, when the job was cancelled rather than done or
+// failed.
+func (sw *Sweep) settle(u *sweepUnit, v JobView) bool {
+	if v.Status != StatusDone && v.Status != StatusFailed {
+		return false
+	}
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if !u.status.Terminal() {
+		u.status, u.cached, u.errMsg, u.result = v.Status, v.Cached, v.Error, []byte(v.Result)
+	}
+	return true
+}
+
 // runSweepUnit resolves one unit: on its consistent-hash owner when a
 // fleet is configured (falling back to local execution if the owner is
 // unreachable — this is what lets a sweep survive a member dying
@@ -377,13 +299,13 @@ func (s *Server) runSweepUnit(sw *Sweep, u *sweepUnit) {
 	// through the context handed to submitPrepared, remotely through the
 	// traceparent header the client injects on the forwarded submit.
 	uctx := sw.ctx
-	if ua := s.tracer.StartChild(sw.traceSC, "unit "+strings.Join(u.workloads, "+")); ua != nil {
+	if ua := s.tracer.StartChild(sw.traceSC, "unit "+strings.Join(u.spec.Workloads, "+")); ua != nil {
 		ua.SetAttr("sweep", sw.ID)
 		ua.SetAttr("key", u.key)
-		if u.ideal {
+		if u.spec.Ideal {
 			ua.SetAttr("ideal", "true")
 		} else {
-			ua.SetAttr("sharing", u.sharing)
+			ua.SetAttr("sharing", u.spec.Sharing)
 		}
 		uctx = dtrace.With(sw.ctx, ua.Context())
 		defer func() {
@@ -442,12 +364,7 @@ func (s *Server) runUnitRemote(ctx context.Context, sw *Sweep, u *sweepUnit, own
 		return false
 	}
 
-	sw.mu.Lock()
-	if !u.status.Terminal() {
-		u.status, u.jobID, u.peer = StatusRunning, view.ID, owner
-	}
-	sw.mu.Unlock()
-
+	sw.started(u, view.ID, owner)
 	final, err := c.ForJob(view).WaitJob(ctx, view.ID, 0)
 	if err != nil {
 		if sw.ctx.Err() != nil {
@@ -461,22 +378,13 @@ func (s *Server) runUnitRemote(ctx context.Context, sw *Sweep, u *sweepUnit, own
 		}
 		return false // peer died mid-run
 	}
-	switch final.Status {
-	case StatusDone:
-		sw.mu.Lock()
-		if !u.status.Terminal() {
-			u.status, u.cached, u.result = StatusDone, final.Cached, []byte(final.Result)
-		}
-		sw.mu.Unlock()
-		s.forwarded.Inc()
-		return true
-	case StatusFailed:
-		sw.setUnit(u, StatusFailed, final.Error)
-		return true
-	default:
-		// The peer cancelled it (draining); reclaim the unit locally.
-		return false
+	if !sw.settle(u, final) {
+		return false // the peer cancelled it (draining); reclaim the unit locally
 	}
+	if final.Status == StatusDone {
+		s.forwarded.Inc()
+	}
+	return true
 }
 
 // runUnitLocal executes a unit on this daemon's own worker pool,
@@ -503,29 +411,14 @@ func (s *Server) runUnitLocal(ctx context.Context, sw *Sweep, u *sweepUnit) {
 		}
 	}
 
-	sw.mu.Lock()
-	if !u.status.Terminal() {
-		u.status, u.jobID = StatusRunning, job.ID
-	}
-	sw.mu.Unlock()
-
+	sw.started(u, job.ID, "")
 	select {
 	case <-job.Done():
 	case <-sw.ctx.Done():
-		s.Cancel(job.ID)
+		s.cancelJob(job)
 		<-job.Done()
 	}
-	v := job.View(true)
-	switch v.Status {
-	case StatusDone:
-		sw.mu.Lock()
-		if !u.status.Terminal() {
-			u.status, u.cached, u.result = StatusDone, v.Cached, []byte(v.Result)
-		}
-		sw.mu.Unlock()
-	case StatusFailed:
-		sw.setUnit(u, StatusFailed, v.Error)
-	default:
+	if v := job.View(true); !sw.settle(u, v) {
 		sw.setUnit(u, StatusCancelled, v.Error)
 	}
 }
@@ -555,7 +448,7 @@ func (s *Server) finishSweep(sw *Sweep) {
 		sw.mu.Lock()
 		for _, u := range sw.units {
 			if u.status == StatusFailed {
-				msg = fmt.Sprintf("unit %v %s: %s", u.workloads, u.sharing, u.errMsg)
+				msg = fmt.Sprintf("unit %v %s: %s", u.spec.Workloads, u.spec.Sharing, u.errMsg)
 				break
 			}
 		}
@@ -563,7 +456,7 @@ func (s *Server) finishSweep(sw *Sweep) {
 	case p.Cancelled > 0:
 		st, msg = StatusCancelled, "sweep cancelled"
 	default:
-		b, err := sw.aggregate()
+		b, err := scoreSweep(sw.grid, sw.units)
 		if err != nil {
 			st, msg = StatusFailed, fmt.Sprintf("aggregating: %v", err)
 		} else {
@@ -584,53 +477,32 @@ func (s *Server) finishSweep(sw *Sweep) {
 		"cache_hits", p.CacheHits, "forwarded", p.Forwarded)
 }
 
-// aggregate assembles the units into an experiments.SharingResult with
-// the exact enumeration and arithmetic of the single-process
-// experiments run, so the bytes match a local run of the same grid.
-func (sw *Sweep) aggregate() ([]byte, error) {
+// scoreSweep reads each unit's per-core cycles out of its result bytes
+// and scores them with the grid, so the sweep's result is byte-identical
+// to a local run of the same grid.
+func scoreSweep(g experiments.SharingGrid, units []*sweepUnit) ([]byte, error) {
+	cells := make([][]int64, g.Len())
 	ideal := make(map[string]int64)
-	for _, u := range sw.units {
-		if !u.ideal {
-			continue
-		}
-		var res sim.Result
+	for i, u := range units {
+		var res struct{ Cores []struct{ Cycles int64 } } // a sim.Result's cycles
 		if err := json.Unmarshal(u.result, &res); err != nil {
-			return nil, fmt.Errorf("ideal %s: %w", u.workloads[0], err)
+			return nil, fmt.Errorf("unit %v %s: %w", u.spec.Workloads, u.spec.Sharing, err)
 		}
-		ideal[u.workloads[0]] = res.Cores[0].Cycles
+		cycles := make([]int64, len(res.Cores))
+		for k, c := range res.Cores {
+			cycles[k] = c.Cycles
+		}
+		if i < len(cells) {
+			cells[i] = cycles
+		} else if len(cycles) > 0 {
+			ideal[u.spec.Workloads[0]] = cycles[0]
+		}
 	}
-	nl := len(sw.levels)
-	out := experiments.SharingResult{
-		Cores:  sw.cores,
-		Levels: sw.levels,
-		Mixes:  make(map[sim.Sharing][]experiments.MixScore),
+	res, err := g.Score(cells, ideal)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < len(sw.mixes)*nl; i++ {
-		u := sw.units[i]
-		var res sim.Result
-		if err := json.Unmarshal(u.result, &res); err != nil {
-			return nil, fmt.Errorf("unit %v %s: %w", u.workloads, u.sharing, err)
-		}
-		if len(res.Cores) < len(u.workloads) {
-			return nil, fmt.Errorf("unit %v %s: %d core results for %d workloads",
-				u.workloads, u.sharing, len(res.Cores), len(u.workloads))
-		}
-		sp := make([]float64, len(u.workloads))
-		for k, w := range u.workloads {
-			ib, ok := ideal[w]
-			if !ok {
-				return nil, fmt.Errorf("no ideal baseline for %s", w)
-			}
-			sp[k] = metrics.Speedup(ib, res.Cores[k].Cycles)
-		}
-		out.Mixes[sw.levels[i%nl]] = append(out.Mixes[sw.levels[i%nl]], experiments.MixScore{
-			Workloads: append([]string(nil), u.workloads...),
-			Speedups:  sp,
-			Geomean:   metrics.MustGeomean(sp),
-			Fairness:  metrics.FairnessFromSpeedups(sp),
-		})
-	}
-	return json.Marshal(out)
+	return json.Marshal(res)
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
@@ -650,21 +522,15 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.Sweep(r.PathValue("id"))
-	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no such sweep %q", r.PathValue("id")))
-		return
+	if sw, ok := s.sweeps.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, sw.View(r.URL.Query().Get("jobs") == "true"))
 	}
-	writeJSON(w, http.StatusOK, sw.View(r.URL.Query().Get("jobs") == "true"))
 }
 
 // handleSweepList is GET /v1/sweeps: sweeps in submission order, paged
-// by listPage exactly like GET /v1/jobs.
+// exactly like GET /v1/jobs.
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	order, sweeps := slices.Clone(s.sweepOrder), maps.Clone(s.sweeps)
-	s.mu.Unlock()
-	page, next, err := listPage(r.URL.Query(), order, sweeps)
+	page, next, err := s.sweeps.page(r.URL.Query())
 	if err != nil {
 		writeError(w, err)
 		return
@@ -676,83 +542,24 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
+// handleSweepCancel is DELETE /v1/sweeps/{id}: outstanding units
+// resolve as cancelled, in-flight local jobs are cancelled, remote ones
+// best-effort.
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.CancelSweep(r.PathValue("id"))
+	sw, ok := s.sweeps.lookup(w, r)
 	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no such sweep %q", r.PathValue("id")))
 		return
 	}
+	sw.cancel()
+	s.log.Info("sweep cancel requested", "sweep", sw.ID)
 	writeJSON(w, http.StatusOK, sw.View(false))
 }
 
-// handleSweepEvents is GET /v1/sweeps/{id}/events: an SSE stream of
-// rollup "progress" events while the sweep runs, then exactly one
-// terminal event — "result" (the aggregated SharingResult bytes),
-// "failed", or "cancelled" — and closes.
+// handleSweepEvents is GET /v1/sweeps/{id}/events: serveEvents with
+// the sweep's rollup as the "progress" payload and the aggregated
+// SharingResult bytes as the "result" event.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.Sweep(r.PathValue("id"))
-	if !ok {
-		writeError(w, errf(http.StatusNotFound, "no such sweep %q", r.PathValue("id")))
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, errf(http.StatusInternalServerError, "streaming unsupported"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	if _, err := fmt.Fprintf(w, "retry: %d\n\n", sseRetryMS); err != nil {
-		return
-	}
-	fl.Flush()
-
-	send := func(name string, payload []byte) bool {
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n",
-			sw.eventSeq.Add(1), name, payload); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	sendJSON := func(name string, v any) bool {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		return send(name, b)
-	}
-
-	if !sendJSON("progress", sw.Progress()) {
-		return
-	}
-	ticker := time.NewTicker(s.cfg.EventInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-sw.Done():
-			if !sendJSON("progress", sw.Progress()) {
-				return
-			}
-			sw.mu.Lock()
-			st, result, errMsg := sw.status, sw.result, sw.errMsg
-			sw.mu.Unlock()
-			switch st {
-			case StatusDone:
-				send("result", result)
-			case StatusFailed:
-				sendJSON("failed", map[string]string{"error": errMsg})
-			case StatusCancelled:
-				sendJSON("cancelled", map[string]string{"error": errMsg})
-			}
-			return
-		case <-ticker.C:
-			if !sendJSON("progress", sw.Progress()) {
-				return
-			}
-		}
+	if sw, ok := s.sweeps.lookup(w, r); ok {
+		s.serveEvents(w, r, &sw.lifecycle, eventFeed{progress: func() any { return sw.Progress() }})
 	}
 }

@@ -55,8 +55,8 @@ func TestSweepExpansionCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("expandSweep: %v", err)
 			}
-			if len(sw.mixes) != tc.mixes {
-				t.Errorf("mixes = %d, want %d", len(sw.mixes), tc.mixes)
+			if len(sw.grid.Mixes) != tc.mixes {
+				t.Errorf("mixes = %d, want %d", len(sw.grid.Mixes), tc.mixes)
 			}
 			if len(sw.units) != tc.jobs {
 				t.Errorf("units = %d, want %d", len(sw.units), tc.jobs)
@@ -64,7 +64,7 @@ func TestSweepExpansionCounts(t *testing.T) {
 			seen := map[string]bool{}
 			for _, u := range sw.units {
 				if seen[u.key] {
-					t.Fatalf("duplicate unit key %s (%v %s ideal=%v)", u.key, u.workloads, u.sharing, u.ideal)
+					t.Fatalf("duplicate unit key %s (%v %s ideal=%v)", u.key, u.spec.Workloads, u.spec.Sharing, u.spec.Ideal)
 				}
 				seen[u.key] = true
 			}
@@ -225,67 +225,107 @@ func TestSweepEventsStream(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesExperiments runs a real (tiny-scale) dual grid
-// through the sweep machinery and checks the aggregated bytes are
-// identical to the same grid computed with the experiments package's
-// own primitives — the contract that makes fleet sweeps
-// interchangeable with single-process experiment runs.
+// TestSweepMatchesExperiments runs real (tiny-scale) grids through the
+// sweep machinery and checks two byte identities against a
+// hand-written oracle that scores the sweep's own unit results: the
+// sweep's aggregate, and experiments.SharingGrid.Run simulating the
+// same grid independently in-process — the contract that makes fleet
+// sweeps interchangeable with single-process experiment runs. The quad
+// case (5 mixes at one level, 7 simulations) covers the n-core path.
 func TestSweepMatchesExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulations")
 	}
+	cases := []struct {
+		name   string
+		cores  int
+		levels []sim.Sharing
+	}{
+		{"dual", 2, sim.Levels()},
+		{"quad", 4, []sim.Sharing{sim.ShareDWT}},
+	}
 	names := []string{"ncf", "gpt2"}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustNew(t, Config{Workers: 4})
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				_ = s.Shutdown(ctx)
+			})
+			spec := SweepSpec{Cores: tc.cores, Workloads: names}
+			for _, lv := range tc.levels {
+				spec.Sharing = append(spec.Sharing, lv.String())
+			}
+			sw, err := s.StartSweep(context.Background(), spec)
+			if err != nil {
+				t.Fatalf("StartSweep: %v", err)
+			}
+			waitSweep(t, sw)
+			v := sw.View(false)
+			if v.Status != StatusDone {
+				t.Fatalf("sweep: %s (%s)", v.Status, v.Error)
+			}
 
-	s := mustNew(t, Config{Workers: 4})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
-	sw, err := s.StartSweep(context.Background(), SweepSpec{Cores: 2, Workloads: names})
-	if err != nil {
-		t.Fatalf("StartSweep: %v", err)
-	}
-	waitSweep(t, sw)
-	v := sw.View(false)
-	if v.Status != StatusDone {
-		t.Fatalf("sweep: %s (%s)", v.Status, v.Error)
-	}
-
-	// The same grid, computed directly with the experiments runner.
-	r := experiments.NewRunner(experiments.WithWorkers(4))
-	levels := sim.Levels()
-	want := experiments.SharingResult{
-		Cores:  2,
-		Levels: levels,
-		Mixes:  map[sim.Sharing][]experiments.MixScore{},
-	}
-	mixes := experiments.Mixes(names, 2, 0, 0)
-	for i := 0; i < len(mixes)*len(levels); i++ {
-		mix, lv := mixes[i/len(levels)], levels[i%len(levels)]
-		res, err := r.Dual(mix[0], mix[1], lv)
-		if err != nil {
-			t.Fatalf("dual %v %s: %v", mix, lv, err)
-		}
-		sp := make([]float64, 2)
-		for k := range mix {
-			if sp[k], err = r.Speedup(mix[k], res.Cores[k].Cycles); err != nil {
+			// The oracle: every mix at every level, in enumeration order,
+			// each core's cycles over its workload's Ideal cycles.
+			cores := func(u *sweepUnit) []sim.CoreResult {
+				var res sim.Result
+				if err := json.Unmarshal(u.result, &res); err != nil {
+					t.Fatalf("unit %v: %v", u.spec.Workloads, err)
+				}
+				return res.Cores
+			}
+			ideal := map[string]int64{}
+			for _, u := range sw.units {
+				if u.spec.Ideal {
+					ideal[u.spec.Workloads[0]] = cores(u)[0].Cycles
+				}
+			}
+			want := experiments.SharingResult{
+				Cores:  tc.cores,
+				Levels: tc.levels,
+				Mixes:  map[sim.Sharing][]experiments.MixScore{},
+			}
+			mixes := experiments.Mixes(names, tc.cores, 0, 0)
+			for i := 0; i < len(mixes)*len(tc.levels); i++ {
+				mix, lv := mixes[i/len(tc.levels)], tc.levels[i%len(tc.levels)]
+				u := sw.units[i]
+				if strings.Join(u.spec.Workloads, "+") != strings.Join(mix, "+") || u.spec.Sharing != lv.String() {
+					t.Fatalf("unit %d is %v %s, want %v %s", i, u.spec.Workloads, u.spec.Sharing, mix, lv)
+				}
+				sp := make([]float64, len(mix))
+				for k, c := range cores(u)[:len(mix)] {
+					sp[k] = metrics.Speedup(ideal[mix[k]], c.Cycles)
+				}
+				want.Mixes[lv] = append(want.Mixes[lv], experiments.MixScore{
+					Workloads: append([]string(nil), mix...),
+					Speedups:  sp,
+					Geomean:   metrics.MustGeomean(sp),
+					Fairness:  metrics.FairnessFromSpeedups(sp),
+				})
+			}
+			wantBytes, err := json.Marshal(want)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		want.Mixes[lv] = append(want.Mixes[lv], experiments.MixScore{
-			Workloads: append([]string(nil), mix...),
-			Speedups:  sp,
-			Geomean:   metrics.MustGeomean(sp),
-			Fairness:  metrics.FairnessFromSpeedups(sp),
+			if !bytes.Equal(v.Result, wantBytes) {
+				t.Errorf("sweep aggregate differs from the oracle:\n sweep: %s\noracle: %s", v.Result, wantBytes)
+			}
+
+			grid := experiments.SharingGrid{Cores: tc.cores, Levels: tc.levels, Mixes: mixes}
+			got, err := grid.Run(experiments.NewRunner(experiments.WithWorkers(4)))
+			if err != nil {
+				t.Fatalf("SharingGrid.Run: %v", err)
+			}
+			gotBytes, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotBytes, wantBytes) {
+				t.Errorf("SharingGrid.Run differs from the oracle:\n  grid: %s\noracle: %s", gotBytes, wantBytes)
+			}
 		})
-	}
-	wantBytes, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v.Result, wantBytes) {
-		t.Errorf("sweep aggregate differs from experiments run:\n sweep: %s\n local: %s", v.Result, wantBytes)
 	}
 }
 

@@ -22,9 +22,11 @@ func TestAttributionSumsMatchResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full simulations")
 	}
+	t.Parallel()
 	for _, l := range Loops {
 		for name, cfg := range skipConfigs(t) {
 			t.Run(l.Name+"/"+name, func(t *testing.T) {
+				t.Parallel()
 				checkAttributionExact(t, cfg, l)
 			})
 		}
@@ -73,6 +75,7 @@ func TestAttributionIdenticalAcrossKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full simulations")
 	}
+	t.Parallel()
 	cfg, err := NewWorkloadConfig(workloads.ScaleTiny, ShareDWT, "ncf", "gpt2")
 	if err != nil {
 		t.Fatal(err)

@@ -19,6 +19,7 @@ import (
 // reference's byte for byte.
 // CI runs this under -tags=invariants so the runtime checks are live.
 func TestRunDeterministic(t *testing.T) {
+	t.Parallel()
 	base, err := sim.NewWorkloadConfig(workloads.ScaleTiny, sim.ShareDWT, "ncf", "gpt2")
 	if err != nil {
 		t.Fatal(err)

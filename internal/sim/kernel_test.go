@@ -33,8 +33,10 @@ func TestKernelEventMatchesTick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several full simulations per config")
 	}
+	t.Parallel()
 	for name, cfg := range skipConfigs(t) {
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			tickRes, tickEv := captureRun(t, cfg, Loops[0])
 			evRes, evEv := captureRun(t, cfg, Loops[1])
 			if !reflect.DeepEqual(tickRes, evRes) {

@@ -16,6 +16,7 @@ import (
 // registry, and the stall-cycle attribution engine — and byte-compares
 // the serialized results: observation must never alter execution.
 func TestObsDoesNotPerturbResults(t *testing.T) {
+	t.Parallel()
 	cfg, err := sim.NewWorkloadConfig(workloads.ScaleTiny, sim.ShareDWT, "ncf", "gpt2")
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +60,7 @@ func TestObsDoesNotPerturbResults(t *testing.T) {
 // dual-core run: parseable, per-track monotonic, balanced spans, and
 // one named track per core, DRAM channel, and page-table walker pool.
 func TestObsChromeTraceStructure(t *testing.T) {
+	t.Parallel()
 	cfg, err := sim.NewWorkloadConfig(workloads.ScaleTiny, sim.ShareDWT, "ncf", "gpt2")
 	if err != nil {
 		t.Fatal(err)

@@ -39,12 +39,14 @@ func loopJSON(t *testing.T, l sim.Loop, cfg sim.Config) []byte {
 // publish into) must leave the serialized result byte-identical to a
 // bare run, under the event kernel and the tick reference.
 func TestHostProfDoesNotPerturbResults(t *testing.T) {
+	t.Parallel()
 	base, err := sim.NewWorkloadConfig(workloads.ScaleTiny, sim.ShareDWT, "ncf", "gpt2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range sim.Loops {
 		t.Run(l.Name, func(t *testing.T) {
+			t.Parallel()
 			bare := loopJSON(t, l, base)
 
 			profiled := base
@@ -90,6 +92,7 @@ func TestHostProfNotPublishedWithoutOptIn(t *testing.T) {
 // two identical runs produce byte-identical dumps (the determinism
 // suite's contract extended to the post-mortem layer).
 func TestRecorderDoesNotPerturbResults(t *testing.T) {
+	t.Parallel()
 	base, err := sim.NewWorkloadConfig(workloads.ScaleTiny, sim.ShareDWT, "ncf", "gpt2")
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,12 @@ import (
 // mixed clock domains, delayed starts, fixed-latency and DRAM-backed
 // walks, translation removed entirely, and a translation-heavy static
 // split.
+//
+// The tests that run whole simulations per config, per loop, or
+// several times over (kernel equivalence, attribution exactness,
+// determinism, non-perturbation) call t.Parallel(), as do their
+// independent subtests: under -race on a 2-CPU host the package would
+// otherwise outgrow go test's default 10-minute timeout.
 func skipConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	mustCfg := func(level Sharing, names ...string) Config {

@@ -2,7 +2,7 @@
 # serve_smoke.sh: end-to-end exercise of the simulation service.
 #
 # Boots mnpuserved, runs a tiny dual-core job to completion through the
-# typed client (cmd/mnpuload -one), checks the served result bytes
+# typed client (cmd/mnpuload), checks the served result bytes
 # equal `mnpusim -json` for the same config, finds the job through
 # GET /v1/jobs?status=done, streams its SSE feed and requires the
 # terminal "result" event's payload to byte-match the result endpoint
@@ -58,9 +58,9 @@ done
 SPEC='{"workloads":["ncf","gpt2"],"scale":"tiny","sharing":"static"}'
 
 echo "serve-smoke: running tiny dual-core job via the typed client"
-"$TMP/mnpuload" -addr "$BASE" -one -workloads ncf,gpt2 -scale tiny \
+"$TMP/mnpuload" -addr "$BASE" -workloads ncf,gpt2 -scale tiny \
 	-sharing static >"$TMP/served_result.json" ||
-	fail "mnpuload -one failed"
+	fail "mnpuload failed"
 
 echo "serve-smoke: comparing served result against mnpusim -json"
 "$TMP/mnpusim" -json -workloads ncf,gpt2 -scale tiny -sharing static \
