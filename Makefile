@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json invariants attr-invariants check obs-smoke serve-smoke fleet-smoke postmortem-smoke kernel-check
+.PHONY: build test race vet lint lint-json invariants attr-invariants check obs-smoke serve-smoke fleet-smoke postmortem-smoke kernel-check bench-test
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,14 @@ kernel-check:
 	$(GO) test -race -tags=invariants \
 		-run 'TestRunDeterministic|TestAttributionSumsMatchResult|TestKernelEventMatchesTick' \
 		./internal/sim
+
+# The benchmark's correctness gate: every bench/ workload at smoke size,
+# untraced and traced, with every result checked against the golden
+# digests in bench/golden (~15 s). bench/ is a module of its own, so the
+# root `go test ./...` does not reach it; a simulator change that alters
+# any result fails here.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # End-to-end observability smoke: run a tiny dual-core simulation with
 # the Chrome-trace exporter and counter registry on, then re-validate

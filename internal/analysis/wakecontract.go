@@ -32,7 +32,11 @@ var Wakecontract = &Analyzer{
 
 // wakeContractSurface is the contract itself plus the kernel-facing
 // per-channel accessors: the kernel re-arms after calling these, so a
-// state change inside them cannot go unregistered.
+// state change inside them cannot go unregistered. TickChannel also
+// carries an audited stimulus seam: a tick that frees a slot in a full
+// queue calls Memory.OnSlotFreed, which the kernel wires to re-arm the
+// MMU in the same cycle (the MMU sleeps while its admissions are
+// refused).
 var wakeContractSurface = map[string]bool{
 	"Tick": true, "tick": true,
 	"SkipTo": true, "skipTo": true,

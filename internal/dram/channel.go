@@ -78,7 +78,17 @@ type ChannelStats struct {
 	BytesMoved int64
 	// BusBusyCycles counts controller clocks the data bus carried data.
 	BusBusyCycles int64
-	// QueueFullRejects counts enqueue attempts refused for lack of space.
+	// QueueFullRejects counts admissions this channel refused because
+	// its controller queue was full. Only the MMU's drain is refused:
+	// on every cycle any core's issue queue holds a translated request,
+	// it tries each core's drain window (the first 32 requests) in
+	// order, round-robin across cores, until it admits one, and goes
+	// round again after each grant; every try on a full channel counts
+	// one. While every drain-window request's channel is full the MMU
+	// sleeps instead, and later charges each slept cycle one refusal
+	// per drain-window request on that request's channel
+	// (ChargeRefusals), exactly what its tries would have counted.
+	// Page-table reads check for space first and are never refused.
 	QueueFullRejects int64
 }
 

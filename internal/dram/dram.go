@@ -38,6 +38,13 @@ type Memory struct {
 	// the issuing core for data — on the completion cycle.
 	OnComplete func(done clock.Global, r *mem.Request)
 
+	// OnSlotFreed, if non-nil, is called when TickChannel takes channel
+	// ch's controller queue from full to not full (a CAS left it) at
+	// cycle now. The event-driven kernel uses it to wake the MMU in that
+	// same cycle: a sleeping MMU waits for exactly this to retry a
+	// refused admission.
+	OnSlotFreed func(now clock.Global, ch int)
+
 	// obs, if non-nil, receives structured probe events (enqueues,
 	// transfers, and the per-channel command stream). Observation never
 	// alters scheduling.
@@ -105,44 +112,62 @@ func (m *Memory) SetCoreChannels(core int, channels []int) error {
 	return nil
 }
 
-func (m *Memory) mapperFor(core int) Mapper {
+// mapperFor returns core's mapper, by pointer: a Mapper embeds the
+// whole device Config.
+func (m *Memory) mapperFor(core int) *Mapper {
 	if core >= 0 && core < len(m.mappers) && len(m.mappers[core].channels) > 0 {
-		return m.mappers[core]
+		return &m.mappers[core]
 	}
 	all := make([]int, m.cfg.Channels)
 	for i := range all {
 		all[i] = i
 	}
 	mp := NewMapper(m.cfg, all)
-	if core >= 0 {
-		for core >= len(m.mappers) {
-			m.mappers = append(m.mappers, Mapper{})
-		}
-		m.mappers[core] = mp
+	if core < 0 {
+		return &mp
 	}
-	return mp
+	for core >= len(m.mappers) {
+		m.mappers = append(m.mappers, Mapper{})
+	}
+	m.mappers[core] = mp
+	return &m.mappers[core]
 }
 
-// CanAccept reports whether a request from core to addr would be
-// admitted right now.
-func (m *Memory) CanAccept(core int, addr uint64) bool {
-	loc := m.mapperFor(core).Locate(addr)
-	return m.channels[loc.Channel].canAccept()
+// Route returns the channel r's physical address maps to. It decodes
+// the channel (only the channel) the first time it sees r and caches it
+// on the request, so every later admission check is O(1).
+func (m *Memory) Route(r *mem.Request) int {
+	if !r.Routed {
+		r.Channel, _ = m.mapperFor(r.Core).split(r.Addr)
+		r.Routed = true
+	}
+	return r.Channel
 }
+
+// HasSpace reports whether channel ch's controller queue would admit a
+// request right now.
+func (m *Memory) HasSpace(ch int) bool { return m.channels[ch].canAccept() }
+
+// ChargeRefusals adds n refused admissions to channel ch's
+// QueueFullRejects. A client that sleeps through cycles on which it
+// would have retried a refused request settles those refusals here; it
+// changes no scheduling state.
+func (m *Memory) ChargeRefusals(ch int, n int64) { m.channels[ch].stats.QueueFullRejects += n }
 
 // Enqueue admits r into its channel's controller queue. It returns false
-// (and leaves r untouched) if the queue is full; the caller should retry
-// on a later cycle. The request's Done callback fires when its data
-// burst completes.
+// (and charges one refusal to the channel) if the queue is full; the
+// caller should retry on a later cycle. A refusal costs one Route; the
+// full Location is decoded only for an admitted request. The request's
+// Done callback fires when its data burst completes.
 //
 //lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and the Done wrapper's OnComplete re-arms the walk or data consumer at the burst's completion cycle
 func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
-	loc := m.mapperFor(r.Core).Locate(r.Addr)
-	ch := m.channels[loc.Channel]
+	ch := m.channels[m.Route(r)]
 	if !ch.canAccept() {
 		ch.stats.QueueFullRejects++
 		return false
 	}
+	loc := m.mapperFor(r.Core).Locate(r.Addr)
 	m.seq++
 	m.inflight++
 	inner := r.Done
@@ -176,8 +201,8 @@ func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 
 // Tick advances every channel controller by one global cycle.
 func (m *Memory) Tick(now clock.Global) {
-	for _, ch := range m.channels {
-		ch.tick(now)
+	for i := range m.channels {
+		m.TickChannel(i, now)
 	}
 }
 
@@ -187,7 +212,15 @@ func (m *Memory) Channels() int { return len(m.channels) }
 // TickChannel advances a single channel controller by one global cycle.
 // The event-driven kernel uses it to tick only channels with work;
 // ticking an idle channel is a no-op, so over-ticking is always safe.
-func (m *Memory) TickChannel(ch int, now clock.Global) { m.channels[ch].tick(now) }
+// A tick that frees a slot in a full queue calls OnSlotFreed.
+func (m *Memory) TickChannel(ch int, now clock.Global) {
+	c := m.channels[ch]
+	full := !c.canAccept()
+	c.tick(now)
+	if full && m.OnSlotFreed != nil && c.canAccept() {
+		m.OnSlotFreed(now, ch)
+	}
+}
 
 // ChannelNextEventAfter returns the earliest future cycle at which
 // channel ch needs ticking (see the device-wide NextEventAfter for the

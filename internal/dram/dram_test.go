@@ -140,12 +140,19 @@ func TestQueueFullRejects(t *testing.T) {
 	if tm.m.Stats().Totals().QueueFullRejects != 6 {
 		t.Errorf("rejects = %d, want 6", tm.m.Stats().Totals().QueueFullRejects)
 	}
-	if tm.m.CanAccept(0, 0) {
-		t.Error("CanAccept should be false when full")
+	if tm.m.HasSpace(0) {
+		t.Error("HasSpace should be false when full")
 	}
+	// Draining frees the full queue's first slot once; no later slot
+	// frees a full queue.
+	freed := 0
+	tm.m.OnSlotFreed = func(now clock.Global, ch int) { freed++ }
 	tm.tickUntilIdle(2000)
-	if !tm.m.CanAccept(0, 0) {
-		t.Error("CanAccept should be true after drain")
+	if !tm.m.HasSpace(0) {
+		t.Error("HasSpace should be true after drain")
+	}
+	if freed != 1 {
+		t.Errorf("OnSlotFreed fired %d times, want 1", freed)
 	}
 }
 

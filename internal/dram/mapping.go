@@ -15,8 +15,10 @@ type Location struct {
 }
 
 // BankIndex flattens (rank, bank group, bank) into a per-channel bank
-// index in [0, BanksPerChannel).
-func (c Config) BankIndex(l Location) int {
+// index in [0, BanksPerChannel). It takes the Config by pointer: the
+// controllers call it for every queued request they consider, every
+// cycle.
+func (c *Config) BankIndex(l Location) int {
 	return (l.Rank*c.BankGroups+l.BankGroup)*c.BanksPerGroup + l.Bank
 }
 
@@ -61,23 +63,30 @@ func NewMapper(cfg Config, channels []int) Mapper {
 }
 
 // Channels returns the channel set this mapper interleaves across.
-func (m Mapper) Channels() []int { return m.channels }
+func (m *Mapper) Channels() []int { return m.channels }
+
+// split decodes addr's channel and its channel-local block index; the
+// channel alone is what admission control needs.
+//
+// Channel permutation: within each group of n consecutive blocks,
+// rotate the residue-to-channel assignment by a hash of the group
+// index. Without it, a power-of-two access stride (e.g. the
+// column-tiled weight blocks of an FC layer, stride N bytes) camps on a
+// single channel; the rotation is bijective per group, so the mapping
+// stays collision-free and sequential streams still spread perfectly
+// evenly.
+func (m *Mapper) split(addr uint64) (ch int, local uint64) {
+	block := addr / uint64(m.cfg.BlockBytes)
+	n := uint64(len(m.channels))
+	local = block / n
+	return m.channels[(block+rowMix(local))%n], local
+}
 
 // Locate decodes addr. Addresses are block-aligned by construction of
 // the request generator; sub-block bits are ignored.
-func (m Mapper) Locate(addr uint64) Location {
-	c := m.cfg
-	block := addr / uint64(c.BlockBytes)
-	n := uint64(len(m.channels))
-	// Channel permutation: within each group of n consecutive blocks,
-	// rotate the residue-to-channel assignment by a hash of the group
-	// index. Without it, a power-of-two access stride (e.g. the
-	// column-tiled weight blocks of an FC layer, stride N bytes) camps
-	// on a single channel; the rotation is bijective per group, so the
-	// mapping stays collision-free and sequential streams still spread
-	// perfectly evenly.
-	local := block / n
-	ch := m.channels[(block+rowMix(local))%n]
+func (m *Mapper) Locate(addr uint64) Location {
+	c := &m.cfg
+	ch, local := m.split(addr)
 
 	blocksPerRow := uint64(c.RowBytes / c.BlockBytes)
 	col := int(local % blocksPerRow)

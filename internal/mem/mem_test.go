@@ -209,17 +209,27 @@ func TestQuickQueueFIFOProperty(t *testing.T) {
 	}
 }
 
-// Property: RemoveAt(i) removes exactly the i-th element.
+// Property: RemoveAt(i) removes exactly the i-th element, also when
+// the queue wraps around its ring buffer.
 func TestQuickRemoveAt(t *testing.T) {
-	f := func(nRaw, popRaw, idxRaw uint8) bool {
+	f := func(nRaw, popRaw, refillRaw, idxRaw uint8) bool {
 		n := int(nRaw%20) + 2
 		pops := int(popRaw) % n
 		var q Queue
+		next := uint64(0)
+		push := func() {
+			q.Push(&Request{ID: next})
+			next++
+		}
 		for i := 0; i < n; i++ {
-			q.Push(&Request{ID: uint64(i)})
+			push()
 		}
 		for i := 0; i < pops; i++ {
 			q.Pop()
+		}
+		// Refill past the ring's end so the queue wraps around it.
+		for i := 0; i < int(refillRaw%20); i++ {
+			push()
 		}
 		if q.Len() == 0 {
 			return true
@@ -230,6 +240,7 @@ func TestQuickRemoveAt(t *testing.T) {
 		if got != want {
 			return false
 		}
+		push()
 		// Remaining elements keep relative order.
 		prev := int64(-1)
 		for i := 0; i < q.Len(); i++ {

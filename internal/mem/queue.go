@@ -55,18 +55,20 @@ func (q *Queue) At(i int) *Request {
 }
 
 // RemoveAt removes and returns the i-th request from the head,
-// preserving the order of the remaining requests.
+// preserving the order of the remaining requests. It shifts the head
+// side up by one, so it costs O(i): callers remove near the head (the
+// MMU's drain window), whatever the queue's length.
 func (q *Queue) RemoveAt(i int) *Request {
 	if i < 0 || i >= q.n {
 		//lint:allow nolibpanic mirrors the built-in slice bounds panic; callers index within Len() by construction
 		panic("mem: queue index out of range")
 	}
 	r := q.buf[(q.head+i)%len(q.buf)]
-	// Shift the tail side down by one.
-	for j := i; j < q.n-1; j++ {
-		q.buf[(q.head+j)%len(q.buf)] = q.buf[(q.head+j+1)%len(q.buf)]
+	for j := i; j > 0; j-- {
+		q.buf[(q.head+j)%len(q.buf)] = q.buf[(q.head+j-1)%len(q.buf)]
 	}
-	q.buf[(q.head+q.n-1)%len(q.buf)] = nil
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
 	q.n--
 	return r
 }

@@ -10,10 +10,21 @@ import (
 )
 
 // Backend is the memory system the MMU issues physical requests into;
-// *dram.Memory satisfies it.
+// *dram.Memory satisfies it. Requests route to one of Channels()
+// admission queues.
 type Backend interface {
-	CanAccept(core int, addr uint64) bool
+	Channels() int
+	// Route returns the channel r maps to, decoding it at most once per
+	// request.
+	Route(r *mem.Request) int
+	// HasSpace reports whether channel ch would admit a request now.
+	HasSpace(ch int) bool
+	// Enqueue admits r, or refuses it (and counts one refusal on its
+	// channel) when its channel is full.
 	Enqueue(now clock.Global, r *mem.Request) bool
+	// ChargeRefusals counts n refusals on channel ch: the tries of
+	// cycles the MMU slept through because they could only be refused.
+	ChargeRefusals(ch int, n int64)
 }
 
 // CoreStats aggregates per-core translation counters.
@@ -55,6 +66,7 @@ type MMU struct {
 	pool     *walkerPool
 	dws      *dwsPool
 	walkFIFO []walkRequest
+	queued   []int // queued[core]: core's walks in walkFIFO
 	active   []*walkJob
 
 	// mshr[core] maps a VPN with a pending walk to its waiting
@@ -62,8 +74,18 @@ type MMU struct {
 	mshr []map[uint64]*mshrEntry
 
 	// issueQ[core] holds translated requests awaiting DRAM admission.
-	issueQ []mem.Queue
-	rrNext int
+	issueQ  []mem.Queue
+	rrNext  int
+	blocked []bool // reused by every tick's drain, indexed by core
+
+	// parked[ch] counts drain-window requests (the first drainWindow of
+	// each core's issue queue) routed to backend channel ch. The MMU
+	// may drain iff one of those channels has space; while none has,
+	// it sleeps, and each slept cycle owes the backend parked[ch]
+	// refusals on every channel: what a drain on that cycle would have
+	// counted. settled is the first cycle not yet paid for.
+	parked  []int64
+	settled clock.Global
 
 	// Per-cycle TLB port accounting.
 	portCycle clock.Global
@@ -92,7 +114,10 @@ func New(cfg Config, backend Backend, tables []*PageTable, ids *mem.IDAllocator)
 		ids:       ids,
 		tables:    tables,
 		mshr:      make([]map[uint64]*mshrEntry, cfg.Cores),
+		queued:    make([]int, cfg.Cores),
 		issueQ:    make([]mem.Queue, cfg.Cores),
+		blocked:   make([]bool, cfg.Cores),
+		parked:    make([]int64, backend.Channels()),
 		portUsed:  make([]int, cfg.Cores),
 		portCycle: -1,
 		stats:     make([]CoreStats, cfg.Cores),
@@ -149,12 +174,12 @@ func (m *MMU) Stats(core int) CoreStats { return m.stats[core] }
 // cannot take the request this cycle (TLB ports exhausted or the
 // pending-walk limit reached for a new page); the caller retries later.
 //
-//lint:allow wakecontract audited stimulus seam: under the event kernel every core submits through sim.wakeSubmitter, which re-arms the MMU at the next global cycle on success
+//lint:allow wakecontract audited stimulus seam: under the event kernel every core submits through sim.wakeSubmitter, which re-arms the MMU at its post-submit NextEventAfter on success; a sleeping MMU settles its refusals before the submit changes an issue queue (push)
 func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
 	core := r.Core
 	if m.cfg.Disabled {
 		r.Addr = m.tables[core].Translate(r.VAddr)
-		m.issueQ[core].Push(r)
+		m.push(now, core, r)
 		m.stats[core].Translations++
 		return true
 	}
@@ -186,7 +211,7 @@ func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
 		m.stats[core].Translations++
 		m.stats[core].TLBHits++
 		r.Addr = ppn | (r.VAddr & (uint64(m.cfg.PageSize) - 1))
-		m.issueQ[core].Push(r)
+		m.push(now, core, r)
 		if m.obs != nil {
 			m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindTLBHit, Core: int32(core)})
 		}
@@ -205,6 +230,7 @@ func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
 	m.stats[core].TLBMisses++
 	m.mshr[core][vpn] = &mshrEntry{waiters: []*mem.Request{r}}
 	m.walkFIFO = append(m.walkFIFO, walkRequest{core: core, vpn: vpn, at: now})
+	m.queued[core]++
 	if m.obs != nil {
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindTLBMiss, Core: int32(core)})
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindMSHRAlloc, Core: int32(core), A: int64(len(m.mshr[core]))})
@@ -216,10 +242,42 @@ func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
 	return true
 }
 
+// push appends a translated request to core's issue queue. A request
+// that lands inside the drain window is parked on its channel; the
+// refusals owed for cycles slept before this change are settled first.
+func (m *MMU) push(now clock.Global, core int, r *mem.Request) {
+	m.settle(now + 1)
+	q := &m.issueQ[core]
+	q.Push(r)
+	if q.Len() <= drainWindow {
+		m.parked[m.backend.Route(r)]++
+	}
+}
+
+// settle pays the backend the refusals of cycles [settled, upto): each
+// is a cycle the MMU slept through with every drain-window request's
+// channel full, on which a drain would have tried, and been refused,
+// once per parked request.
+func (m *MMU) settle(upto clock.Global) {
+	if upto <= m.settled {
+		return
+	}
+	n := (upto - m.settled).Int64()
+	for ch, k := range m.parked {
+		if k > 0 {
+			m.backend.ChargeRefusals(ch, k*n)
+		}
+	}
+	m.settled = upto
+}
+
 // Tick advances the MMU by one global cycle: dispatch queued walks to
 // free walkers, progress active walks, and drain translated requests
-// into the backend.
+// into the backend. Cycles slept since the last tick are settled
+// first; this cycle's refusals are the drain's own.
 func (m *MMU) Tick(now clock.Global) {
+	m.settle(now)
+	m.settled = now + 1
 	if !m.cfg.Disabled {
 		m.dispatchWalks(now)
 		m.progressWalks(now)
@@ -234,15 +292,6 @@ func (m *MMU) dispatchWalks(now clock.Global) {
 	if len(m.walkFIFO) == 0 {
 		return
 	}
-	// Pending walk counts per core, consumed by the DWS policy's
-	// "owner has no queued walks" condition.
-	var pending []int
-	if m.dws != nil {
-		pending = make([]int, m.cfg.Cores)
-		for _, wr := range m.walkFIFO {
-			pending[wr.core]++
-		}
-	}
 	remaining := m.walkFIFO[:0]
 	for i, wr := range m.walkFIFO {
 		if m.freeWalkers() == 0 {
@@ -251,10 +300,10 @@ func (m *MMU) dispatchWalks(now clock.Global) {
 		}
 		owner := wr.core
 		if m.dws != nil {
-			pending[wr.core]--
-			o, ok := m.dws.grab(wr.core, pending)
+			// The DWS policy's "owner has no queued walks" condition
+			// reads queued, which a walk leaves as it is granted.
+			o, ok := m.dws.grab(wr.core, m.queued)
 			if !ok {
-				pending[wr.core]++
 				remaining = append(remaining, wr)
 				continue
 			}
@@ -266,6 +315,7 @@ func (m *MMU) dispatchWalks(now clock.Global) {
 			}
 			m.pool.grab(wr.core)
 		}
+		m.queued[wr.core]--
 		ppn, ptes := m.tables[wr.core].Walk(wr.vpn)
 		job := &walkJob{core: wr.core, vpn: wr.vpn, ppn: ppn, pteAddrs: ptes, startedAt: now, owner: owner}
 		if m.cfg.WalkMemory == FixedWalkLatency {
@@ -309,27 +359,29 @@ func (m *MMU) progressWalks(now clock.Global) {
 			m.completeWalk(now, job)
 			continue
 		}
-		addr := job.pteAddrs[job.level]
-		if !m.backend.CanAccept(job.core, addr) {
+		if job.pte == nil {
+			j := job
+			job.pte = &mem.Request{
+				Core:  job.core,
+				Addr:  job.pteAddrs[job.level],
+				VAddr: job.vpn << m.cfg.PageSize.Shift(),
+				Size:  8,
+				Kind:  mem.Read,
+				Class: mem.PageTable,
+				Done: func(clock.Global, *mem.Request) {
+					j.waiting = false
+					j.level++
+				},
+			}
+		}
+		if !m.backend.HasSpace(m.backend.Route(job.pte)) {
 			out = append(out, job)
 			continue
 		}
-		j := job
-		req := &mem.Request{
-			ID:    m.ids.Next(),
-			Core:  job.core,
-			Addr:  addr,
-			VAddr: job.vpn << m.cfg.PageSize.Shift(),
-			Size:  8,
-			Kind:  mem.Read,
-			Class: mem.PageTable,
-			Done: func(clock.Global, *mem.Request) {
-				j.waiting = false
-				j.level++
-			},
-		}
-		if m.backend.Enqueue(now, req) {
+		job.pte.ID = m.ids.Next()
+		if m.backend.Enqueue(now, job.pte) {
 			job.waiting = true
+			job.pte = nil
 		}
 		out = append(out, job)
 	}
@@ -362,7 +414,7 @@ func (m *MMU) completeWalk(now clock.Global, job *walkJob) {
 	if ok {
 		for _, r := range e.waiters {
 			r.Addr = job.ppn | (r.VAddr & (uint64(m.cfg.PageSize) - 1))
-			m.issueQ[job.core].Push(r)
+			m.push(now, job.core, r)
 		}
 		delete(m.mshr[job.core], job.vpn)
 	}
@@ -388,7 +440,8 @@ const drainWindow = 32
 // core forever (a parity lock a deterministic simulator cannot escape).
 func (m *MMU) drainIssueQueues(now clock.Global) {
 	n := m.cfg.Cores
-	blocked := make([]bool, n)
+	blocked := m.blocked
+	clear(blocked)
 	for {
 		granted := false
 		for i := 0; i < n; i++ {
@@ -410,13 +463,19 @@ func (m *MMU) drainIssueQueues(now clock.Global) {
 }
 
 // drainOne admits the oldest admissible request (within drainWindow) of
-// core's issue queue into the backend.
+// core's issue queue into the backend; the request that slides into the
+// window behind it is parked on its channel.
 func (m *MMU) drainOne(now clock.Global, core int) bool {
 	q := &m.issueQ[core]
 	limit := min(q.Len(), drainWindow)
 	for i := 0; i < limit; i++ {
-		if m.backend.Enqueue(now, q.At(i)) {
+		r := q.At(i)
+		if m.backend.Enqueue(now, r) {
 			q.RemoveAt(i)
+			m.parked[m.backend.Route(r)]--
+			if q.Len() >= drainWindow {
+				m.parked[m.backend.Route(q.At(drainWindow-1))]++
+			}
 			return true
 		}
 	}
@@ -424,43 +483,70 @@ func (m *MMU) drainOne(now clock.Global, core int) bool {
 }
 
 // NextEventAfter returns the earliest global cycle at which the MMU
-// needs ticking. Queued walks, translated requests awaiting DRAM
-// admission, and DRAM-backed walks between PTE reads all progress
-// cycle-by-cycle (now+1); fixed-latency walks sleep until their
-// deadline; walks waiting on a DRAM PTE read are woken by the memory
-// completion, which the DRAM's own NextEventAfter bounds.
+// needs ticking. It is now+1 only if a tick could change something: a
+// queued walk can get a walker, a drain-window request's channel has
+// space, or a DRAM-backed walk's next PTE read can be admitted.
+// Otherwise it is the earliest fixed-latency walk deadline, or
+// FarFuture. What it sleeps on arrives as a stimulus: a freed DRAM
+// slot (the kernel wakes the MMU in the cycle a full channel frees
+// one), a PTE read's completion, or a Submit. A tick on a slept cycle
+// could only have been refused; settle pays for those refusals.
 func (m *MMU) NextEventAfter(now clock.Global) clock.Global {
-	if len(m.walkFIFO) > 0 {
+	if m.canDispatch() || m.canDrain() {
 		return now + 1
-	}
-	for i := range m.issueQ {
-		if !m.issueQ[i].Empty() {
-			return now + 1
-		}
 	}
 	var next clock.Global = clock.FarFuture
 	for _, job := range m.active {
-		if m.cfg.WalkMemory == FixedWalkLatency {
+		switch {
+		case m.cfg.WalkMemory == FixedWalkLatency:
 			if job.readyAt <= now {
 				return now + 1
 			}
-			if job.readyAt < next {
-				next = job.readyAt
-			}
-			continue
-		}
-		if !job.waiting {
+			next = min(next, job.readyAt)
+		case !job.waiting && (job.pte == nil || m.backend.HasSpace(m.backend.Route(job.pte))):
 			return now + 1
 		}
 	}
 	return next
 }
 
-// SkipTo is a no-op: the MMU keeps no cycle-decaying state. Port
-// accounting is keyed to the absolute cycle of the first Submit, and
-// every deadline (walk readyAt) is absolute. It exists to complete the
-// NextEventAfter/SkipTo fast-forward protocol.
-func (m *MMU) SkipTo(now clock.Global) {}
+// canDispatch reports whether dispatchWalks would grant a walker now:
+// whether any core with a queued walk may take one.
+func (m *MMU) canDispatch() bool {
+	if len(m.walkFIFO) == 0 || m.freeWalkers() == 0 {
+		return false
+	}
+	for core, n := range m.queued {
+		if n == 0 {
+			continue
+		}
+		if m.dws != nil {
+			if _, ok := m.dws.pick(core, m.queued); ok {
+				return true
+			}
+		} else if m.pool.canGrab(core) {
+			return true
+		}
+	}
+	return false
+}
+
+// canDrain reports whether some drain-window request's channel has
+// space.
+func (m *MMU) canDrain() bool {
+	for ch, k := range m.parked {
+		if k > 0 && m.backend.HasSpace(ch) {
+			return true
+		}
+	}
+	return false
+}
+
+// SkipTo settles the refusals of the cycles before now that the MMU
+// slept through. Everything else it holds is absolute: port accounting
+// is keyed to the cycle of the first Submit, and every walk deadline
+// is a cycle.
+func (m *MMU) SkipTo(now clock.Global) { m.settle(now) }
 
 // Busy reports whether the MMU holds any pending work.
 func (m *MMU) Busy() bool {

@@ -19,7 +19,10 @@ type fakeBackend struct {
 	refuse   bool
 }
 
-func (f *fakeBackend) CanAccept(core int, addr uint64) bool { return !f.refuse }
+func (f *fakeBackend) Channels() int             { return 1 }
+func (f *fakeBackend) Route(*mem.Request) int    { return 0 }
+func (f *fakeBackend) HasSpace(int) bool         { return !f.refuse }
+func (f *fakeBackend) ChargeRefusals(int, int64) {}
 
 func (f *fakeBackend) Enqueue(now clock.Global, r *mem.Request) bool {
 	if f.refuse {
@@ -456,7 +459,12 @@ type slotBackend struct {
 	admitted map[int]int
 }
 
-func (s *slotBackend) CanAccept(core int, addr uint64) bool { return true }
+// slotBackend frees its slot with no stimulus, so it always reports
+// space: an MMU driven by it ticks (and retries) every cycle.
+func (s *slotBackend) Channels() int             { return 1 }
+func (s *slotBackend) Route(*mem.Request) int    { return 0 }
+func (s *slotBackend) HasSpace(int) bool         { return true }
+func (s *slotBackend) ChargeRefusals(int, int64) {}
 
 func (s *slotBackend) Enqueue(now clock.Global, r *mem.Request) bool {
 	if now-s.lastAt < s.period {

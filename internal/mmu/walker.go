@@ -3,6 +3,7 @@ package mmu
 import (
 	"mnpusim/internal/clock"
 	"mnpusim/internal/invariant"
+	"mnpusim/internal/mem"
 )
 
 // walkJob tracks one in-flight page-table walk. The walker issues one
@@ -19,6 +20,9 @@ type walkJob struct {
 	startedAt clock.Global
 	// readyAt is the completion cycle under FixedWalkLatency.
 	readyAt clock.Global
+	// pte is the next PTE read (DRAM-backed mode), built once per level
+	// and kept while its channel is full; nil while one is in flight.
+	pte *mem.Request
 	// owner is the home core of the walker servicing this job (equals
 	// core except under DWS stealing).
 	owner int
@@ -124,20 +128,29 @@ func newDWSPool(cores, perCore int) *dwsPool {
 	return p
 }
 
-// grab acquires a walker for core given each core's pending walk count;
-// it returns the home owner of the granted walker.
-func (p *dwsPool) grab(core int, pending []int) (owner int, ok bool) {
+// pick returns the home owner of the walker core would be granted,
+// given each core's pending walk count: its own if one is free, else an
+// idle foreign walker whose owner has no walks waiting.
+func (p *dwsPool) pick(core int, pending []int) (owner int, ok bool) {
 	if p.freeHome[core] > 0 {
-		p.freeHome[core]--
 		return core, true
 	}
 	for o := range p.freeHome {
 		if o != core && p.freeHome[o] > 0 && pending[o] == 0 {
-			p.freeHome[o]--
 			return o, true
 		}
 	}
 	return 0, false
+}
+
+// grab acquires a walker for core given each core's pending walk count;
+// it returns the home owner of the granted walker.
+func (p *dwsPool) grab(core int, pending []int) (owner int, ok bool) {
+	owner, ok = p.pick(core, pending)
+	if ok {
+		p.freeHome[owner]--
+	}
+	return owner, ok
 }
 
 func (p *dwsPool) release(owner int) {

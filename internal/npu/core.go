@@ -86,12 +86,14 @@ type Core struct {
 
 	// Obs, if non-nil, receives structured probe events (tile start and
 	// finish, SPM double-buffer swaps, DMA issue/complete, iteration
-	// ends). ObsCycleOffset shifts the core's view of the global clock
-	// onto the true timeline when execution initiation is delayed: the
-	// driver ticks a delayed core with now-start, so event timestamps add
-	// the start back. Observation never alters execution.
-	Obs            obs.Sink
-	ObsCycleOffset clock.Global
+	// ends). Observation never alters execution.
+	Obs obs.Sink
+
+	// StartCycle is the global cycle at which a delayed core starts
+	// executing. The main loop ticks such a core with now-StartCycle, so
+	// everything the core hands outside itself (MMU submissions, issue
+	// hooks, probe timestamps) adds it back onto the true timeline.
+	StartCycle clock.Global
 
 	stats Stats
 }
@@ -157,7 +159,7 @@ func (c *Core) Tick(now clock.Global) {
 
 // obsGlobal maps a core-local cycle onto the true global timeline.
 func (c *Core) obsGlobal(localCycle clock.Local) clock.Global {
-	return c.dom.ToGlobal(localCycle) + c.ObsCycleOffset
+	return c.dom.ToGlobal(localCycle) + c.StartCycle
 }
 
 // advanceCompute spends up to elapsed local cycles on the systolic
@@ -221,7 +223,7 @@ func (c *Core) issueDMA(now clock.Global, elapsed clock.Local) {
 				return
 			}
 		}
-		if !c.mmu.Submit(now, c.pendingReq) {
+		if !c.mmu.Submit(now+c.StartCycle, c.pendingReq) {
 			return // ports or MSHRs exhausted; retry next tick
 		}
 		r := c.pendingReq
@@ -241,11 +243,11 @@ func (c *Core) issueDMA(now clock.Global, elapsed clock.Local) {
 			if r.Kind == mem.Write {
 				wr = 1
 			}
-			c.Obs.Emit(obs.Event{Cycle: now + c.ObsCycleOffset, Kind: obs.KindDMAIssue,
+			c.Obs.Emit(obs.Event{Cycle: now + c.StartCycle, Kind: obs.KindDMAIssue,
 				Core: int32(c.id), A: int64(c.inflight), B: wr})
 		}
 		if c.OnIssue != nil {
-			c.OnIssue(now, r)
+			c.OnIssue(now+c.StartCycle, r)
 		}
 		allow--
 		c.advanceLoadWindow(now)
@@ -320,7 +322,7 @@ func (c *Core) advanceLoadWindow(now clock.Global) {
 		(c.pendingReq == nil || c.pendingReq.Kind != mem.Read) {
 		c.loadedThrough = c.loadTile
 		if c.Obs != nil {
-			c.Obs.Emit(obs.Event{Cycle: now + c.ObsCycleOffset, Kind: obs.KindSPMSwap,
+			c.Obs.Emit(obs.Event{Cycle: now + c.StartCycle, Kind: obs.KindSPMSwap,
 				Core: int32(c.id), A: int64(c.loadedThrough)})
 		}
 		c.loadTile++
@@ -352,7 +354,7 @@ func (c *Core) checkIterationEnd(now clock.Global) {
 	}
 	c.stats.Iterations++
 	if c.Obs != nil {
-		c.Obs.Emit(obs.Event{Cycle: now + c.ObsCycleOffset, Kind: obs.KindIterDone,
+		c.Obs.Emit(obs.Event{Cycle: now + c.StartCycle, Kind: obs.KindIterDone,
 			Core: int32(c.id), A: int64(c.stats.Iterations)})
 	}
 	if !c.finishedFirst {

@@ -17,11 +17,12 @@ import (
 // component is the event kernel's view of one piece of hardware: a DRAM
 // channel, the MMU, or an NPU core. The wake contract: after tick(now),
 // the component's observable state cannot change before next(now) unless
-// an external stimulus (DMA submit, DRAM enqueue, burst completion)
-// arrives first — and every such stimulus re-arms the target through
-// eventKernel.wake. skipTo(now) advances pure bookkeeping (a core's
-// local clock and stall accounting) across a window the contract proved
-// quiet; it is a no-op for channels and the MMU.
+// an external stimulus (DMA submit, DRAM enqueue, burst completion, a
+// freed DRAM queue slot) arrives first — and every such stimulus re-arms
+// the target through eventKernel.wake. skipTo(now) advances pure
+// bookkeeping across a window the contract proved quiet: a core's local
+// clock and stall accounting, the MMU's refusal settlement; it is a
+// no-op for channels.
 type component interface {
 	tick(now clock.Global)
 	skipTo(now clock.Global)
@@ -42,7 +43,7 @@ func (c channelComp) next(now clock.Global) clock.Global {
 type mmuComp struct{ u *mmu.MMU }
 
 func (c mmuComp) tick(now clock.Global)              { c.u.Tick(now) }
-func (c mmuComp) skipTo(now clock.Global)            {}
+func (c mmuComp) skipTo(now clock.Global)            { c.u.SkipTo(now) }
 func (c mmuComp) next(now clock.Global) clock.Global { return c.u.NextEventAfter(now) }
 
 // coreComp shifts the global clock onto the core's delayed timeline
@@ -70,23 +71,24 @@ func (c coreComp) next(now clock.Global) clock.Global {
 
 // wakeSubmitter wraps the MMU port handed to a core so that a
 // successful DMA submission re-arms the MMU's wake entry. The MMU has
-// already ticked this cycle (cores tick last), so its post-submit
-// NextEventAfter is the exact horizon — the tick reference's
-// fast-forward recomputes the same value after this cycle. A coalesced miss that
-// merely joins an in-flight walk leaves the horizon at the walk's
-// completion, so waking at now+1 unconditionally would make the event
-// kernel visit cycles the tick reference skips.
+// already ticked this cycle or is sleeping through it (cores tick
+// last), so its post-submit NextEventAfter is the exact horizon — the
+// tick reference's fast-forward recomputes the same value after this
+// cycle. A coalesced miss that merely joins an in-flight walk, or a
+// request parked behind a full DRAM channel, leaves the horizon where
+// it was, so waking at now+1 unconditionally would make the event
+// kernel visit cycles the tick reference skips. The core submits on
+// the true global cycle, its start offset added back.
 type wakeSubmitter struct {
 	mmu   *mmu.MMU
 	ek    *eventKernel
 	mmuID int
-	start clock.Global // the owning core's start offset: now arrives core-local
 }
 
 func (w *wakeSubmitter) Submit(now clock.Global, r *mem.Request) bool {
 	ok := w.mmu.Submit(now, r)
 	if ok {
-		w.ek.wake(w.mmuID, w.mmu.NextEventAfter(now+w.start))
+		w.ek.wake(w.mmuID, w.mmu.NextEventAfter(now))
 	}
 	return ok
 }
@@ -393,11 +395,12 @@ func (s *system) runEvent(ctx context.Context) (clock.Global, error) {
 
 	// End-of-run catch-up: the tick kernel ticks every core on every
 	// cycle through the final one, accumulating local-clock and stall
-	// statistics even on cores that are merely waiting; bring sleeping
-	// cores to the same final state.
+	// statistics even on cores that are merely waiting, and a sleeping
+	// MMU still owes the refusals of the cycles it slept through; bring
+	// both to the same final state.
 	end := prev + 1
-	for i := range s.cores {
-		comps[mmuID+1+i].skipTo(end)
+	for id := mmuID; id < len(comps); id++ {
+		comps[id].skipTo(end)
 	}
 	return end, nil
 }

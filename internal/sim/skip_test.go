@@ -4,14 +4,15 @@ import (
 	"testing"
 
 	"mnpusim/internal/clock"
+	"mnpusim/internal/obs"
 	"mnpusim/internal/workloads"
 )
 
 // skipConfigs builds a spread of configurations that exercise every
 // fast-forward path: pure compute stretches, memory-bound stretches,
 // mixed clock domains, delayed starts, fixed-latency and DRAM-backed
-// walks, translation removed entirely, and a translation-heavy static
-// split.
+// walks, translation removed entirely, a translation-heavy static
+// split, and DWS walker stealing.
 //
 // The tests that run whole simulations per config, per loop, or
 // several times over (kernel equivalence, attribution exactness,
@@ -55,6 +56,12 @@ func skipConfigs(t *testing.T) map[string]Config {
 	// Translation-heavy gathers against a compute-bound co-runner on
 	// split channels and walkers.
 	out["res+dlrm-static"] = mustCfg(Static, "res", "dlrm")
+
+	// DWS walker stealing: walk dispatch depends on every core's queued
+	// walks, not only on free walkers.
+	dws := mustCfg(ShareDW, "ncf", "dlrm")
+	dws.DWSWalkerStealing = true
+	out["dws-stealing"] = dws
 
 	return out
 }
@@ -108,5 +115,34 @@ func TestCoreNextEventMatchesTickCompletion(t *testing.T) {
 				t.Fatalf("%s: completion at local %d: ToGlobal-1 = %d, tick scan = %d", ratio.name, L, got, want)
 			}
 		}
+	}
+}
+
+// TestDelayedCoreProbesOnItsTimeline pins a delayed core to the true
+// global clock: nothing core 1 does in staggered-start (start cycle
+// 5000) may be stamped before it starts. The main loop ticks a delayed
+// core on its shifted timeline, so a cycle the core hands to the MMU
+// without adding its start back shows up here as an early TLB or MSHR
+// probe.
+func TestDelayedCoreProbesOnItsTimeline(t *testing.T) {
+	cfg := skipConfigs(t)["staggered-start"]
+	start := cfg.StartCycles[1]
+	for _, l := range Loops {
+		t.Run(l.Name, func(t *testing.T) {
+			_, events := captureRun(t, cfg, l)
+			n := 0
+			for _, e := range events {
+				if e.Core != 1 || e.Kind == obs.KindCoreInfo {
+					continue
+				}
+				n++
+				if e.Cycle < start {
+					t.Fatalf("core 1 starts at cycle %d, but emitted %v at cycle %d", start, e.Kind, e.Cycle)
+				}
+			}
+			if n == 0 {
+				t.Fatal("core 1 emitted no probes")
+			}
+		})
 	}
 }

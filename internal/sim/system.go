@@ -199,10 +199,11 @@ func newSystem(cfg Config, event bool) (*system, error) {
 	}
 
 	// The event kernel is created before the cores so its wake function
-	// can be wired into the stimulus seams: DRAM enqueues and burst
-	// completions (memory hooks) and DMA submissions (the per-core
-	// Submitter wrapper). Component ids are heap tie-break priorities
-	// and fix the within-cycle order: channels, MMU, cores.
+	// can be wired into the stimulus seams: DRAM enqueues, burst
+	// completions and freed queue slots (memory hooks) and DMA
+	// submissions (the per-core Submitter wrapper). Component ids are
+	// heap tie-break priorities and fix the within-cycle order:
+	// channels, MMU, cores.
 	var ek *eventKernel
 	if event {
 		chs := memory.Channels()
@@ -222,6 +223,10 @@ func newSystem(cfg Config, event bool) (*system, error) {
 				ek.wake(chs+1+r.Core, done)
 			}
 		}
+		// A slot freed in a full channel wakes the MMU in the same cycle
+		// (channels tick before it): the MMU sleeps while every request it
+		// could admit waits on a full channel.
+		memory.OnSlotFreed = func(now clock.Global, ch int) { ek.wake(chs, now) }
 	}
 
 	// Compile the software and build the cores.
@@ -243,7 +248,7 @@ func newSystem(cfg Config, event bool) (*system, error) {
 		dom := clock.NewDomain(a.FreqHz, clock.Hz(cfg.DRAM.FreqHz))
 		submitter := npu.Submitter(unit)
 		if ek != nil {
-			submitter = &wakeSubmitter{mmu: unit, ek: ek, mmuID: memory.Channels(), start: starts[i]}
+			submitter = &wakeSubmitter{mmu: unit, ek: ek, mmuID: memory.Channels()}
 		}
 		core, err := npu.NewCore(i, a, sched, dom, submitter, ids)
 		if err != nil {
@@ -253,7 +258,7 @@ func newSystem(cfg Config, event bool) (*system, error) {
 			core.OnIssue = cfg.OnIssue
 		}
 		core.Obs = sink
-		core.ObsCycleOffset = starts[i]
+		core.StartCycle = starts[i]
 		cores[i] = core
 	}
 
