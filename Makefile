@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json invariants attr-invariants check obs-smoke serve-smoke fleet-smoke postmortem-smoke kernel-check bench-test
+.PHONY: build test race vet lint lint-json invariants attr-invariants check obs-smoke serve-smoke postmortem-smoke kernel-check bench-test
 
 build:
 	$(GO) build ./...
@@ -80,19 +80,11 @@ obs-smoke:
 
 # End-to-end serving smoke: boot mnpuserved, run a job over HTTP,
 # byte-compare the served result against `mnpusim -json`, verify the
-# result cache short-circuits a resubmission, cancel an in-flight job,
-# and drain via SIGTERM (see scripts/serve_smoke.sh).
+# result cache short-circuits a resubmission, run a traced quad sweep
+# twice (the second all cache hits) and validate its trace, cancel an
+# in-flight job, and drain via SIGTERM (see scripts/serve_smoke.sh).
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# End-to-end fleet smoke: boot THREE daemons sharing a persistent
-# cache directory and a consistent-hash ring, run a sampled quad sweep
-# through POST /v1/sweeps, verify cross-daemon routing and shared-cache
-# dedup (one simulation per distinct unit fleet-wide), kill a member
-# mid-sweep and require the sweep to complete anyway, then drain the
-# survivors (see scripts/fleet_smoke.sh).
-fleet-smoke:
-	sh scripts/fleet_smoke.sh
 
 # End-to-end post-mortem smoke, race + invariants enabled: kill a job
 # mid-run, fetch its flight-recorder dump over HTTP, validate it with

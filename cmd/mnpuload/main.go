@@ -1,8 +1,7 @@
 // Command mnpuload submits one simulation job to an mnpuserved daemon
-// through the typed client, follows it to the fleet member that owns
-// it, waits, and prints the canonical result bytes: exactly what
-// `mnpusim -json` prints for the same configuration. It is the smoke
-// scripts' building block.
+// through the typed client, waits for it, and prints the canonical
+// result bytes: exactly what `mnpusim -json` prints for the same
+// configuration. It is the smoke scripts' building block.
 //
 //	mnpuload -addr http://localhost:8080 -workloads ncf,gpt2 -sharing +dwt
 //
@@ -65,9 +64,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	jc := c.ForJob(v)
 	if !v.Status.Terminal() {
-		if v, err = jc.WaitJob(ctx, v.ID, *poll); err != nil {
+		if v, err = c.WaitJob(ctx, v.ID, *poll); err != nil {
 			return err
 		}
 	}
@@ -76,7 +74,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	result := []byte(v.Result)
 	if len(result) == 0 {
-		if result, err = jc.JobResult(ctx, v.ID); err != nil {
+		if result, err = c.JobResult(ctx, v.ID); err != nil {
 			return err
 		}
 	}

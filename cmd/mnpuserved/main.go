@@ -23,17 +23,15 @@
 // server-side (poll GET /v1/sweeps/{id} for the aggregated result).
 // -cache-dir persists the result cache on disk — one crash-safely
 // written file per configuration fingerprint, warmed on restart and
-// shareable between daemons — and -peers/-self form a consistent-hash
-// fleet that routes each configuration to one owner and forwards
-// misrouted submissions (GET /v1/fleet introspects the ring; see
-// API.md for the full endpoint reference).
+// shareable between daemons (see API.md for the full endpoint
+// reference). Every job and sweep unit runs on the daemon that
+// accepted it.
 // Every request is tagged with an X-Request-Id, timed via a
 // Server-Timing header, and access-logged; submissions carry W3C
-// traceparent propagation end to end — fetch a federated trace with
-// GET /v1/traces/{id} (render it with mnputrace -mode spans), scrape
-// the whole fleet at once via GET /v1/fleet/metrics, and tune the
-// bounded span store with -trace-store/-trace-spans or turn tracing
-// off with -no-trace.
+// traceparent propagation end to end — fetch a trace with
+// GET /v1/traces/{id} (render it with mnputrace -mode spans), and tune
+// the bounded span store with -trace-store/-trace-spans or turn
+// tracing off with -no-trace.
 // On SIGINT/SIGTERM the daemon stops accepting jobs, drains in-flight
 // work (bounded by -drain-timeout, after which remaining jobs are
 // cancelled), keeps status GETs answering throughout the drain, then
@@ -52,7 +50,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -105,8 +102,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		wdProfile    = fs.Duration("watchdog-profile", 250*time.Millisecond, "CPU-profile capture duration when the watchdog fires")
 		ringCap      = fs.Int("recorder-ring", 0, "flight-recorder ring capacity per (core, channel) track, in events (0 = default)")
 		cacheDir     = fs.String("cache-dir", "", "persistent result-cache directory (empty = memory only); instances sharing one directory share results")
-		peersFlag    = fs.String("peers", "", "comma-separated fleet member base URLs (including this daemon's); enables consistent-hash job routing")
-		selfFlag     = fs.String("self", "", "this daemon's base URL within -peers (default http://<addr>)")
 		noTrace      = fs.Bool("no-trace", false, "disable distributed tracing (no spans recorded, no trace/request IDs minted)")
 		traceStore   = fs.Int("trace-store", 0, "max traces held in the in-memory span store (0 = default 256)")
 		traceSpans   = fs.Int("trace-spans", 0, "max spans retained per trace (0 = default 4096)")
@@ -122,26 +117,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	// Listen before building the server so the default -self URL can
-	// name the actually bound address (":0" resolves to a real port).
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
-
-	var peers []string
-	if *peersFlag != "" {
-		for _, p := range strings.Split(*peersFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, strings.TrimRight(p, "/"))
-			}
-		}
-	}
-	self := strings.TrimRight(*selfFlag, "/")
-	if self == "" && len(peers) > 0 {
-		self = "http://" + ln.Addr().String()
-	}
 
 	reg := obs.NewRegistry()
 	srv, err := serve.New(serve.Config{
@@ -155,8 +135,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		WatchdogProfile:   *wdProfile,
 		RecorderRingCap:   *ringCap,
 		CacheDir:          *cacheDir,
-		Peers:             peers,
-		Self:              self,
 		DisableTracing:    *noTrace,
 		TraceMaxTraces:    *traceStore,
 		TraceMaxSpans:     *traceSpans,
@@ -166,7 +144,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	logger.Info("listening", "addr", ln.Addr().String(), "workers", *workers,
-		"cache_dir", *cacheDir, "fleet", len(peers))
+		"cache_dir", *cacheDir)
 
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)

@@ -209,8 +209,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-log-level", "loud"},
 		{"-log-format", "xml"},
 		{"-addr", "127.0.0.1:0", "-debug-addr", "999.999.999.999:0"},
-		{"-addr", "127.0.0.1:0", "-self", "http://x"},                        // self without peers
-		{"-addr", "127.0.0.1:0", "-peers", "http://a,http://b", "-self", ""}, // self defaults to bound addr, not in peers
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		err := run(ctx, args, out)

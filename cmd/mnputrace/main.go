@@ -22,10 +22,10 @@
 //
 //	mnputrace -mode postmortem -in job.dump -obs window.json -obs-counters -
 //
-// Spans mode renders a federated distributed trace (the JSON body of
+// Spans mode renders a distributed trace (the JSON body of
 // GET /v1/traces/{id}) into a validated Chrome trace with one process
-// per daemon and one thread per span kind, after printing a per-service
-// summary:
+// per service and one thread per span kind, after printing a
+// per-service summary:
 //
 //	mnputrace -mode spans -in trace-s1.json -obs spans.json
 package main
@@ -265,7 +265,7 @@ func postmortem(inPath, obsPath, ctrPath string) error {
 	return nil
 }
 
-// spans decodes a federated distributed trace (the GET /v1/traces/{id}
+// spans decodes a distributed trace (the GET /v1/traces/{id}
 // response), prints a per-service summary with parent/child linkage
 // checks, and optionally renders it as a Chrome trace (-obs, validated
 // before it hits disk). An empty or undecodable trace is an error, so
@@ -299,9 +299,9 @@ func spans(inPath, obsPath string) error {
 			maxNS = end
 		}
 	}
-	// Orphans (a parent recorded on a member that died, or evicted from
-	// a bounded store) are reported, not fatal: partial traces are the
-	// point of federation.
+	// Orphans (a parent dropped by the bounded span store, or recorded
+	// by a caller outside the daemon) are reported, not fatal: a partial
+	// trace still tells the story around the gap.
 	orphans := 0
 	for _, sp := range view.Spans {
 		if sp.ParentID != "" && !ids[sp.ParentID] {
@@ -322,15 +322,8 @@ func spans(inPath, obsPath string) error {
 	if orphans > 0 {
 		fmt.Printf("  %d orphan span(s) reference parents not in the trace (partial trace)\n", orphans)
 	}
-	for _, m := range view.Members {
-		switch {
-		case m.Error != "":
-			fmt.Printf("  member %s: error: %s\n", m.URL, m.Error)
-		case m.Dropped > 0:
-			fmt.Printf("  member %s: %d span(s), %d dropped\n", m.URL, m.Spans, m.Dropped)
-		default:
-			fmt.Printf("  member %s: %d span(s)\n", m.URL, m.Spans)
-		}
+	if view.Dropped > 0 {
+		fmt.Printf("  %d span(s) dropped by the span store's per-trace cap\n", view.Dropped)
 	}
 
 	var buf bytes.Buffer

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"mnpusim/internal/sim"
@@ -140,6 +141,13 @@ func TestPTWPartitionSchemes(t *testing.T) {
 	}
 	// A 4-walker pool still produces a ladder plus dynamic.
 	small := PTWPartitionSchemes(4)
+	var names []string
+	for _, s := range small {
+		names = append(names, s.Name)
+	}
+	if got := strings.Join(names, " "); got != "1:3 2:2 3:1 dynamic" {
+		t.Fatalf("4-walker schemes = %s, want 1:3 2:2 3:1 dynamic", got)
+	}
 	for _, s := range small[:len(small)-1] {
 		if s.Split[0]+s.Split[1] != 4 {
 			t.Errorf("small scheme %s splits to %v", s.Name, s.Split)

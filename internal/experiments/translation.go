@@ -20,21 +20,18 @@ type PTWScheme struct {
 
 // PTWPartitionSchemes returns static splits of the dual-core walker
 // pool in the paper's ratio ladder, plus the dynamic scheme (Figs
-// 13-14). total is the pool size (2 x per-core walkers).
+// 13-14). total is the pool size (2 x per-core walkers). Core 0 gets
+// round(r*total/8) walkers for each ladder ratio r:8-r, clamped so
+// each core keeps at least one; a pool too small to tell two adjacent
+// ratios apart yields the split once.
 func PTWPartitionSchemes(total int) []PTWScheme {
-	e := total / 8
-	if e < 1 {
-		e = 1
-	}
-	ratios := [][2]int{{1, 7}, {2, 6}, {4, 4}, {6, 2}, {7, 1}}
 	var out []PTWScheme
-	for _, r := range ratios {
-		a, b := r[0]*e, r[1]*e
-		if a+b > total {
+	for _, r := range []int{1, 2, 4, 6, 7} {
+		a := min(max((r*total+4)/8, 1), total-1)
+		if a < 1 || len(out) > 0 && out[len(out)-1].Split[0] == a {
 			continue
 		}
-		b = total - a
-		out = append(out, PTWScheme{Name: fmt.Sprintf("%d:%d", a, b), Split: [2]int{a, b}})
+		out = append(out, PTWScheme{Name: fmt.Sprintf("%d:%d", a, total-a), Split: [2]int{a, total - a}})
 	}
 	out = append(out, PTWScheme{Name: "dynamic"})
 	return out

@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// Span-name prefixes map to fixed thread tracks so every daemon's
+// Span-name prefixes map to fixed thread tracks so every service's
 // process renders the same row layout: HTTP handling on top, then
-// queue wait, cache lookups, forward hops, sweep coordination, unit
-// dispatch, and simulation runs.
-var chromeTracks = []string{"http", "queue", "cache", "forward", "sweep", "unit", "sim", "other"}
+// queue wait, cache lookups, sweep coordination, unit dispatch, and
+// simulation runs.
+var chromeTracks = []string{"http", "queue", "cache", "sweep", "unit", "sim", "other"}
 
 // trackOf buckets a span name into one of chromeTracks by its first
 // token ("http GET /v1/jobs" -> http, "sim_run" -> sim).
@@ -25,16 +25,14 @@ func trackOf(name string) int {
 		return 1
 	case "cache_lookup":
 		return 2
-	case "forward":
-		return 3
 	case "sweep":
-		return 4
+		return 3
 	case "unit":
-		return 5
+		return 4
 	case "sim_run":
-		return 6
+		return 5
 	}
-	return 7
+	return 6
 }
 
 // chromeEvent is one trace-event record; pointer Ts/Dur distinguish
@@ -49,7 +47,7 @@ type chromeEvent struct {
 	Args any    `json:"args,omitempty"`
 }
 
-// WriteChromeTrace renders a federated trace as Chrome trace-event
+// WriteChromeTrace renders a trace as Chrome trace-event
 // JSON: one process (pid) per service, one thread (tid) per span
 // category, X complete events with microsecond timestamps relative to
 // the trace's earliest span. The output satisfies

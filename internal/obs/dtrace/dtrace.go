@@ -1,14 +1,14 @@
-// Package dtrace is the fleet's distributed-tracing layer: it follows
-// one request — a job or a whole sweep — across daemons, queues,
-// caches, and into the simulation run itself, using W3C traceparent
-// propagation so every hop shares a single trace ID.
+// Package dtrace is the serving layer's distributed-tracing layer: it
+// follows one request — a job or a whole sweep — from the caller into
+// the daemon's queues, caches, and the simulation run itself, using W3C
+// traceparent propagation so every hop shares a single trace ID.
 //
 // Spans are recorded complete (emit-on-end, Jaeger-style): a span is
 // built while the operation runs and appended to a bounded in-memory
 // Store when it finishes. Timestamps come from hostprof.WallNow, the
-// sanctioned wall-clock boundary, so spans from different daemons line
-// up on one epoch-anchored timeline without adding new clock reads to
-// the simulation tree.
+// sanctioned wall-clock boundary, so spans from different processes
+// (a client and the daemon) line up on one epoch-anchored timeline
+// without adding new clock reads to the simulation tree.
 //
 // The package is deterministic-ID-safe: trace, span, and request IDs
 // come from a splitmix64 stream seeded once per Tracer from the
@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"sync/atomic"
 
 	"mnpusim/internal/obs/hostprof"
@@ -78,7 +79,8 @@ func ParseTraceparent(v string) (SpanContext, bool) {
 	if !sc.Valid() || !isHex(flags, 2) {
 		return SpanContext{}, false
 	}
-	sc.Sampled = flags[1]&1 == 1
+	b, _ := strconv.ParseUint(flags, 16, 8) // cannot fail: isHex accepted two hex digits
+	sc.Sampled = b&1 == 1
 	return sc, true
 }
 
@@ -96,8 +98,8 @@ func isHex(s string, n int) bool {
 }
 
 // Span is one completed operation. StartUnixNS/DurNS are
-// hostprof.WallNow nanoseconds, so spans from different daemons share
-// a timeline. Attrs carry low-cardinality context (job ID, cache
+// hostprof.WallNow nanoseconds, so spans from different processes
+// share a timeline. Attrs carry low-cardinality context (job ID, cache
 // tier, configuration fingerprint); the sim_run span's "fingerprint"
 // attribute links a trace to the cycle-domain Chrome trace and
 // attribution buckets recorded for the same configuration.
@@ -122,10 +124,9 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer recording spans for the named service
-// (the daemon's fleet URL, or a fixed name for solo daemons) into
-// store. The ID stream is seeded from the process start time and the
-// service name, so concurrently started daemons draw from disjoint
-// streams.
+// (mnpuserved for the daemon) into store. The ID stream is seeded from
+// the process start time and the service name, so tracers started
+// together under different names draw from disjoint streams.
 func NewTracer(service string, store *Store) *Tracer {
 	h := fnv.New64a()
 	h.Write([]byte(service))

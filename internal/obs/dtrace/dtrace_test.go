@@ -30,6 +30,25 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseTraceparentSampledFlag checks Sampled is bit 0 of the
+// flags byte the two hex digits encode, not of the digit's ASCII code.
+func TestParseTraceparentSampledFlag(t *testing.T) {
+	const prefix = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-"
+	for flags, want := range map[string]bool{
+		"00": false, "01": true, "02": false, "09": true,
+		"0a": false, "0b": true, "fe": false, "ff": true,
+	} {
+		sc, ok := ParseTraceparent(prefix + flags)
+		if !ok {
+			t.Errorf("flags %s: rejected", flags)
+			continue
+		}
+		if sc.Sampled != want {
+			t.Errorf("flags %s: Sampled = %v, want %v", flags, sc.Sampled, want)
+		}
+	}
+}
+
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",

@@ -142,10 +142,6 @@ type JobView struct {
 	// cache without running a simulation.
 	Cached bool   `json:"cached,omitempty"`
 	Error  string `json:"error,omitempty"`
-	// Peer is the base URL of the fleet member that owns the job, set
-	// when the submission was forwarded to its consistent-hash owner.
-	// Poll that daemon, not the one that accepted the submission.
-	Peer string `json:"peer,omitempty"`
 	// Result is the simulation outcome, present once Status is "done".
 	Result json.RawMessage `json:"result,omitempty"`
 	// Attribution is the per-core stall-cycle breakdown (an
@@ -214,11 +210,8 @@ type SweepJobView struct {
 	Ideal bool `json:"ideal,omitempty"`
 	// Key is the unit's config content address.
 	Key string `json:"key"`
-	// JobID is the job handle on the daemon that ran it.
-	JobID string `json:"job_id,omitempty"`
-	// Peer is the fleet member the unit ran on; empty means the
-	// coordinating daemon itself.
-	Peer   string `json:"peer,omitempty"`
+	// JobID is the handle of the job that ran the unit.
+	JobID  string `json:"job_id,omitempty"`
 	Status Status `json:"status"`
 	Cached bool   `json:"cached,omitempty"`
 	Error  string `json:"error,omitempty"`
@@ -241,10 +234,8 @@ type SweepView struct {
 	Failed    int `json:"failed"`
 	Cancelled int `json:"cancelled"`
 	// CacheHits counts units answered from the content-addressed
-	// result cache (local or a peer's) without a new simulation.
+	// result cache without a new simulation.
 	CacheHits int `json:"cache_hits"`
-	// Forwarded counts units executed on a peer daemon.
-	Forwarded int `json:"forwarded"`
 	// Jobs is the per-unit detail, included only when requested with
 	// ?jobs=true (a full octa sweep has 6435+ units).
 	Jobs []SweepJobView `json:"jobs,omitempty"`
@@ -265,7 +256,6 @@ type SweepProgress struct {
 	Failed    int    `json:"failed"`
 	Cancelled int    `json:"cancelled"`
 	CacheHits int    `json:"cache_hits"`
-	Forwarded int    `json:"forwarded"`
 }
 
 // SweepList is the GET /v1/sweeps response: one page of sweeps in
@@ -277,32 +267,16 @@ type SweepList struct {
 	NextCursor string `json:"next_cursor,omitempty"`
 }
 
-// TraceMemberView is one fleet member's contribution to a federated
-// trace.
-type TraceMemberView struct {
-	// URL is the member's base URL ("self" entries use the fleet URL;
-	// a solo daemon reports its service name).
-	URL string `json:"url"`
-	// Spans counts the spans this member contributed.
-	Spans int `json:"spans"`
-	// Dropped counts spans the member's bounded store discarded once
-	// the trace hit its per-trace span cap.
-	Dropped int `json:"dropped,omitempty"`
-	// Error is set when the member could not be reached; the trace is
-	// then partial but still valid.
-	Error string `json:"error,omitempty"`
-}
-
-// TraceView is the GET /v1/traces/{id} payload: every span the fleet
-// recorded for one trace ID, merged and sorted by start time.
+// TraceView is the GET /v1/traces/{id} payload: every span the daemon
+// recorded for one trace ID, sorted by start time.
 type TraceView struct {
 	TraceID string `json:"trace_id"`
-	// Spans is the federated span list, sorted by start time then span
-	// ID so equal inputs render identically.
+	// Spans is the span list, sorted by start time then span ID so
+	// equal inputs render identically.
 	Spans []dtrace.Span `json:"spans"`
-	// Members describes each fleet member's contribution, including
-	// unreachable ones. Omitted on local-only reads.
-	Members []TraceMemberView `json:"members,omitempty"`
+	// Dropped counts spans the daemon's bounded store discarded once
+	// the trace hit its per-trace span cap.
+	Dropped int `json:"dropped,omitempty"`
 }
 
 // Workloads is the GET /v1/workloads payload: everything a client
@@ -326,34 +300,6 @@ type Stats struct {
 	DiskCached int `json:"disk_cached_results,omitempty"`
 	// Sweeps counts sweep resources currently retained.
 	Sweeps int `json:"sweeps,omitempty"`
-	// Self is the daemon's advertised fleet URL, set when fleet
-	// routing is configured.
-	Self string `json:"self,omitempty"`
-}
-
-// PeerView is one fleet member's state in the GET /v1/fleet payload.
-type PeerView struct {
-	// URL is the member's base URL exactly as configured (the ring
-	// hashes this string, so every member must use the same list).
-	URL string `json:"url"`
-	// Self marks the daemon answering the request.
-	Self bool `json:"self,omitempty"`
-	// Healthy reports the member answered a health probe; the daemon
-	// itself is always healthy in its own view.
-	Healthy bool `json:"healthy"`
-	// Status is the member's healthz status string ("ok", "draining"),
-	// or "unreachable" when the probe failed.
-	Status string `json:"status"`
-	// OwnedShare is the fraction of the hash ring the member owns.
-	OwnedShare float64 `json:"owned_share"`
-}
-
-// FleetView is the GET /v1/fleet payload.
-type FleetView struct {
-	Self string `json:"self"`
-	// VirtualNodes is the per-member vnode count of the hash ring.
-	VirtualNodes int        `json:"virtual_nodes"`
-	Peers        []PeerView `json:"peers"`
 }
 
 // Error codes carried by the envelope. Every non-2xx /v1 response body
@@ -362,7 +308,8 @@ const (
 	// ErrInvalidRequest (HTTP 400): malformed body, unknown field, or
 	// a spec that fails validation.
 	ErrInvalidRequest = "invalid_request"
-	// ErrNotFound (HTTP 404): no job or sweep with that ID.
+	// ErrNotFound (HTTP 404): no job, sweep or trace with that ID, or
+	// no /v1 route for the request's method and path.
 	ErrNotFound = "not_found"
 	// ErrConflict (HTTP 409): the resource exists but is not in a
 	// state that has what was asked for (result of an unfinished job,

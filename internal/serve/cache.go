@@ -60,9 +60,9 @@ type resultCache struct {
 
 	dir string
 	log *slog.Logger
-	// index tracks the keys present on disk (this instance's view; a
-	// peer writing the shared directory is still found by the get
-	// fallthrough even if unindexed here).
+	// index tracks the keys present on disk (this instance's view;
+	// another daemon writing the shared directory is still found by
+	// the get fallthrough even if unindexed here).
 	index map[string]struct{}
 
 	// onDiskHit / onDiskWrite / onDiskSkip observe the persistent
@@ -334,8 +334,8 @@ func (c *resultCache) writeFile(key string, v cachedResult) error {
 }
 
 // evictDisk trims the persistent tier to maxEntries files, removing
-// the oldest-modified first. Best-effort: a peer sharing the directory
-// may race the removals, and that is fine — the loser's os.Remove just
+// the oldest-modified first. Best-effort: another daemon sharing the
+// directory may race the removals, and that is fine — the loser's os.Remove just
 // fails on an already-gone file.
 func (c *resultCache) evictDisk() {
 	entries, err := os.ReadDir(c.dir)

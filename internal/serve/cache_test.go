@@ -2,11 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"mnpusim/internal/serve/api"
+	"mnpusim/internal/serve/client"
+	"mnpusim/internal/sim"
 )
 
 func newTestCache(t *testing.T, max int, dir string) *resultCache {
@@ -71,7 +78,8 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 }
 
 // TestCacheDiskReadThrough verifies one instance sees entries another
-// instance wrote after both warmed — the shared --cache-dir fleet path.
+// instance wrote after both warmed — the path of daemons sharing one
+// -cache-dir.
 func TestCacheDiskReadThrough(t *testing.T) {
 	dir := t.TempDir()
 	a := newTestCache(t, 16, dir)
@@ -89,6 +97,51 @@ func TestCacheDiskReadThrough(t *testing.T) {
 	// Promoted into b's memory tier: second get is a memory hit.
 	if _, ok := b.get("k"); !ok || hits != 1 {
 		t.Errorf("second get: ok=%v hits=%d, want memory hit", ok, hits)
+	}
+}
+
+// TestSharedCacheDir runs two servers over one CacheDir: a job
+// simulated on one is answered by the other from the disk tier, with
+// the same bytes and no second simulation.
+func TestSharedCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	var sims atomic.Int64
+	stub := func(ctx context.Context, c sim.Config) (sim.Result, error) {
+		sims.Add(1)
+		return fakeResult(3), nil
+	}
+	// Both servers warm their disk index before either has run the job,
+	// so the second finds the result by reading through to the disk.
+	var cls [2]*client.Client
+	var servers [2]*Server
+	for i := range servers {
+		servers[i] = newStubServer(t, Config{Workers: 1, CacheDir: dir}, stub)
+		ts := httptest.NewServer(servers[i].Handler())
+		t.Cleanup(ts.Close)
+		cls[i] = client.New(ts.URL)
+	}
+	ctx := context.Background()
+	var views [2]api.JobView
+	for i, cl := range cls {
+		v, err := cl.SubmitJob(ctx, ncfSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if views[i], err = cl.WaitJob(ctx, v.ID, 5*time.Millisecond); err != nil || views[i].Status != StatusDone {
+			t.Fatalf("server %d: %v %+v", i, err, views[i])
+		}
+	}
+	if got := sims.Load(); got != 1 {
+		t.Errorf("simulations = %d over one shared directory, want 1", got)
+	}
+	if !views[1].Cached {
+		t.Error("second server's answer not marked cached")
+	}
+	if string(views[0].Result) != string(views[1].Result) {
+		t.Error("shared-cache result bytes differ")
+	}
+	if got := servers[1].diskCacheHits.Value(); got == 0 {
+		t.Error("second server recorded no disk cache hits")
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package client is the typed Go client of the mnpuserved HTTP API.
 // It speaks exactly the wire format defined in internal/serve/api —
-// jobs, sweeps, the fleet surface, SSE event streams, and post-mortem
-// dumps — and is the one consumer-side implementation: cmd/mnpuload
-// (one job, the smoke scripts' building block), bench/'s serving
-// workloads, the end-to-end tests, and the server's own fleet
-// forwarding all go through it.
+// jobs, sweeps, traces, SSE event streams, and post-mortem dumps — and
+// is the one consumer-side implementation: cmd/mnpuload (one job, the
+// smoke scripts' building block), bench/'s serving workloads, and the
+// end-to-end tests all go through it.
 package client
 
 import (
@@ -23,11 +22,6 @@ import (
 	"mnpusim/internal/obs/dtrace"
 	"mnpusim/internal/serve/api"
 )
-
-// ForwardedHeader marks a submission already routed by a fleet member;
-// a daemon receiving it executes locally instead of re-forwarding, so
-// ring-view disagreements can never loop a request.
-const ForwardedHeader = "X-Mnpu-Forwarded"
 
 // APIError is a non-2xx response decoded from the structured error
 // envelope every /v1 endpoint returns.
@@ -52,13 +46,6 @@ func IsNotFound(err error) bool {
 	return ok && ae.Code == api.ErrNotFound
 }
 
-// IsRetryable reports whether err is an APIError the server marked
-// retryable (queue full, draining).
-func IsRetryable(err error) bool {
-	ae, ok := err.(*APIError)
-	return ok && ae.Retryable
-}
-
 // Client talks to one daemon. The zero value is not usable; construct
 // with New.
 type Client struct {
@@ -66,10 +53,6 @@ type Client struct {
 	Base string
 	// HTTP is the underlying client; New installs http.DefaultClient.
 	HTTP *http.Client
-	// Forwarded, when non-empty, stamps every request with the
-	// ForwardedHeader (set to the forwarding daemon's own URL). Only
-	// fleet members forwarding misrouted submissions set this.
-	Forwarded string
 }
 
 // New returns a client for the daemon at base (scheme://host:port,
@@ -83,7 +66,7 @@ func New(base string) *Client {
 //
 // A span context carried by ctx (dtrace.With) is propagated as a W3C
 // traceparent header — on POST and DELETE only, so that WaitJob /
-// WaitSweep polling does not flood the servers' bounded span stores
+// WaitSweep polling does not flood the server's bounded span store
 // with one HTTP span per poll.
 func (c *Client) do(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
@@ -92,9 +75,6 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader) (*
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.Forwarded != "" {
-		req.Header.Set(ForwardedHeader, c.Forwarded)
 	}
 	if method == http.MethodPost || method == http.MethodDelete {
 		if sc, ok := dtrace.From(ctx); ok {
@@ -141,23 +121,11 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 }
 
 // SubmitJob posts a job spec. A cache-served job comes back already
-// terminal with Cached set; a fleet-forwarded one carries Peer — use
-// ForJob to follow it.
+// terminal with Cached set.
 func (c *Client) SubmitJob(ctx context.Context, spec api.JobSpec) (api.JobView, error) {
 	var v api.JobView
 	err := c.postJSON(ctx, "/v1/jobs", spec, &v)
 	return v, err
-}
-
-// ForJob returns the client to keep using for a submitted job: c
-// itself, or a client pointed at the fleet peer that owns it.
-func (c *Client) ForJob(v api.JobView) *Client {
-	if v.Peer == "" || v.Peer == c.Base {
-		return c
-	}
-	peer := New(v.Peer)
-	peer.HTTP = c.HTTP
-	return peer
 }
 
 // Job fetches a job's state; the result and attribution are inlined
@@ -351,16 +319,9 @@ func (c *Client) Healthz(ctx context.Context) (api.Stats, error) {
 	return v, err
 }
 
-// Fleet fetches fleet membership and per-peer health.
-func (c *Client) Fleet(ctx context.Context) (api.FleetView, error) {
-	var v api.FleetView
-	err := c.getJSON(ctx, http.MethodGet, "/v1/fleet", nil, &v)
-	return v, err
-}
-
-// Trace fetches a federated trace by ID. localOnly restricts the read
-// to the answering daemon's own span store (the fan-out itself uses
-// this to avoid recursing across the fleet).
+// Trace fetches a trace by ID. localOnly adds ?local=true, which the
+// daemon accepts and ignores: every trace read is of its own span
+// store.
 func (c *Client) Trace(ctx context.Context, traceID string, localOnly bool) (api.TraceView, error) {
 	path := "/v1/traces/" + url.PathEscape(traceID)
 	if localOnly {
@@ -372,8 +333,7 @@ func (c *Client) Trace(ctx context.Context, traceID string, localOnly bool) (api
 }
 
 // Registry fetches the daemon's metric registry as a flat
-// name -> value object (the GET /v1/registry payload) — the
-// machine-readable form /v1/fleet/metrics aggregates across members.
+// name -> value object (the GET /v1/registry payload).
 func (c *Client) Registry(ctx context.Context) (map[string]int64, error) {
 	var m map[string]int64
 	err := c.getJSON(ctx, http.MethodGet, "/v1/registry", nil, &m)

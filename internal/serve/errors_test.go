@@ -84,6 +84,10 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"sweep missing", "GET", "/v1/sweeps/s999", "", 404, api.ErrNotFound, false},
 		{"sweep events missing", "GET", "/v1/sweeps/s999/events", "", 404, api.ErrNotFound, false},
 		{"sweep cancel missing", "DELETE", "/v1/sweeps/s999", "", 404, api.ErrNotFound, false},
+		{"unknown route", "GET", "/v1/nope", "", 404, api.ErrNotFound, false},
+		{"unknown nested route", "GET", "/v1/nope/metrics", "", 404, api.ErrNotFound, false},
+		{"unrouted method", "PUT", "/v1/jobs", "", 404, api.ErrNotFound, false},
+		{"unrouted method on a job", "PATCH", "/v1/jobs/j1", "", 404, api.ErrNotFound, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

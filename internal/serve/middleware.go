@@ -103,7 +103,7 @@ func (s *Server) withObservability(next http.Handler) http.Handler {
 			attrs = append(attrs, "trace_id", span.Context().TraceID)
 		}
 		// Health probes and metric scrapes arrive every few seconds from
-		// every fleet member and scraper; keep them out of the Info log.
+		// load balancers and scrapers; keep them out of the Info log.
 		level := slog.LevelInfo
 		if r.URL.Path == "/v1/healthz" || r.URL.Path == "/metrics" {
 			level = slog.LevelDebug

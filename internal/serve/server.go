@@ -29,20 +29,20 @@
 //	                            ?jobs=true, aggregated result when done)
 //	GET    /v1/sweeps/{id}/events SSE progress stream for a sweep
 //	DELETE /v1/sweeps/{id}      cancel a sweep and its outstanding units
-//	GET    /v1/fleet            fleet membership, health, ring shares
+//	GET    /v1/traces/{id}      spans recorded for one trace
+//	GET    /v1/registry         metric registry as one flat JSON object
 //	GET    /v1/workloads        built-in workloads, scales, sharing levels
 //	GET    /v1/healthz          liveness and queue occupancy
 //	GET    /metrics             registry in the Prometheus text
 //	                            exposition format
 //
 // Every non-2xx /v1 response body is the structured envelope
-// {"error":{"code","message","retryable"}} (api.ErrorEnvelope).
+// {"error":{"code","message","retryable"}} (api.ErrorEnvelope),
+// including the 404 for a /v1 route that does not exist.
 //
-// With Peers configured, daemons form a static fleet: each job key has
-// one consistent-hash owner, misrouted submissions are transparently
-// forwarded to it, and sweeps fan their expanded units out across the
-// members. A shared CacheDir lets any member serve any other member's
-// completed results from disk.
+// Every job and every sweep unit runs on the daemon that accepted it.
+// Daemons pointed at one CacheDir still share completed results from
+// disk.
 package serve
 
 import (
@@ -64,7 +64,6 @@ import (
 	"mnpusim/internal/obs/hostprof"
 	"mnpusim/internal/obs/recorder"
 	"mnpusim/internal/serve/api"
-	"mnpusim/internal/serve/client"
 	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
@@ -102,20 +101,9 @@ type Config struct {
 	// pointed at the same directory. Empty keeps the cache in memory
 	// only.
 	CacheDir string
-	// Peers is the fleet membership: the base URL of every daemon,
-	// including this one, identically ordered and spelled on every
-	// member (the consistent-hash ring is built from these strings).
-	// Empty (or only Self) disables fleet routing.
-	Peers []string
-	// Self is this daemon's own URL within Peers. Required when Peers
-	// is set; must appear in Peers verbatim.
-	Self string
 	// MaxSweeps bounds retained sweep resources; the oldest terminal
 	// sweeps are forgotten beyond it. Zero means 256.
 	MaxSweeps int
-	// SweepParallel bounds a sweep's in-flight expanded units. Zero
-	// means 2x Workers.
-	SweepParallel int
 
 	// WatchdogFraction arms a per-job anomaly watchdog at this fraction
 	// of the job's timeout (e.g. 0.5 fires halfway to the deadline): a
@@ -176,10 +164,6 @@ type Server struct {
 
 	cache *resultCache
 
-	// ring is the fleet's consistent-hash ownership ring; nil when the
-	// daemon runs solo.
-	ring *hashRing
-
 	// tracer and spans are the distributed-tracing layer: the tracer
 	// mints IDs and the bounded store retains finished spans for
 	// GET /v1/traces/{id}. Both nil when Config.DisableTracing is set
@@ -189,15 +173,14 @@ type Server struct {
 
 	jobsSubmitted, jobsDone, jobsFailed, jobsCancelled *obs.Counter
 	cacheHits, diskCacheHits, simulations              *obs.Counter
-	watchdogFires, forwarded, sweepsSubmitted          *obs.Counter
+	watchdogFires, sweepsSubmitted                     *obs.Counter
 	queueDepth, running                                *obs.Gauge
 	queueWait                                          *obs.Histogram
 	cacheLookup                                        map[string]*obs.Histogram // by tier
 }
 
 // New builds the service and starts its worker pool. It fails when the
-// cache directory cannot be prepared or the fleet configuration is
-// inconsistent (Peers without Self, or Self missing from Peers).
+// cache directory cannot be prepared.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -213,9 +196,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxSweeps <= 0 {
 		cfg.MaxSweeps = 256
-	}
-	if cfg.SweepParallel <= 0 {
-		cfg.SweepParallel = 2 * cfg.Workers
 	}
 	if cfg.EventInterval <= 0 {
 		cfg.EventInterval = 250 * time.Millisecond
@@ -233,10 +213,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ring, err := newHashRing(cfg.Peers, cfg.Self)
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -249,7 +225,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:       newStore[*Job]("j", "job", cfg.MaxJobs),
 		sweeps:     newStore[*Sweep]("s", "sweep", cfg.MaxSweeps),
 		cache:      cache,
-		ring:       ring,
 
 		jobsSubmitted:   reg.Counter("serve.jobs_submitted"),
 		jobsDone:        reg.Counter("serve.jobs_done"),
@@ -259,7 +234,6 @@ func New(cfg Config) (*Server, error) {
 		diskCacheHits:   reg.Counter("serve.disk_cache_hits"),
 		simulations:     reg.Counter("serve.simulations"),
 		watchdogFires:   reg.Counter("serve.watchdog_fires"),
-		forwarded:       reg.Counter("serve.forwarded"),
 		sweepsSubmitted: reg.Counter("serve.sweeps_submitted"),
 		queueDepth:      reg.Gauge("serve.queue_depth"),
 		running:         reg.Gauge("serve.running"),
@@ -271,12 +245,8 @@ func New(cfg Config) (*Server, error) {
 		},
 	}
 	if !cfg.DisableTracing {
-		service := cfg.Self
-		if service == "" {
-			service = "mnpuserved"
-		}
 		s.spans = dtrace.NewStore(cfg.TraceMaxTraces, cfg.TraceMaxSpans)
-		s.tracer = dtrace.NewTracer(service, s.spans)
+		s.tracer = dtrace.NewTracer("mnpuserved", s.spans)
 	}
 	cache.onDiskHit = func() { s.diskCacheHits.Inc() }
 	for i := 0; i < cfg.Workers; i++ {
@@ -624,7 +594,6 @@ func (s *Server) Stats() Stats {
 		Cached:     s.cache.len(),
 		DiskCached: s.cache.diskLen(),
 		Sweeps:     s.sweeps.len(),
-		Self:       s.cfg.Self,
 	}
 	if s.Draining() {
 		st.Status = "draining"
@@ -648,14 +617,22 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleSweepEvents)
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
-	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
-	mux.HandleFunc("GET /v1/fleet/metrics", s.handleFleetMetrics)
 	mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceGet)
 	mux.HandleFunc("GET /v1/registry", s.handleRegistry)
 	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	// The patterns above name a method, so each is more specific than
+	// this one: it answers only a /v1 path or method no route serves,
+	// which would otherwise get the mux's plain-text 404 or 405.
+	mux.HandleFunc("/v1/", handleUnknownRoute)
 	return s.withObservability(mux)
+}
+
+// handleUnknownRoute answers a /v1 request no route serves with the
+// not_found envelope.
+func handleUnknownRoute(w http.ResponseWriter, r *http.Request) {
+	writeError(w, errf(http.StatusNotFound, "no route for %s %s", r.Method, r.URL.Path))
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -671,24 +648,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Fleet routing: a submission whose key another member owns is
-	// forwarded there, unless it already was forwarded once (the header
-	// breaks loops when members disagree about the ring).
-	if owner := s.owner(key); owner != "" && r.Header.Get(client.ForwardedHeader) == "" {
-		if view, ok := s.forwardJob(r.Context(), owner, spec); ok {
-			writeJSON(w, http.StatusAccepted, view)
-			return
-		}
-		// Owner unreachable: run it here rather than fail the submit.
-	}
 	job, err := s.submitPrepared(r.Context(), cfg, key, spec.TimeoutMS)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	// A job fast enough to finish before this line is still a 202: only
+	// a cache hit, fixed at submission, answers 200.
 	code := http.StatusAccepted
-	if job.Status().Terminal() {
-		code = http.StatusOK // served from cache
+	if job.cached {
+		code = http.StatusOK
 	}
 	writeJSON(w, code, job.View(false))
 }

@@ -444,6 +444,48 @@ func TestWorkloadsAndMetricsEndpoints(t *testing.T) {
 	}
 }
 
+// TestCacheLookupMetricsByTier checks /metrics carries the cache-lookup
+// histogram split by tier: two distinct jobs are two misses and two
+// simulations, and resubmitting one of them is a memory-tier hit.
+func TestCacheLookupMetricsByTier(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newStubServer(t, Config{Workers: 1, Registry: reg}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+		return fakeResult(3), nil
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ideal := JobSpec{Workloads: []string{"ncf"}, Scale: "tiny", Ideal: true}
+	for i, spec := range []JobSpec{ncfSpec(), ideal, ncfSpec()} {
+		want := http.StatusAccepted
+		if i == 2 {
+			want = http.StatusOK // the repeat is a cache hit
+		}
+		v, code := postJob(t, ts, spec)
+		if code != want {
+			t.Fatalf("submit %+v = %d, want %d", spec, code, want)
+		}
+		waitTerminal(t, s, v.ID)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := new(bytes.Buffer)
+	_, _ = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"serve_simulations 2",
+		`serve_cache_lookup_ns_count{tier="miss"} 2`,
+		`serve_cache_lookup_ns_count{tier="memory"} 1`,
+	} {
+		if !strings.Contains(buf.String(), want+"\n") {
+			t.Errorf("metrics missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
 // sseEvent is one parsed server-sent event.
 type sseEvent struct {
 	name string

@@ -16,7 +16,6 @@ import (
 	"mnpusim/internal/experiments"
 	"mnpusim/internal/obs/dtrace"
 	"mnpusim/internal/serve/api"
-	"mnpusim/internal/serve/client"
 	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
@@ -27,24 +26,25 @@ type SweepSpec = api.SweepSpec
 // sweepUnit is one expanded job of a sweep: a (mix, level) cell of the
 // grid, or one workload's Ideal baseline. The unit list is the sweep's
 // unit of accounting — each unit resolves to exactly one terminal
-// status, locally or on a peer.
+// status. A unit keeps its spec and key, not the built sim.Config: the
+// config is built again when the unit is submitted, so a sweep of
+// thousands of units does not hold thousands of configs for its whole
+// life. BuildConfig is deterministic, so key still names that config.
 type sweepUnit struct {
 	spec JobSpec
-	cfg  sim.Config
 	key  string
 
 	// Written under the owning sweep's mu.
 	status Status
 	jobID  string
-	peer   string
 	cached bool
 	errMsg string
 	result []byte
 }
 
 // Sweep is one experiment-grid resource: an experiments.SharingGrid
-// expanded into jobs, fanned out over the fleet, and scored by the grid
-// into its SharingResult.
+// expanded into jobs, run on the daemon's worker pool, and scored by
+// the grid into its SharingResult.
 type Sweep struct {
 	lifecycle
 
@@ -82,9 +82,6 @@ func (sw *Sweep) countsLocked() (p api.SweepProgress) {
 		if u.cached {
 			p.CacheHits++
 		}
-		if u.peer != "" {
-			p.Forwarded++
-		}
 	}
 	return p
 }
@@ -107,7 +104,7 @@ func (sw *Sweep) View(withJobs bool) api.SweepView {
 		Mixes: len(sw.grid.Mixes), Total: p.Total,
 		Queued: p.Queued, Running: p.Running, Done: p.Done,
 		Failed: p.Failed, Cancelled: p.Cancelled,
-		CacheHits: p.CacheHits, Forwarded: p.Forwarded,
+		CacheHits: p.CacheHits,
 	}
 	if sw.status == StatusDone {
 		v.Result = json.RawMessage(sw.result)
@@ -117,7 +114,7 @@ func (sw *Sweep) View(withJobs bool) api.SweepView {
 		for i, u := range sw.units {
 			v.Jobs[i] = api.SweepJobView{
 				Workloads: u.spec.Workloads, Sharing: u.spec.Sharing, Ideal: u.spec.Ideal,
-				Key: u.key, JobID: u.jobID, Peer: u.peer,
+				Key: u.key, JobID: u.jobID,
 				Status: u.status, Cached: u.cached, Error: u.errMsg,
 			}
 		}
@@ -171,11 +168,11 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 		Mixes: experiments.Mixes(names, cores, spec.Sample, spec.Seed),
 	}}
 	addUnit := func(js JobSpec) error {
-		cfg, key, err := resolveSpec(js)
+		_, key, err := resolveSpec(js)
 		if err != nil {
 			return err
 		}
-		sw.units = append(sw.units, &sweepUnit{spec: js, cfg: cfg, key: key, status: StatusQueued})
+		sw.units = append(sw.units, &sweepUnit{spec: js, key: key, status: StatusQueued})
 		return nil
 	}
 	for i := range sw.grid.Len() {
@@ -196,7 +193,7 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 
 // StartSweep expands and launches a sweep. A trace context carried in
 // ctx (dtrace.With) parents the sweep-coordination span and, through
-// it, every per-unit and job span the fan-out produces.
+// it, every per-unit and job span the sweep produces.
 func (s *Server) StartSweep(ctx context.Context, spec SweepSpec) (*Sweep, error) {
 	sw, err := expandSweep(spec)
 	if err != nil {
@@ -227,12 +224,12 @@ func (s *Server) StartSweep(ctx context.Context, spec SweepSpec) (*Sweep, error)
 	return sw, nil
 }
 
-// runSweep is the coordinator goroutine: it fans the units out with
-// bounded parallelism, waits for every unit to resolve, and
+// runSweep is the coordinator goroutine: it runs the units with
+// 2x Workers in flight, waits for every unit to resolve, and
 // aggregates.
 func (s *Server) runSweep(sw *Sweep) {
 	defer s.sweepWG.Done()
-	sem := make(chan struct{}, s.cfg.SweepParallel)
+	sem := make(chan struct{}, 2*s.cfg.Workers)
 	var wg sync.WaitGroup
 	for _, u := range sw.units {
 		wg.Add(1)
@@ -262,43 +259,33 @@ func (sw *Sweep) setUnit(u *sweepUnit, st Status, errMsg string) {
 	u.status, u.errMsg = st, errMsg
 }
 
-// started records the job running a unit; peer is empty for a local job.
-func (sw *Sweep) started(u *sweepUnit, jobID, peer string) {
+// started records the job running a unit.
+func (sw *Sweep) started(u *sweepUnit, jobID string) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if !u.status.Terminal() {
-		u.status, u.jobID, u.peer = StatusRunning, jobID, peer
+		u.status, u.jobID = StatusRunning, jobID
 	}
 }
 
-// settle resolves a unit from its job's final view. It reports false,
-// changing nothing, when the job was cancelled rather than done or
-// failed.
-func (sw *Sweep) settle(u *sweepUnit, v JobView) bool {
-	if v.Status != StatusDone && v.Status != StatusFailed {
-		return false
-	}
+// settle resolves a unit from its job's final view.
+func (sw *Sweep) settle(u *sweepUnit, v JobView) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if !u.status.Terminal() {
 		u.status, u.cached, u.errMsg, u.result = v.Status, v.Cached, v.Error, []byte(v.Result)
 	}
-	return true
 }
 
-// runSweepUnit resolves one unit: on its consistent-hash owner when a
-// fleet is configured (falling back to local execution if the owner is
-// unreachable — this is what lets a sweep survive a member dying
-// mid-run), locally otherwise.
+// runSweepUnit resolves one unit on this daemon's worker pool,
+// retrying queue-full rejections. The per-unit span parents the unit's
+// job spans through the context handed to submitPrepared.
 func (s *Server) runSweepUnit(sw *Sweep, u *sweepUnit) {
 	if sw.ctx.Err() != nil {
 		sw.setUnit(u, StatusCancelled, "sweep cancelled")
 		return
 	}
-	// The per-unit dispatch span parents the unit's job spans: locally
-	// through the context handed to submitPrepared, remotely through the
-	// traceparent header the client injects on the forwarded submit.
-	uctx := sw.ctx
+	ctx := sw.ctx
 	if ua := s.tracer.StartChild(sw.traceSC, "unit "+strings.Join(u.spec.Workloads, "+")); ua != nil {
 		ua.SetAttr("sweep", sw.ID)
 		ua.SetAttr("key", u.key)
@@ -307,93 +294,23 @@ func (s *Server) runSweepUnit(sw *Sweep, u *sweepUnit) {
 		} else {
 			ua.SetAttr("sharing", u.spec.Sharing)
 		}
-		uctx = dtrace.With(sw.ctx, ua.Context())
+		ctx = dtrace.With(sw.ctx, ua.Context())
 		defer func() {
 			sw.mu.Lock()
-			st, peer := u.status, u.peer
+			st := u.status
 			sw.mu.Unlock()
 			ua.SetAttr("status", string(st))
-			if peer != "" {
-				ua.SetAttr("peer", peer)
-			}
 			ua.End()
 		}()
 	}
-	if owner := s.owner(u.key); owner != "" {
-		if s.runUnitRemote(uctx, sw, u, owner) {
-			return
-		}
-		s.log.Warn("sweep unit falling back to local run", "sweep", sw.ID, "key", u.key, "owner", owner)
-	}
-	s.runUnitLocal(uctx, sw, u)
-}
-
-// runUnitRemote executes a unit on its owning peer. It reports whether
-// the unit was fully resolved there; false means the caller should run
-// it locally (owner unreachable, rejecting, or drained mid-run). ctx
-// is the unit's trace-carrying context (same cancellation as sw.ctx).
-func (s *Server) runUnitRemote(ctx context.Context, sw *Sweep, u *sweepUnit, owner string) bool {
-	c := s.fleetClient(owner)
-	var view JobView
-	for attempt := 0; ; attempt++ {
-		v, err := c.SubmitJob(ctx, u.spec)
-		if err == nil {
-			view = v
-			break
-		}
-		if sw.ctx.Err() != nil {
-			sw.setUnit(u, StatusCancelled, "sweep cancelled")
-			return true
-		}
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.Status == http.StatusBadRequest {
-			sw.setUnit(u, StatusFailed, ae.Message)
-			return true
-		}
-		// The owner's queue is full: give it a bounded chance to drain
-		// before claiming the unit locally.
-		if client.IsRetryable(err) && attempt < 20 {
-			select {
-			case <-time.After(50 * time.Millisecond):
-				continue
-			case <-sw.ctx.Done():
-				sw.setUnit(u, StatusCancelled, "sweep cancelled")
-				return true
-			}
-		}
-		return false
-	}
-
-	sw.started(u, view.ID, owner)
-	final, err := c.ForJob(view).WaitJob(ctx, view.ID, 0)
+	cfg, err := u.spec.BuildConfig()
 	if err != nil {
-		if sw.ctx.Err() != nil {
-			// Our cancellation, not the peer's failure: release the remote
-			// job so the peer's worker stops burning on it.
-			cctx, ccancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_, _ = c.CancelJob(cctx, view.ID)
-			ccancel()
-			sw.setUnit(u, StatusCancelled, "sweep cancelled")
-			return true
-		}
-		return false // peer died mid-run
+		sw.setUnit(u, StatusFailed, err.Error())
+		return
 	}
-	if !sw.settle(u, final) {
-		return false // the peer cancelled it (draining); reclaim the unit locally
-	}
-	if final.Status == StatusDone {
-		s.forwarded.Inc()
-	}
-	return true
-}
-
-// runUnitLocal executes a unit on this daemon's own worker pool,
-// retrying queue-full rejections. ctx carries the unit's trace context
-// into the job's spans.
-func (s *Server) runUnitLocal(ctx context.Context, sw *Sweep, u *sweepUnit) {
 	var job *Job
 	for {
-		j, err := s.submitPrepared(ctx, u.cfg, u.key, sw.spec.TimeoutMS)
+		j, err := s.submitPrepared(ctx, cfg, u.key, sw.spec.TimeoutMS)
 		if err == nil {
 			job = j
 			break
@@ -411,16 +328,14 @@ func (s *Server) runUnitLocal(ctx context.Context, sw *Sweep, u *sweepUnit) {
 		}
 	}
 
-	sw.started(u, job.ID, "")
+	sw.started(u, job.ID)
 	select {
 	case <-job.Done():
 	case <-sw.ctx.Done():
 		s.cancelJob(job)
 		<-job.Done()
 	}
-	if v := job.View(true); !sw.settle(u, v) {
-		sw.setUnit(u, StatusCancelled, v.Error)
-	}
+	sw.settle(u, job.View(true))
 }
 
 // statusForSubmitErr classifies a terminal submit rejection: draining
@@ -468,13 +383,12 @@ func (s *Server) finishSweep(sw *Sweep) {
 	if sw.span != nil {
 		sw.span.SetAttr("status", string(st))
 		sw.span.SetAttr("cache_hits", strconv.Itoa(p.CacheHits))
-		sw.span.SetAttr("forwarded", strconv.Itoa(p.Forwarded))
 		sw.span.End()
 	}
 	sw.finish(st, result, msg)
 	s.log.Info("sweep finished", "sweep", sw.ID, "status", sw.Status(),
 		"done", p.Done, "failed", p.Failed, "cancelled", p.Cancelled,
-		"cache_hits", p.CacheHits, "forwarded", p.Forwarded)
+		"cache_hits", p.CacheHits)
 }
 
 // scoreSweep reads each unit's per-core cycles out of its result bytes
@@ -543,8 +457,7 @@ func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweepCancel is DELETE /v1/sweeps/{id}: outstanding units
-// resolve as cancelled, in-flight local jobs are cancelled, remote ones
-// best-effort.
+// resolve as cancelled and in-flight jobs are cancelled.
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.sweeps.lookup(w, r)
 	if !ok {

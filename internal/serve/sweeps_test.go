@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +71,30 @@ func TestSweepExpansionCounts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSweepExpansionRetainsLittleHeap expands the full quad grid (1328
+// units) and checks the units hold little memory once expanded: each
+// keeps its spec and key, and its sim.Config is built only when the
+// unit is submitted. It must not run in parallel with other tests,
+// which would allocate between the two heap readings.
+func TestSweepExpansionRetainsLittleHeap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sw, err := expandSweep(SweepSpec{Cores: 4})
+	if err != nil {
+		t.Fatalf("expandSweep: %v", err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if len(sw.units) != 330*4+8 {
+		t.Fatalf("units = %d, want %d", len(sw.units), 330*4+8)
+	}
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 4<<20 {
+		t.Errorf("expanded quad sweep retains %.1f MB of heap, want under 4 MB", float64(retained)/(1<<20))
+	}
+	runtime.KeepAlive(sw)
 }
 
 // TestSweepStrideSamplingMatchesQuadMixes pins the seed-0 sampling to
@@ -145,7 +170,7 @@ func TestSweepLifecycleStubbed(t *testing.T) {
 func TestSweepCancellation(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s := newStubServer(t, Config{Workers: 1, SweepParallel: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
 		select {
 		case <-release:
 			return dualResult(1, 1), nil
@@ -229,7 +254,7 @@ func TestSweepEventsStream(t *testing.T) {
 // sweep machinery and checks two byte identities against a
 // hand-written oracle that scores the sweep's own unit results: the
 // sweep's aggregate, and experiments.SharingGrid.Run simulating the
-// same grid independently in-process — the contract that makes fleet
+// same grid independently in-process — the contract that makes served
 // sweeps interchangeable with single-process experiment runs. The quad
 // case (5 mixes at one level, 7 simulations) covers the n-core path.
 func TestSweepMatchesExperiments(t *testing.T) {

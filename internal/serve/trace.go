@@ -1,104 +1,39 @@
 package serve
 
 import (
-	"context"
-	"fmt"
 	"net/http"
 	"sort"
-	"time"
 
-	"mnpusim/internal/obs"
 	"mnpusim/internal/obs/dtrace"
 	"mnpusim/internal/serve/api"
-	"mnpusim/internal/serve/client"
 )
 
-// traceFanoutTimeout bounds each peer's span fetch (and registry fetch
-// for /v1/fleet/metrics); an unreachable member costs this much at
-// worst and the response is served partial.
-const traceFanoutTimeout = 2 * time.Second
-
-// handleTraceGet is GET /v1/traces/{id}: the federated view of one
-// trace. The daemon merges its own span store with every fleet
-// member's (fetched with ?local=true so the fan-out never recurses);
-// unreachable members are reported in the members list and the trace
-// is served partial — a dead daemon's spans are gone, but the spans
-// recorded around it still tell the story.
+// handleTraceGet is GET /v1/traces/{id}: every span this daemon
+// recorded for one trace, sorted by start time, with the count of spans
+// the bounded store dropped. The query parameter local=true is accepted
+// and ignored: every read is local.
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !validTraceID(id) {
 		writeError(w, errf(http.StatusBadRequest, "trace ID must be 32 lowercase hex digits, got %q", id))
 		return
 	}
-	localOnly := r.URL.Query().Get("local") == "true" || s.ring == nil
-
 	spans, dropped := s.spans.Get(id)
-	view := api.TraceView{TraceID: id, Spans: spans}
-	if localOnly {
-		sortSpans(view.Spans)
-		if len(view.Spans) == 0 {
-			writeError(w, errf(http.StatusNotFound, "no spans recorded for trace %q", id))
-			return
-		}
-		writeJSON(w, http.StatusOK, view)
+	if len(spans) == 0 {
+		writeError(w, errf(http.StatusNotFound, "no spans recorded for trace %q", id))
 		return
 	}
-
-	view.Members = append(view.Members, api.TraceMemberView{
-		URL: s.cfg.Self, Spans: len(spans), Dropped: dropped,
-	})
-	type fetched struct {
-		i    int
-		view api.TraceView
-		err  error
-	}
-	results := make(chan fetched, len(s.ring.peers))
-	n := 0
-	for _, p := range s.ring.peers {
-		if p == s.cfg.Self {
-			continue
-		}
-		view.Members = append(view.Members, api.TraceMemberView{URL: p})
-		i := len(view.Members) - 1
-		n++
-		go func(i int, peer string) {
-			ctx, cancel := context.WithTimeout(r.Context(), traceFanoutTimeout)
-			defer cancel()
-			v, err := s.fleetClient(peer).Trace(ctx, id, true)
-			results <- fetched{i: i, view: v, err: err}
-		}(i, p)
-	}
-	for ; n > 0; n-- {
-		f := <-results
-		switch {
-		case f.err == nil:
-			view.Members[f.i].Spans = len(f.view.Spans)
-			view.Spans = append(view.Spans, f.view.Spans...)
-		case client.IsNotFound(f.err):
-			// The member is alive but recorded nothing for this trace:
-			// zero spans, not an error.
-		default:
-			view.Members[f.i].Error = f.err.Error()
-		}
-	}
-	sortSpans(view.Spans)
-	if len(view.Spans) == 0 {
-		writeError(w, errf(http.StatusNotFound, "no spans recorded for trace %q on any reachable member", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
+	sortSpans(spans)
+	writeJSON(w, http.StatusOK, api.TraceView{TraceID: id, Spans: spans, Dropped: dropped})
 }
 
-// sortSpans orders a federated span list deterministically: by start
-// time, then service, then span ID.
+// sortSpans orders a span list deterministically: by start time, then
+// span ID.
 func sortSpans(spans []dtrace.Span) {
 	sort.Slice(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]
 		if a.StartUnixNS != b.StartUnixNS {
 			return a.StartUnixNS < b.StartUnixNS
-		}
-		if a.Service != b.Service {
-			return a.Service < b.Service
 		}
 		return a.SpanID < b.SpanID
 	})
@@ -124,70 +59,8 @@ func validTraceID(id string) bool {
 }
 
 // handleRegistry is GET /v1/registry: the daemon's metric registry as
-// one flat JSON object (the machine-readable twin of /metrics, and
-// what /v1/fleet/metrics fetches from each member).
+// one flat JSON object (the machine-readable twin of /metrics).
 func (s *Server) handleRegistry(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(snapshotJSON(s.reg.Snapshot()))
-}
-
-// handleFleetMetrics is GET /v1/fleet/metrics: every member's registry
-// summed by metric name into one Prometheus exposition. Counters and
-// histogram buckets aggregate exactly; gauges (and their .max entries)
-// are summed too, which reads as fleet-wide occupancy for the
-// queue-depth/running gauges. Unreachable members are reported as
-// comment lines and skipped.
-func (s *Server) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
-	merged := make(map[string]int64)
-	for _, m := range s.reg.Snapshot() {
-		merged[m.Name] += m.Value
-	}
-	var unreachable []string
-	members := 1
-	if s.ring != nil {
-		type fetched struct {
-			peer string
-			vals map[string]int64
-			err  error
-		}
-		results := make(chan fetched, len(s.ring.peers))
-		n := 0
-		for _, p := range s.ring.peers {
-			if p == s.cfg.Self {
-				continue
-			}
-			n++
-			go func(peer string) {
-				ctx, cancel := context.WithTimeout(r.Context(), traceFanoutTimeout)
-				defer cancel()
-				vals, err := s.fleetClient(peer).Registry(ctx)
-				results <- fetched{peer: peer, vals: vals, err: err}
-			}(p)
-		}
-		for ; n > 0; n-- {
-			f := <-results
-			if f.err != nil {
-				unreachable = append(unreachable, f.peer)
-				continue
-			}
-			members++
-			for name, v := range f.vals {
-				merged[name] += v
-			}
-		}
-	}
-
-	snap := make(obs.Snapshot, 0, len(merged))
-	for name, v := range merged {
-		snap = append(snap, obs.Metric{Name: name, Value: v})
-	}
-	sort.Slice(snap, func(i, j int) bool { return snap[i].Name < snap[j].Name })
-
-	w.Header().Set("Content-Type", obs.PrometheusContentType)
-	_, _ = fmt.Fprintf(w, "# fleet-metrics: aggregated %d member(s)\n", members)
-	sort.Strings(unreachable)
-	for _, p := range unreachable {
-		_, _ = fmt.Fprintf(w, "# unreachable: %s\n", p)
-	}
-	_ = snap.WritePrometheus(w)
 }

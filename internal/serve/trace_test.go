@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"mnpusim/internal/obs/dtrace"
-	"mnpusim/internal/serve/api"
 	"mnpusim/internal/serve/client"
 	"mnpusim/internal/sim"
 )
@@ -26,146 +24,112 @@ func testRoot() dtrace.SpanContext {
 	}
 }
 
-// spanIndex maps span IDs to spans and groups them by service.
+// spanIndex maps span IDs to the spans of one trace.
 type spanIndex struct {
-	byID      map[string]dtrace.Span
-	byService map[string][]dtrace.Span
+	spans []dtrace.Span
+	byID  map[string]dtrace.Span
 }
 
 func indexSpans(t *testing.T, spans []dtrace.Span, wantTrace string) spanIndex {
 	t.Helper()
-	idx := spanIndex{byID: map[string]dtrace.Span{}, byService: map[string][]dtrace.Span{}}
+	idx := spanIndex{spans: spans, byID: map[string]dtrace.Span{}}
 	for _, sp := range spans {
 		if sp.TraceID != wantTrace {
 			t.Fatalf("span %q has trace ID %s, want %s", sp.Name, sp.TraceID, wantTrace)
 		}
+		if sp.Service != "mnpuserved" {
+			t.Errorf("span %q has service %q, want mnpuserved", sp.Name, sp.Service)
+		}
 		idx.byID[sp.SpanID] = sp
-		idx.byService[sp.Service] = append(idx.byService[sp.Service], sp)
 	}
 	return idx
 }
 
-// find returns the unique span of service whose name starts with
-// prefix.
-func (idx spanIndex) find(t *testing.T, service, prefix string) dtrace.Span {
+// find returns the unique span whose name starts with prefix.
+func (idx spanIndex) find(t *testing.T, prefix string) dtrace.Span {
 	t.Helper()
 	var found []dtrace.Span
-	for _, sp := range idx.byService[service] {
+	for _, sp := range idx.spans {
 		if strings.HasPrefix(sp.Name, prefix) {
 			found = append(found, sp)
 		}
 	}
 	if len(found) != 1 {
-		t.Fatalf("service %s: %d spans named %q*, want 1 (have %v)", service, len(found), prefix, idx.byService[service])
+		t.Fatalf("%d spans named %q*, want 1 (have %v)", len(found), prefix, idx.spans)
 	}
 	return found[0]
 }
 
-// TestTraceparentSurvivesForwardedHop submits a traced job to the
-// non-owning fleet member and verifies the trace crosses the forward
-// hop: one trace ID end to end, the submitter records the HTTP and
-// forward spans, the owner records its HTTP handling plus cache
-// lookup, queue wait, and the sim run, and every parent edge links.
-func TestTraceparentSurvivesForwardedHop(t *testing.T) {
-	h := newFleetHarness(t, 2, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+// tracedServer starts a stub server behind httptest and returns a
+// client whose requests carry testRoot as their traceparent.
+func tracedServer(t *testing.T, cfg Config, stub func(context.Context, sim.Config) (sim.Result, error)) (*client.Client, context.Context) {
+	t.Helper()
+	s := newStubServer(t, cfg, stub)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return client.New(ts.URL), dtrace.With(context.Background(), testRoot())
+}
+
+// TestTraceparentParentsJobSpans submits a job under an incoming
+// traceparent and checks the daemon's spans: the http span parents on
+// the incoming span; the cache lookup, queue wait and simulation run
+// parent on the http span; and sim_run carries the config fingerprint.
+func TestTraceparentParentsJobSpans(t *testing.T) {
+	cl, ctx := tracedServer(t, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
 		return fakeResult(7), nil
 	})
-
 	spec := ncfSpec()
 	_, key, err := resolveSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ownerIdx, otherIdx := 0, 1
-	if h.servers[0].ring.ownerOf(key) == h.urls[1] {
-		ownerIdx, otherIdx = 1, 0
-	}
-
-	root := testRoot()
-	ctx := dtrace.With(context.Background(), root)
-	cl := client.New(h.urls[otherIdx])
 	v, err := cl.SubmitJob(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Peer != h.urls[ownerIdx] {
-		t.Fatalf("view.Peer = %q, want owner %q", v.Peer, h.urls[ownerIdx])
-	}
-	if final, err := cl.ForJob(v).WaitJob(ctx, v.ID, 2*time.Millisecond); err != nil || final.Status != StatusDone {
+	if final, err := cl.WaitJob(ctx, v.ID, 2*time.Millisecond); err != nil || final.Status != StatusDone {
 		t.Fatalf("job: %v %v", final.Status, err)
 	}
 
-	// Federated fetch from the submitter must see both members' spans.
+	root := testRoot()
 	view, err := cl.Trace(ctx, root.TraceID, false)
 	if err != nil {
 		t.Fatalf("Trace: %v", err)
 	}
 	idx := indexSpans(t, view.Spans, root.TraceID)
-	if len(idx.byService) != 2 {
-		t.Fatalf("spans from %d services, want 2: %v", len(idx.byService), idx.byService)
-	}
-
-	subHTTP := idx.find(t, h.urls[otherIdx], "http POST /v1/jobs")
-	if subHTTP.ParentID != root.SpanID {
-		t.Errorf("submitter http span parent = %q, want incoming traceparent span %q", subHTTP.ParentID, root.SpanID)
-	}
-	fwd := idx.find(t, h.urls[otherIdx], "forward submit")
-	if fwd.ParentID != subHTTP.SpanID {
-		t.Errorf("forward span parent = %q, want submitter http span %q", fwd.ParentID, subHTTP.SpanID)
-	}
-	if fwd.Attrs["owner"] != h.urls[ownerIdx] {
-		t.Errorf("forward span owner attr = %q, want %q", fwd.Attrs["owner"], h.urls[ownerIdx])
-	}
-	ownHTTP := idx.find(t, h.urls[ownerIdx], "http POST /v1/jobs")
-	if ownHTTP.ParentID != fwd.SpanID {
-		t.Errorf("owner http span parent = %q, want forward span %q", ownHTTP.ParentID, fwd.SpanID)
+	httpSpan := idx.find(t, "http POST /v1/jobs")
+	if httpSpan.ParentID != root.SpanID {
+		t.Errorf("http span parent = %q, want incoming traceparent span %q", httpSpan.ParentID, root.SpanID)
 	}
 	for _, name := range []string{"cache_lookup", "queue_wait", "sim_run"} {
-		sp := idx.find(t, h.urls[ownerIdx], name)
-		if sp.ParentID != ownHTTP.SpanID {
-			t.Errorf("%s span parent = %q, want owner http span %q", name, sp.ParentID, ownHTTP.SpanID)
+		if sp := idx.find(t, name); sp.ParentID != httpSpan.SpanID {
+			t.Errorf("%s span parent = %q, want http span %q", name, sp.ParentID, httpSpan.SpanID)
 		}
 	}
-	if sr := idx.find(t, h.urls[ownerIdx], "sim_run"); sr.Attrs["fingerprint"] != key {
+	if sr := idx.find(t, "sim_run"); sr.Attrs["fingerprint"] != key {
 		t.Errorf("sim_run fingerprint = %q, want job key %q", sr.Attrs["fingerprint"], key)
-	}
-
-	// Member views: both present, neither errored.
-	if len(view.Members) != 2 {
-		t.Fatalf("members = %v, want 2 entries", view.Members)
-	}
-	for _, m := range view.Members {
-		if m.Error != "" {
-			t.Errorf("member %s reported error %q", m.URL, m.Error)
-		}
 	}
 }
 
-// TestTraceSweepFanOutThreeMembers drives a traced sweep through a
-// three-member fleet and checks the federated trace: one trace ID, a
-// coordination span parented on the submitting request, one unit span
-// per grid cell, every parent edge resolving, and spans present from
-// every member that executed a unit. It then kills one member and
-// verifies the surviving members still serve a valid partial trace.
-func TestTraceSweepFanOutThreeMembers(t *testing.T) {
-	h := newFleetHarness(t, 3, Config{Workers: 2, SweepParallel: 4}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+// TestTraceSweepFanOut drives a traced sweep and checks its trace: one
+// trace ID, the http span parenting the sweep-coordination span, which
+// parents one unit span per expanded unit, one sim_run per unit, and
+// every parent edge resolving.
+func TestTraceSweepFanOut(t *testing.T) {
+	cl, ctx := tracedServer(t, Config{Workers: 2}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
 		res := sim.Result{GlobalCycles: 200}
 		for i := 0; i < c.Cores(); i++ {
 			res.Cores = append(res.Cores, sim.CoreResult{Net: "stub", Cycles: int64(100 + 10*i)})
 		}
 		return res, nil
 	})
-
-	root := testRoot()
-	ctx := dtrace.With(context.Background(), root)
-	coord := client.New(h.urls[0])
-	sv, err := coord.SubmitSweep(ctx, SweepSpec{
+	sv, err := cl.SubmitSweep(ctx, SweepSpec{
 		Cores: 2, Workloads: []string{"ncf", "gpt2", "alex"}, Sharing: []string{"static"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := coord.WaitSweep(ctx, sv.ID, 5*time.Millisecond)
+	final, err := cl.WaitSweep(ctx, sv.ID, 5*time.Millisecond)
 	if err != nil || final.Status != StatusDone {
 		t.Fatalf("sweep: %v %v (%s)", final.Status, err, final.Error)
 	}
@@ -174,28 +138,17 @@ func TestTraceSweepFanOutThreeMembers(t *testing.T) {
 		t.Fatalf("sweep ran %d units, want 9", final.Total)
 	}
 
-	detail, err := coord.Sweep(ctx, sv.ID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectServices := map[string]bool{h.urls[0]: true}
-	for _, u := range detail.Jobs {
-		if u.Peer != "" {
-			expectServices[u.Peer] = true
-		}
-	}
-
-	view, err := coord.Trace(ctx, root.TraceID, false)
+	root := testRoot()
+	view, err := cl.Trace(ctx, root.TraceID, false)
 	if err != nil {
 		t.Fatalf("Trace: %v", err)
 	}
 	idx := indexSpans(t, view.Spans, root.TraceID)
-
-	httpSpan := idx.find(t, h.urls[0], "http POST /v1/sweeps")
+	httpSpan := idx.find(t, "http POST /v1/sweeps")
 	if httpSpan.ParentID != root.SpanID {
 		t.Errorf("sweep http span parent = %q, want %q", httpSpan.ParentID, root.SpanID)
 	}
-	sweepSpan := idx.find(t, h.urls[0], "sweep coordinate")
+	sweepSpan := idx.find(t, "sweep coordinate")
 	if sweepSpan.ParentID != httpSpan.SpanID {
 		t.Errorf("sweep span parent = %q, want http span %q", sweepSpan.ParentID, httpSpan.SpanID)
 	}
@@ -215,7 +168,7 @@ func TestTraceSweepFanOutThreeMembers(t *testing.T) {
 		}
 		if sp.ParentID != "" && sp.ParentID != root.SpanID {
 			if _, ok := idx.byID[sp.ParentID]; !ok {
-				t.Errorf("span %q (service %s) references missing parent %s", sp.Name, sp.Service, sp.ParentID)
+				t.Errorf("span %q references missing parent %s", sp.Name, sp.ParentID)
 			}
 		}
 	}
@@ -224,39 +177,6 @@ func TestTraceSweepFanOutThreeMembers(t *testing.T) {
 	}
 	if sims != 9 {
 		t.Errorf("sim_run spans = %d, want 9 (all units distinct, no cache hits)", sims)
-	}
-	for svc := range expectServices {
-		if len(idx.byService[svc]) == 0 {
-			t.Errorf("no spans from member %s, which executed units", svc)
-		}
-	}
-
-	// Kill a remote member: the federated trace stays serveable, the
-	// dead member surfaces as an errored entry, and the survivors'
-	// spans still share the one trace ID.
-	h.ts[2].Close()
-	partial, err := coord.Trace(ctx, root.TraceID, false)
-	if err != nil {
-		t.Fatalf("Trace after member death: %v", err)
-	}
-	pidx := indexSpans(t, partial.Spans, root.TraceID)
-	if len(pidx.byService[h.urls[0]]) == 0 {
-		t.Error("coordinator spans missing from partial trace")
-	}
-	if len(pidx.byService[h.urls[2]]) != 0 {
-		t.Error("dead member's spans present in partial trace")
-	}
-	deadSeen := false
-	for _, m := range partial.Members {
-		if m.URL == h.urls[2] {
-			deadSeen = true
-			if m.Error == "" {
-				t.Error("dead member entry carries no error")
-			}
-		}
-	}
-	if !deadSeen {
-		t.Error("dead member absent from members list")
 	}
 }
 
@@ -329,47 +249,26 @@ func TestTraceEndpointValidation(t *testing.T) {
 	}
 }
 
-// TestFleetMetricsAggregates checks /v1/fleet/metrics sums the
-// members' registries into one scrape-legal exposition.
-func TestFleetMetricsAggregates(t *testing.T) {
-	h := newFleetHarness(t, 2, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
-		return fakeResult(3), nil
+// TestTraceReportsDroppedSpans checks a trace read reports the spans
+// the store's per-trace cap dropped, and that ?local=true is accepted.
+func TestTraceReportsDroppedSpans(t *testing.T) {
+	cl, ctx := tracedServer(t, Config{Workers: 1, TraceMaxSpans: 2}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+		return fakeResult(1), nil
 	})
-	// One job on each member, submitted directly so neither forwards.
-	for i := range h.servers {
-		spec := api.JobSpec{Workloads: []string{"ncf"}, Scale: "tiny", Sharing: "static"}
-		if i == 1 {
-			spec.Sharing, spec.Ideal = "", true
-		}
-		job, err := h.servers[i].Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-job.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatal("job stuck")
-		}
-	}
-	resp, err := http.Get(h.urls[0] + "/v1/fleet/metrics")
+	v, err := cl.SubmitJob(ctx, ncfSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	if final, err := cl.WaitJob(ctx, v.ID, 2*time.Millisecond); err != nil || final.Status != StatusDone {
+		t.Fatalf("job: %v %v", final.Status, err)
+	}
+	// cache_lookup, queue_wait and sim_run have all ended once the job
+	// is done, so the cap of 2 has dropped at least one of them.
+	view, err := cl.Trace(ctx, testRoot().TraceID, true)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Trace: %v", err)
 	}
-	out := string(raw)
-	if !strings.Contains(out, "# fleet-metrics: aggregated 2 member(s)") {
-		t.Errorf("exposition missing 2-member aggregation comment:\n%s", out)
-	}
-	// Each member ran one simulation; the fleet-wide counter is their
-	// sum, which no single member's /metrics shows.
-	if !strings.Contains(out, "serve_simulations 2\n") {
-		t.Errorf("exposition missing summed serve_simulations 2:\n%s", out)
-	}
-	if !strings.Contains(out, `serve_cache_lookup_ns_count{tier="miss"} 2`) {
-		t.Errorf("exposition missing tier-labelled cache lookup histogram:\n%s", out)
+	if len(view.Spans) != 2 || view.Dropped < 1 {
+		t.Errorf("trace has %d spans and %d dropped, want 2 kept and at least 1 dropped", len(view.Spans), view.Dropped)
 	}
 }

@@ -24,8 +24,14 @@ fail() {
 	exit 1
 }
 
+# A daemon still alive here belongs to a failed run: kill it outright
+# and reap it, so no daemon outlives the script draining for up to its
+# -drain-timeout.
 cleanup() {
-	[ -n "${SERVED_PID:-}" ] && kill "$SERVED_PID" 2>/dev/null || true
+	if [ -n "${SERVED_PID:-}" ]; then
+		kill -KILL "$SERVED_PID" 2>/dev/null || true
+		wait "$SERVED_PID" 2>/dev/null || true
+	fi
 	rm -rf "$TMP"
 }
 trap cleanup EXIT
