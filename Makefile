@@ -53,13 +53,17 @@ check: lint test race invariants
 # reference (internal/sim/tickref_test.go), with the runtime invariants
 # compiled in and the race detector on: serialized results are
 # deterministic and byte-identical across the two loops, stall-cycle
-# attribution stays exact under both, and the event kernel reproduces
-# the reference's Result and full probe-event stream for every config
-# class. The benchmark lives in bench/ (see bench/README.md).
+# attribution stays exact under both, the event kernel reproduces the
+# reference's Result and full probe-event stream for every config class
+# and every seed of the differential fuzz corpus, every class still
+# matches the digests pinned from the busy-polling code, and a core that
+# sleeps on a full MSHR matches its twin ticked every cycle. The
+# benchmark lives in bench/ (see bench/README.md).
 kernel-check:
 	$(GO) test -race -tags=invariants \
-		-run 'TestRunDeterministic|TestAttributionSumsMatchResult|TestKernelEventMatchesTick' \
+		-run 'TestRunDeterministic|TestAttributionSumsMatchResult|TestKernelEventMatchesTick|TestPinnedDigests|FuzzKernelMatchesTick' \
 		./internal/sim
+	$(GO) test -race -tags=invariants -run 'TestCoreSleepsOnFullMSHR' ./internal/npu
 
 # The benchmark's correctness gate: every bench/ workload at smoke size,
 # untraced and traced, with every result checked against the golden

@@ -36,7 +36,10 @@ var Wakecontract = &Analyzer{
 // carries an audited stimulus seam: a tick that frees a slot in a full
 // queue calls Memory.OnSlotFreed, which the kernel wires to re-arm the
 // MMU in the same cycle (the MMU sleeps while its admissions are
-// refused).
+// refused). The MMU's Tick carries another: a walk completion that
+// frees a slot in its core's full MSHR calls MMU.OnMSHRFreed, which the
+// kernel wires to re-arm that core in the same cycle (a core sleeps
+// while its pending request could only be refused for a full MSHR).
 var wakeContractSurface = map[string]bool{
 	"Tick": true, "tick": true,
 	"SkipTo": true, "skipTo": true,

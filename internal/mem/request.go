@@ -86,6 +86,23 @@ func (r *Request) String() string {
 		r.ID, r.Core, r.Class, r.Kind, r.VAddr, r.Addr, r.Size)
 }
 
+// Admission is a translation port's answer to a submitted request: it
+// took the request, or it says why not, which tells the submitter what
+// can change the answer.
+type Admission uint8
+
+const (
+	// Admitted: the request was taken and completes through Done.
+	Admitted Admission = iota
+	// PortsBusy: the submitting core used up this cycle's TLB ports. A
+	// retry on the next cycle can be taken.
+	PortsBusy
+	// MSHRFull: the request needs a page walk and its core's
+	// pending-walk limit is reached. Only the completion of one of that
+	// core's walks can change the answer.
+	MSHRFull
+)
+
 // Complete invokes the completion callback, if any.
 func (r *Request) Complete(now clock.Global) {
 	if r.Done != nil {

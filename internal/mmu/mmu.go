@@ -96,6 +96,11 @@ type MMU struct {
 	// translation behavior.
 	obs obs.Sink
 
+	// OnMSHRFreed, if non-nil, is called when a walk completion takes
+	// core's MSHR from full to not full: the moment a request Submit
+	// refused with mem.MSHRFull can be taken.
+	OnMSHRFreed func(now clock.Global, core int)
+
 	stats []CoreStats
 }
 
@@ -170,18 +175,19 @@ func (m *MMU) SetObs(s obs.Sink) { m.obs = s }
 func (m *MMU) Stats(core int) CoreStats { return m.stats[core] }
 
 // Submit accepts a virtually addressed Data request from core's DMA
-// engine at the current global cycle. It returns false if the MMU
-// cannot take the request this cycle (TLB ports exhausted or the
-// pending-walk limit reached for a new page); the caller retries later.
+// engine at the current global cycle. A refusal says why: the core's
+// TLB ports are used up this cycle (retry next cycle), or the request
+// needs a walk and the core's pending-walk limit is reached (retry
+// once one of the core's walks completes; OnMSHRFreed announces it).
 //
-//lint:allow wakecontract audited stimulus seam: under the event kernel every core submits through sim.wakeSubmitter, which re-arms the MMU at its post-submit NextEventAfter on success; a sleeping MMU settles its refusals before the submit changes an issue queue (push)
-func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
+//lint:allow wakecontract audited stimulus seam: under the event kernel every core submits through sim.wakeSubmitter, which re-arms the MMU at its post-submit NextEventAfter on admission; a sleeping MMU settles its refusals before the submit changes an issue queue (push)
+func (m *MMU) Submit(now clock.Global, r *mem.Request) mem.Admission {
 	core := r.Core
 	if m.cfg.Disabled {
 		r.Addr = m.tables[core].Translate(r.VAddr)
 		m.push(now, core, r)
 		m.stats[core].Translations++
-		return true
+		return mem.Admitted
 	}
 	if m.portCycle != now {
 		m.portCycle = now
@@ -191,7 +197,7 @@ func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
 	}
 	if m.portUsed[core] >= m.cfg.TLBPortsPerCycle {
 		m.stats[core].PortStalls++
-		return false
+		return mem.PortsBusy
 	}
 	vpn := r.VAddr >> m.cfg.PageSize.Shift()
 	if e, ok := m.mshr[core][vpn]; ok {
@@ -204,7 +210,7 @@ func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
 		if m.obs != nil {
 			m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindTLBMiss, Core: int32(core), A: 1})
 		}
-		return true
+		return mem.Admitted
 	}
 	if ppn, ok := m.tlbFor(core).Lookup(core, vpn); ok {
 		m.portUsed[core]++
@@ -215,15 +221,15 @@ func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
 		if m.obs != nil {
 			m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindTLBHit, Core: int32(core)})
 		}
-		return true
+		return mem.Admitted
 	}
 	// Miss on a new page: need an MSHR slot and a queued walk.
-	if len(m.mshr[core]) >= m.cfg.MaxPendingWalks {
+	if m.MSHRFull(core) {
 		// The speculative Lookup above already counted a miss; undo
 		// our acceptance by not consuming a port and reporting the
 		// stall. The re-submitted request will probe again.
 		m.stats[core].MSHRStalls++
-		return false
+		return mem.MSHRFull
 	}
 	m.portUsed[core]++
 	m.stats[core].Translations++
@@ -239,7 +245,23 @@ func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
 		invariant.Check(len(m.mshr[core]) <= m.cfg.MaxPendingWalks,
 			"mmu: MSHR leak: core %d holds %d entries, limit %d", core, len(m.mshr[core]), m.cfg.MaxPendingWalks)
 	}
-	return true
+	return mem.Admitted
+}
+
+// MSHRFull reports whether core's pending-walk limit is reached, so
+// that Submit refuses any request of core that needs a new walk. Only
+// the completion of one of core's own walks can end it.
+func (m *MMU) MSHRFull(core int) bool { return len(m.mshr[core]) >= m.cfg.MaxPendingWalks }
+
+// ChargeMSHRStalls counts n refusals for a full MSHR against core: the
+// re-submissions of cycles a core slept through because they could only
+// be refused. Each would have probed, and missed, the TLB serving core
+// (Submit's speculative Lookup), so each also counts one miss there.
+// The TLB's LRU clock is not advanced: eviction compares its stamps
+// only by order, which skipped increments keep.
+func (m *MMU) ChargeMSHRStalls(core int, n int64) {
+	m.stats[core].MSHRStalls += n
+	m.tlbFor(core).misses += n
 }
 
 // push appends a translated request to core's issue queue. A request
@@ -416,7 +438,11 @@ func (m *MMU) completeWalk(now clock.Global, job *walkJob) {
 			r.Addr = job.ppn | (r.VAddr & (uint64(m.cfg.PageSize) - 1))
 			m.push(now, job.core, r)
 		}
+		full := m.MSHRFull(job.core)
 		delete(m.mshr[job.core], job.vpn)
+		if full && m.OnMSHRFreed != nil {
+			m.OnMSHRFreed(now, job.core)
+		}
 	}
 	if m.obs != nil {
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindWalkEnd, Core: int32(job.core), A: int64(job.vpn), B: lat})

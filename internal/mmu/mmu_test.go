@@ -157,7 +157,7 @@ func TestMissWalksThenHits(t *testing.T) {
 	b := &fakeBackend{delay: 5}
 	m := newTestMMU(t, testMMUConfig(1), b)
 	var done clock.Global = -1
-	if !m.Submit(0, dataReq(0, 0x1000, &done)) {
+	if m.Submit(0, dataReq(0, 0x1000, &done)) != mem.Admitted {
 		t.Fatal("submit refused")
 	}
 	end := runMMU(t, m, b, 10000, func() bool { return done >= 0 })
@@ -176,7 +176,7 @@ func TestMissWalksThenHits(t *testing.T) {
 
 	// Second access to the same page: TLB hit, no new walk.
 	done = -1
-	if !m.Submit(end+1, dataReq(0, 0x1040, &done)) {
+	if m.Submit(end+1, dataReq(0, 0x1040, &done)) != mem.Admitted {
 		t.Fatal("second submit refused")
 	}
 	runMMU(t, m, b, 10000, func() bool { return done >= 0 })
@@ -193,7 +193,7 @@ func TestCoalescedMissesShareOneWalk(t *testing.T) {
 	count := func(clock.Global, *mem.Request) { completed++ }
 	for i := 0; i < 4; i++ {
 		r := &mem.Request{Core: 0, VAddr: uint64(0x2000 + i*64), Size: 64, Kind: mem.Read, Done: count}
-		if !m.Submit(0, r) {
+		if m.Submit(0, r) != mem.Admitted {
 			t.Fatalf("submit %d refused", i)
 		}
 	}
@@ -214,8 +214,12 @@ func TestTLBPortLimitPerCycle(t *testing.T) {
 	m := newTestMMU(t, cfg, b)
 	accepted := 0
 	for i := 0; i < 5; i++ {
-		if m.Submit(7, dataReq(0, uint64(i)<<12, nil)) {
+		switch a := m.Submit(7, dataReq(0, uint64(i)<<12, nil)); a {
+		case mem.Admitted:
 			accepted++
+		case mem.PortsBusy:
+		default:
+			t.Errorf("submit %d refused with %v, want PortsBusy", i, a)
 		}
 	}
 	if accepted != 2 {
@@ -225,7 +229,7 @@ func TestTLBPortLimitPerCycle(t *testing.T) {
 		t.Errorf("port stalls = %d, want 3", m.Stats(0).PortStalls)
 	}
 	// Next cycle: ports refill.
-	if !m.Submit(8, dataReq(0, 0x9000, nil)) {
+	if m.Submit(8, dataReq(0, 0x9000, nil)) != mem.Admitted {
 		t.Error("ports did not refill on the next cycle")
 	}
 }
@@ -236,21 +240,72 @@ func TestMSHRLimitStallsNewPages(t *testing.T) {
 	cfg.TLBPortsPerCycle = 16
 	b := &fakeBackend{delay: 1}
 	m := newTestMMU(t, cfg, b)
-	ok1 := m.Submit(0, dataReq(0, 0x10000, nil))
-	ok2 := m.Submit(0, dataReq(0, 0x20000, nil))
-	ok3 := m.Submit(0, dataReq(0, 0x30000, nil))
-	if !ok1 || !ok2 || ok3 {
-		t.Errorf("mshr limit: %v %v %v, want true true false", ok1, ok2, ok3)
+	ok1 := m.Submit(0, dataReq(0, 0x10000, nil)) == mem.Admitted
+	ok2 := m.Submit(0, dataReq(0, 0x20000, nil)) == mem.Admitted
+	got3 := m.Submit(0, dataReq(0, 0x30000, nil))
+	if !ok1 || !ok2 || got3 != mem.MSHRFull {
+		t.Errorf("mshr limit: %v %v %v, want true true MSHRFull", ok1, ok2, got3)
+	}
+	if !m.MSHRFull(0) {
+		t.Error("MSHRFull(0) = false with both walks pending")
 	}
 	if m.Stats(0).MSHRStalls != 1 {
 		t.Errorf("mshr stalls = %d", m.Stats(0).MSHRStalls)
 	}
 	// Coalescing to an already-pending page is still allowed.
-	if !m.Submit(0, dataReq(0, 0x10040, nil)) {
+	if m.Submit(0, dataReq(0, 0x10040, nil)) != mem.Admitted {
 		t.Error("coalesced submit should bypass the MSHR limit")
 	}
 	if m.PendingWalks(0) != 2 {
 		t.Errorf("pending walks = %d, want 2", m.PendingWalks(0))
+	}
+}
+
+// TestMSHRFreedHookAndCharge pins the MMU's side of a core sleeping on
+// a full MSHR: OnMSHRFreed fires exactly when a walk completion takes
+// a core's MSHR from full to not full, for that core only, and
+// ChargeMSHRStalls counts refusals and misses of the TLB serving the
+// core (the shared one, here) without counting CoreStats.TLBMisses,
+// which a refusal never counts.
+func TestMSHRFreedHookAndCharge(t *testing.T) {
+	cfg := testMMUConfig(2)
+	cfg.MaxPendingWalks = 2
+	cfg.TLBPortsPerCycle = 16
+	cfg.SharedTLB = true
+	b := &fakeBackend{delay: 1}
+	m := newTestMMU(t, cfg, b)
+	var freed []int
+	m.OnMSHRFreed = func(_ clock.Global, core int) { freed = append(freed, core) }
+
+	// Core 0 fills its MSHR and is refused a third page; core 1 holds
+	// one walk, below its limit.
+	m.Submit(0, dataReq(0, 0x10000, nil))
+	m.Submit(0, dataReq(0, 0x20000, nil))
+	m.Submit(0, dataReq(1, 0x30000, nil))
+	if got := m.Submit(0, dataReq(0, 0x40000, nil)); got != mem.MSHRFull {
+		t.Fatalf("third page of core 0: %v, want MSHRFull", got)
+	}
+	if !m.MSHRFull(0) || m.MSHRFull(1) {
+		t.Fatalf("MSHRFull = %v, %v; want true, false", m.MSHRFull(0), m.MSHRFull(1))
+	}
+	missesBefore := m.TLBFor(0).Misses()
+	statsBefore := m.Stats(0)
+	m.ChargeMSHRStalls(0, 5)
+	if got := m.Stats(0).MSHRStalls - statsBefore.MSHRStalls; got != 5 {
+		t.Errorf("charged MSHRStalls = %d, want 5", got)
+	}
+	if got := m.TLBFor(0).Misses() - missesBefore; got != 5 {
+		t.Errorf("charged TLB misses = %d, want 5", got)
+	}
+	if m.Stats(0).TLBMisses != statsBefore.TLBMisses {
+		t.Errorf("charging changed CoreStats.TLBMisses: %d, was %d", m.Stats(0).TLBMisses, statsBefore.TLBMisses)
+	}
+
+	runMMU(t, m, b, 10000, func() bool { return m.PendingWalks(0) == 0 && m.PendingWalks(1) == 0 })
+	// Core 0's first completion frees its full MSHR; its second finds
+	// it already not full, and core 1's never was.
+	if len(freed) != 1 || freed[0] != 0 {
+		t.Errorf("OnMSHRFreed calls = %v, want [0]", freed)
 	}
 }
 
@@ -260,7 +315,7 @@ func TestDisabledModeForwardsImmediately(t *testing.T) {
 	b := &fakeBackend{delay: 2}
 	m := newTestMMU(t, cfg, b)
 	var done clock.Global = -1
-	if !m.Submit(0, dataReq(0, 0x5000, &done)) {
+	if m.Submit(0, dataReq(0, 0x5000, &done)) != mem.Admitted {
 		t.Fatal("submit refused")
 	}
 	runMMU(t, m, b, 100, func() bool { return done >= 0 })
@@ -283,7 +338,7 @@ func TestWalkerBandwidthLimitsThroughput(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		r := dataReq(0, uint64(0x100000+i*4096), nil)
 		r.Done = func(clock.Global, *mem.Request) { completed++ }
-		if !m.Submit(0, r) {
+		if m.Submit(0, r) != mem.Admitted {
 			t.Fatalf("submit %d refused", i)
 		}
 	}
@@ -408,7 +463,7 @@ func TestDWSStealingEndToEnd(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			r := dataReq(0, uint64(0x100000+i*4096), nil)
 			r.Done = func(clock.Global, *mem.Request) { completed++ }
-			if !m.Submit(0, r) {
+			if m.Submit(0, r) != mem.Admitted {
 				t.Fatalf("submit %d refused", i)
 			}
 		}
@@ -436,7 +491,7 @@ func TestDWSStealingProtectsOwnerBursts(t *testing.T) {
 			c := core
 			r := dataReq(core, uint64(0x100000+i*4096), nil)
 			r.Done = func(clock.Global, *mem.Request) { done[c]++ }
-			if !m.Submit(0, r) {
+			if m.Submit(0, r) != mem.Admitted {
 				t.Fatalf("submit refused")
 			}
 		}

@@ -86,7 +86,7 @@ func TestMMUWakeContract(t *testing.T) {
 						if okRef != okWake {
 							t.Fatalf("cycle %d: submit acceptance diverged (ref=%v wake=%v)", now, okRef, okWake)
 						}
-						if okRef && now+1 < armed {
+						if okRef == mem.Admitted && now+1 < armed {
 							armed = now + 1
 						}
 					}
@@ -265,7 +265,7 @@ func TestMMUWakeContractRefusingBackend(t *testing.T) {
 							if okRef != okWake {
 								t.Fatalf("cycle %d: submit acceptance diverged (ref=%v wake=%v)", now, okRef, okWake)
 							}
-							if okWake {
+							if okWake == mem.Admitted {
 								armed = min(armed, wake.NextEventAfter(now))
 							}
 						}

@@ -13,7 +13,16 @@ import (
 // Submitter accepts virtually addressed requests from the DMA engine;
 // *mmu.MMU satisfies it.
 type Submitter interface {
-	Submit(now clock.Global, r *mem.Request) bool
+	// Submit offers r at global cycle now and says whether it was
+	// admitted, or why not.
+	Submit(now clock.Global, r *mem.Request) mem.Admission
+	// MSHRFull reports whether core's pending-walk limit is still
+	// reached, so that a request Submit refused with mem.MSHRFull would
+	// be refused again.
+	MSHRFull(core int) bool
+	// ChargeMSHRStalls counts n more mem.MSHRFull refusals against
+	// core: the re-submissions of the cycles it slept through.
+	ChargeMSHRStalls(core int, n int64)
 }
 
 // Stats aggregates a core's execution counters. Cycle counts are in the
@@ -66,6 +75,13 @@ type Core struct {
 	loadInflight  int
 	loadedThrough int
 	pendingReq    *mem.Request // built but not yet accepted by the MMU
+
+	// mshrWait is set while pendingReq's last refusal was mem.MSHRFull.
+	// The core sleeps while the MMU still reports its MSHR full, and
+	// stallFrom is the first cycle of that sleep whose re-submission is
+	// not yet charged (see settleStall).
+	mshrWait  bool
+	stallFrom clock.Global
 
 	// Compute pipeline.
 	computeTile int
@@ -140,6 +156,7 @@ func (c *Core) FinishedFirstIteration() bool { return c.finishedFirst }
 // cycles that elapsed since the previous tick, advancing compute and
 // issuing DMA requests.
 func (c *Core) Tick(now clock.Global) {
+	c.settleStall(now)
 	targetLocal := c.dom.LocalFloor(now + 1)
 	elapsed := targetLocal - c.localDone
 	if invariant.Enabled {
@@ -223,8 +240,13 @@ func (c *Core) issueDMA(now clock.Global, elapsed clock.Local) {
 				return
 			}
 		}
-		if !c.mmu.Submit(now+c.StartCycle, c.pendingReq) {
-			return // ports or MSHRs exhausted; retry next tick
+		a := c.mmu.Submit(now+c.StartCycle, c.pendingReq)
+		c.mshrWait = a == mem.MSHRFull
+		if a != mem.Admitted {
+			// Ports busy: retry next tick. MSHR full: sleep until one
+			// of this core's walks completes (see stalled).
+			c.stallFrom = now + 1
+			return
 		}
 		r := c.pendingReq
 		c.pendingReq = nil
@@ -311,15 +333,22 @@ func (c *Core) buildRequest(addr uint64, kind mem.Kind, tileIdx int) *mem.Reques
 	return r
 }
 
+// swapReady reports whether the current load tile is complete (all its
+// requests issued and returned, none of them still pending) inside the
+// double-buffer window, so the next tick swaps it in.
+func (c *Core) swapReady() bool {
+	return c.loadTile < len(c.sched.Tasks) &&
+		c.loadTile <= c.loadWindow() &&
+		c.loadEmit.done() &&
+		c.loadInflight == 0 &&
+		(c.pendingReq == nil || c.pendingReq.Kind != mem.Read)
+}
+
 // advanceLoadWindow marks the current load tile complete when all its
 // requests returned, and opens the next tile if the double-buffer window
 // (computeTile+1) allows.
 func (c *Core) advanceLoadWindow(now clock.Global) {
-	for c.loadTile < len(c.sched.Tasks) &&
-		c.loadTile <= c.loadWindow() &&
-		c.loadEmit.done() &&
-		c.loadInflight == 0 &&
-		(c.pendingReq == nil || c.pendingReq.Kind != mem.Read) {
+	for c.swapReady() {
 		c.loadedThrough = c.loadTile
 		if c.Obs != nil {
 			c.Obs.Emit(obs.Event{Cycle: now + c.StartCycle, Kind: obs.KindSPMSwap,
@@ -368,30 +397,64 @@ func (c *Core) checkIterationEnd(now clock.Global) {
 	c.loadEmit = newEmitter(c.sched.Tasks[0].Loads, c.arch.BlockBytes)
 }
 
+// stalled reports whether the core is asleep on a full MSHR: its
+// pending request was last refused with mem.MSHRFull and the MMU still
+// reports the MSHR full. The MSHR is read again on every call, never
+// latched: a walk completion can free it on a cycle on which the core's
+// clock does not advance, and the core must then retry on its next
+// local cycle.
+func (c *Core) stalled() bool { return c.mshrWait && c.mmu.MSHRFull(c.id) }
+
+// settleStall charges the re-submissions of the slept cycles
+// [stallFrom, upto) while the core waits on a full MSHR. A busy-polling
+// core re-submits on every cycle its clock advances (its in-flight
+// count only falls while it waits, so the DMA limit never blocks the
+// retry), and every such retry is refused: the MSHR frees only when
+// one of the core's walks completes, and that wakes the core on the
+// same cycle. LocalFloor is a linear floor, so a global step advances
+// it at most once when the core is slower than the global clock, and
+// at least once otherwise; the count is the smaller of the two spans.
+func (c *Core) settleStall(upto clock.Global) {
+	if !c.mshrWait || upto <= c.stallFrom {
+		return
+	}
+	if invariant.Enabled {
+		invariant.Check(c.inflight < c.arch.DMAMaxInflight,
+			"npu: core %d charged MSHR retries with its DMA limit reached (inflight=%d)", c.id, c.inflight)
+	}
+	n := min((upto - c.stallFrom).Int64(), (c.dom.LocalFloor(upto) - c.dom.LocalFloor(c.stallFrom)).Int64())
+	if n > 0 {
+		c.mmu.ChargeMSHRStalls(c.id, n)
+	}
+	c.stallFrom = upto
+}
+
 // HasIssuableWork reports whether the core could issue a DMA request or
 // otherwise change pipeline state on its next ticked cycle (used for
 // fast-forward and wake decisions).
 func (c *Core) HasIssuableWork() bool {
+	if c.swapReady() {
+		// Every request of the load tile has returned: the next tick
+		// performs the SPM double-buffer swap, opening the tile to
+		// compute and the next tile to loading. Without this case a
+		// core whose only in-flight traffic is stores would sleep
+		// through its own swap, and so would a core asleep on a full
+		// MSHR with a store pending whose last load returned on a
+		// cycle its clock did not advance.
+		return true
+	}
 	if c.pendingReq != nil {
+		// Nothing behind the pending request can issue first. While it
+		// waits on a full MSHR, nothing else changes without a
+		// stimulus: a tile completion is the compute horizon, and a
+		// DMA completion and the walk completion that frees the MSHR
+		// wake the core.
+		return !c.stalled()
+	}
+	if c.loadTile < len(c.sched.Tasks) && c.loadTile <= c.loadWindow() && !c.loadEmit.done() {
 		return true
 	}
-	if c.loadTile < len(c.sched.Tasks) && c.loadTile <= c.loadWindow() {
-		if !c.loadEmit.done() {
-			return true
-		}
-		if c.loadInflight == 0 {
-			// Every request of the load tile has returned: the next
-			// tick performs the SPM double-buffer swap, opening the
-			// tile to compute and the next tile to loading. Without
-			// this case a core whose only in-flight traffic is stores
-			// would sleep through its own swap.
-			return true
-		}
-	}
-	if len(c.storeQueue) > 0 {
-		return true
-	}
-	return false
+	return len(c.storeQueue) > 0
 }
 
 // NextEventAfter returns the earliest global cycle at which the core
@@ -425,11 +488,13 @@ func (c *Core) NextEventAfter(now clock.Global) clock.Global {
 // SkipTo fast-forwards the core to global cycle now without observing
 // any events: the skipped window is spent computing (or stalling on
 // loads) exactly as per-cycle ticking would, but no tile completes and
-// no request is issued. The caller guarantees now is at or before the
-// core's NextEventAfter, which makes both properties hold: the local
-// target LocalFloor(now) is strictly before the pending completion, and
-// HasIssuableWork was false with no memory callback in the window.
+// no request is issued; re-submissions into a full MSHR are charged.
+// The caller guarantees now is at or before the core's NextEventAfter,
+// which makes these properties hold: the local target LocalFloor(now)
+// is strictly before the pending completion, and HasIssuableWork was
+// false with no memory callback or freeing walk in the window.
 func (c *Core) SkipTo(now clock.Global) {
+	c.settleStall(now)
 	targetLocal := c.dom.LocalFloor(now)
 	elapsed := targetLocal - c.localDone
 	if elapsed <= 0 {
@@ -451,7 +516,7 @@ func (c *Core) SkipTo(now clock.Global) {
 
 // DebugState summarizes the pipeline state for diagnostics.
 func (c *Core) DebugState() string {
-	return fmt.Sprintf("load=%d/%d loaded=%d compute=%d rem=%d inflight=%d loadInf=%d storeInf=%d storeQ=%d pending=%v emitDone=%v",
+	return fmt.Sprintf("load=%d/%d loaded=%d compute=%d rem=%d inflight=%d loadInf=%d storeInf=%d storeQ=%d pending=%v mshrStalled=%v emitDone=%v",
 		c.loadTile, len(c.sched.Tasks), c.loadedThrough, c.computeTile, c.computeRem,
-		c.inflight, c.loadInflight, c.storeInflight, len(c.storeQueue), c.pendingReq != nil, c.loadEmit.done())
+		c.inflight, c.loadInflight, c.storeInflight, len(c.storeQueue), c.pendingReq != nil, c.stalled(), c.loadEmit.done())
 }

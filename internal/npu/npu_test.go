@@ -124,9 +124,19 @@ func TestQuickEmitterCoverage(t *testing.T) {
 	}
 }
 
+// noMSHR is the MSHR half of a Submitter that never refuses a request
+// for a full MSHR.
+type noMSHR struct{}
+
+func (noMSHR) MSHRFull(int) bool           { return false }
+func (noMSHR) ChargeMSHRStalls(int, int64) {}
+
 // recordingSubmitter accepts requests and completes them after a fixed
-// delay when ticked; it records issue times for overlap checks.
+// delay when ticked; it records issue times for overlap checks. While
+// refuse is set it refuses every request as if the core's TLB ports
+// were busy.
 type recordingSubmitter struct {
+	noMSHR
 	delay   clock.Global
 	pending []struct {
 		at clock.Global
@@ -139,9 +149,9 @@ type recordingSubmitter struct {
 	refuse bool
 }
 
-func (s *recordingSubmitter) Submit(now clock.Global, r *mem.Request) bool {
+func (s *recordingSubmitter) Submit(now clock.Global, r *mem.Request) mem.Admission {
 	if s.refuse {
-		return false
+		return mem.PortsBusy
 	}
 	s.issues = append(s.issues, struct {
 		at   clock.Global
@@ -151,7 +161,7 @@ func (s *recordingSubmitter) Submit(now clock.Global, r *mem.Request) bool {
 		at clock.Global
 		r  *mem.Request
 	}{now + s.delay, r})
-	return true
+	return mem.Admitted
 }
 
 func (s *recordingSubmitter) tick(now clock.Global) {

@@ -32,9 +32,10 @@ import (
 type Section uint8
 
 const (
-	// SecKernelHeap is event-kernel scheduling: heap pops/pushes,
-	// stale-entry discards, the hot-set absorb scan, and — on the tick
-	// kernel — the fast-forward horizon computation.
+	// SecKernelHeap is event-kernel scheduling: the wake-array scans
+	// and horizon re-arming, and — in the tick reference — the
+	// fast-forward horizon computation. It keeps its name from the
+	// kernel's former binary heap.
 	SecKernelHeap Section = iota
 	// SecTickDRAM is time inside DRAM channel ticks.
 	SecTickDRAM

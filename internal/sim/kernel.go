@@ -69,8 +69,8 @@ func (c coreComp) next(now clock.Global) clock.Global {
 	return c.c.NextEventAfter(now-c.start) + c.start
 }
 
-// wakeSubmitter wraps the MMU port handed to a core so that a
-// successful DMA submission re-arms the MMU's wake entry. The MMU has
+// wakeSubmitter wraps the MMU port handed to a core so that an
+// admitted DMA submission re-arms the MMU's wake entry. The MMU has
 // already ticked this cycle or is sleeping through it (cores tick
 // last), so its post-submit NextEventAfter is the exact horizon — the
 // tick reference's fast-forward recomputes the same value after this
@@ -80,62 +80,39 @@ func (c coreComp) next(now clock.Global) clock.Global {
 // kernel visit cycles the tick reference skips. The core submits on
 // the true global cycle, its start offset added back.
 type wakeSubmitter struct {
-	mmu   *mmu.MMU
+	*mmu.MMU
 	ek    *eventKernel
 	mmuID int
 }
 
-func (w *wakeSubmitter) Submit(now clock.Global, r *mem.Request) bool {
-	ok := w.mmu.Submit(now, r)
-	if ok {
-		w.ek.wake(w.mmuID, w.mmu.NextEventAfter(now))
+func (w *wakeSubmitter) Submit(now clock.Global, r *mem.Request) mem.Admission {
+	a := w.MMU.Submit(now, r)
+	if a == mem.Admitted {
+		w.ek.wake(w.mmuID, w.MMU.NextEventAfter(now))
 	}
-	return ok
+	return a
 }
 
-// wakeEntry is one heap entry: component id armed at cycle at. Ordering
-// is (at, id); ids follow the tick reference's within-cycle component
-// order (channels, then MMU, then cores), so draining the heap at one
-// cycle reproduces its ordering exactly.
-type wakeEntry struct {
-	at clock.Global
-	id int
-}
-
-func entryLess(a, b wakeEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.id < b.id
-}
-
-// eventKernel is the discrete-event driver state. Components due on the
-// very next processed cycle live in the hot set — a per-component flag
-// scanned in id order, so a saturated system pays plain-array cost, not
-// heap cost. Only a component sleeping past the next cycle is parked in
-// the binary heap, with lazy invalidation: armed[id] names the single
-// valid heap entry per component; any popped entry whose cycle
-// disagrees is stale and discarded. Re-arming never searches the heap —
-// it just pushes the new entry and lets the old one go stale.
+// eventKernel is the discrete-event driver state: one wake cycle per
+// component in a plain array. The next processed cycle is the array's
+// minimum, and the drain ticks, in id order, every component armed at
+// it. Ids follow the tick reference's within-cycle component order
+// (channels, then MMU, then cores), so draining one cycle in id order
+// reproduces its ordering exactly. A system has a handful of
+// components (a tiny dual 7, a paper-scale quad 21), so two linear
+// scans per processed cycle cost less than any priority queue.
 type eventKernel struct {
 	comps []component
-	armed []clock.Global // cycle of the valid heap entry; farFuture = none
+	armed []clock.Global // cycle the component next ticks; farFuture = asleep
 	last  []clock.Global // last cycle the component ticked
-	hot   []bool         // due at the next processed cycle; no heap entry
-	nhot  int
-	cur   clock.Global // cycle currently being drained; wakes at cur join hot
-	heap  []wakeEntry
 
-	pops int64 // total heap pops, stale included (the kernel's cost unit)
+	scans int64 // wake-array entries read (the kernel's cost unit)
 }
 
 func newEventKernel(n int) *eventKernel {
 	k := &eventKernel{
 		armed: make([]clock.Global, n),
 		last:  make([]clock.Global, n),
-		hot:   make([]bool, n),
-		cur:   -1,
-		heap:  make([]wakeEntry, 0, 4*n),
 	}
 	for i := range k.armed {
 		k.armed[i] = farFuture
@@ -144,52 +121,14 @@ func newEventKernel(n int) *eventKernel {
 	return k
 }
 
-func (k *eventKernel) push(e wakeEntry) {
-	k.heap = append(k.heap, e)
-	i := len(k.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !entryLess(k.heap[i], k.heap[p]) {
-			break
-		}
-		k.heap[i], k.heap[p] = k.heap[p], k.heap[i]
-		i = p
-	}
-}
-
-func (k *eventKernel) pop() wakeEntry {
-	top := k.heap[0]
-	n := len(k.heap) - 1
-	k.heap[0] = k.heap[n]
-	k.heap = k.heap[:n]
-	i := 0
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && entryLess(k.heap[l], k.heap[m]) {
-			m = l
-		}
-		if r < n && entryLess(k.heap[r], k.heap[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		k.heap[i], k.heap[m] = k.heap[m], k.heap[i]
-		i = m
-	}
-	k.pops++
-	return top
-}
-
 // wake re-arms component id at cycle at in response to an external
 // stimulus. Waking only ever moves a component earlier: a later wake
 // than the armed one is redundant (the component re-evaluates its
-// horizon when it ticks anyway). A hot component already ticks at the
-// earliest possible cycle, so a wake for it is always redundant; a wake
-// landing on the cycle currently being drained joins the hot set (the
-// within-cycle seam ordering guarantees the target has not ticked yet).
+// horizon when it ticks anyway). A wake landing on the cycle being
+// drained is picked up by the drain, which has not reached the target
+// yet: every seam targets a component later in the within-cycle order.
 func (k *eventKernel) wake(id int, at clock.Global) {
-	if k.hot[id] || at >= k.armed[id] {
+	if at >= k.armed[id] {
 		return
 	}
 	if invariant.Enabled {
@@ -200,14 +139,7 @@ func (k *eventKernel) wake(id int, at clock.Global) {
 		invariant.Check(at > k.last[id],
 			"sim: kernel wake for component %d at cycle %d, already ticked at %d", id, at, k.last[id])
 	}
-	if at == k.cur {
-		k.hot[id] = true
-		k.nhot++
-		k.armed[id] = farFuture
-		return
-	}
 	k.armed[id] = at
-	k.push(wakeEntry{at: at, id: id})
 }
 
 // arm registers component id's self-reported horizon after its tick.
@@ -217,46 +149,16 @@ func (k *eventKernel) arm(id int, at clock.Global) {
 			"sim: component %d horizon %d not after its tick at %d", id, at, k.last[id])
 	}
 	k.armed[id] = at
-	if at < farFuture {
-		k.push(wakeEntry{at: at, id: id})
-	}
 }
 
-// nextCycle discards stale entries and returns the cycle of the
-// earliest live one; ok is false when the heap holds no live entries.
-func (k *eventKernel) nextCycle() (at clock.Global, ok bool) {
-	for len(k.heap) > 0 {
-		top := k.heap[0]
-		if top.at == k.armed[top.id] {
-			return top.at, true
-		}
-		k.pop()
+// next returns the earliest armed cycle.
+func (k *eventKernel) next() clock.Global {
+	t := farFuture
+	for _, at := range k.armed {
+		t = min(t, at)
 	}
-	return 0, false
-}
-
-// absorb moves every live heap entry at cycle t into the hot set, so
-// the drain scan visits heap-armed and hot components in one id-ordered
-// pass.
-func (k *eventKernel) absorb(t clock.Global) {
-	for len(k.heap) > 0 {
-		top := k.heap[0]
-		if top.at != k.armed[top.id] {
-			k.pop()
-			continue
-		}
-		if top.at != t {
-			return
-		}
-		k.pop()
-		// Consumed: mark the heap slot empty so duplicate same-cycle
-		// entries (two stimuli, one target) go stale.
-		k.armed[top.id] = farFuture
-		if !k.hot[top.id] {
-			k.hot[top.id] = true
-			k.nhot++
-		}
-	}
+	k.scans += int64(len(k.armed))
+	return t
 }
 
 // runEvent is the simulator's main loop. It visits exactly the cycles a
@@ -311,27 +213,17 @@ func (s *system) runEvent(ctx context.Context) (clock.Global, error) {
 	var prev clock.Global = -1
 	for !s.allDone() {
 		// Host-time ladder: one clock read per section boundary, none
-		// when no profiler is attached. Scheduling (heap pops, the absorb
-		// scan, horizon re-arming below) is SecKernelHeap; each tick is
-		// its component's section.
+		// when no profiler is attached. Scheduling (the scans for the
+		// next cycle and the drain, horizon re-arming below) is
+		// SecKernelHeap; each tick is its component's section.
 		var hpT int64
 		if hp != nil {
 			hpT = hostprof.Now()
 		}
-		var t clock.Global
-		if ek.nhot > 0 {
-			// Something is due on the very next cycle; no heap entry can
-			// beat it (every entry is strictly after prev).
-			t = prev + 1
-		} else {
-			var ok bool
-			t, ok = ek.nextCycle()
-			if !ok || t >= farFuture {
-				return 0, fmt.Errorf("sim: system wedged at cycle %d with no pending events: %s", prev, describeWedge(s.cores, s.unit))
-			}
+		t := ek.next()
+		if t >= farFuture {
+			return 0, fmt.Errorf("sim: system wedged at cycle %d with no pending events: %s", prev, describeWedge(s.cores, s.unit))
 		}
-		ek.absorb(t)
-		ek.cur = t
 		if hp != nil {
 			hp.AddSince(hostprof.SecKernelHeap, hpT)
 		}
@@ -346,9 +238,6 @@ func (s *system) runEvent(ctx context.Context) (clock.Global, error) {
 			invariant.Check(t > prev,
 				"sim: global clock not monotonic: %d after %d", t, prev)
 		}
-		if cfg.MaxGlobalCycles > 0 && t > cfg.MaxGlobalCycles {
-			return 0, fmt.Errorf("sim: exceeded MaxGlobalCycles=%d (deadlock or runaway config)", cfg.MaxGlobalCycles)
-		}
 		if t > prev+1 && prev >= 0 {
 			s.loopSkips++
 			s.loopSkipped += (t - prev - 1).Int64()
@@ -356,12 +245,17 @@ func (s *system) runEvent(ctx context.Context) (clock.Global, error) {
 				s.sink.Emit(obs.Event{Cycle: prev, Kind: obs.KindSkipWindow, Core: -1, A: (t - prev - 1).Int64()})
 			}
 		}
+		// Checked after the skip window, as the tick reference does, so
+		// a run cut short emits the same probe stream under both loops.
+		if cfg.MaxGlobalCycles > 0 && t > cfg.MaxGlobalCycles {
+			return 0, fmt.Errorf("sim: exceeded MaxGlobalCycles=%d (deadlock or runaway config)", cfg.MaxGlobalCycles)
+		}
 		s.loopIters++
-		for id := 0; id < len(ek.comps); id++ {
-			if !ek.hot[id] {
+		ek.scans += int64(len(ek.comps))
+		for id, c := range ek.comps {
+			if ek.armed[id] != t {
 				continue
 			}
-			c := ek.comps[id]
 			if hp != nil {
 				hpT = hostprof.Now()
 			}
@@ -378,13 +272,7 @@ func (s *system) runEvent(ctx context.Context) (clock.Global, error) {
 			if hp != nil {
 				hpT = hp.AddSince(secFor(id), hpT)
 			}
-			if next := c.next(t); next == t+1 {
-				// Due again immediately: stay hot, skip the heap.
-			} else {
-				ek.hot[id] = false
-				ek.nhot--
-				ek.arm(id, next)
-			}
+			ek.arm(id, c.next(t))
 			if hp != nil {
 				hp.AddSince(hostprof.SecKernelHeap, hpT)
 			}

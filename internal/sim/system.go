@@ -200,10 +200,10 @@ func newSystem(cfg Config, event bool) (*system, error) {
 
 	// The event kernel is created before the cores so its wake function
 	// can be wired into the stimulus seams: DRAM enqueues, burst
-	// completions and freed queue slots (memory hooks) and DMA
-	// submissions (the per-core Submitter wrapper). Component ids are
-	// heap tie-break priorities and fix the within-cycle order:
-	// channels, MMU, cores.
+	// completions and freed queue slots (memory hooks), freed MSHR
+	// slots (an MMU hook) and DMA submissions (the per-core Submitter
+	// wrapper). Component ids fix the within-cycle order: channels,
+	// MMU, cores.
 	var ek *eventKernel
 	if event {
 		chs := memory.Channels()
@@ -227,6 +227,12 @@ func newSystem(cfg Config, event bool) (*system, error) {
 		// (channels tick before it): the MMU sleeps while every request it
 		// could admit waits on a full channel.
 		memory.OnSlotFreed = func(now clock.Global, ch int) { ek.wake(chs, now) }
+		// A walk that frees a slot in its core's full MSHR wakes that
+		// core in the same cycle (the MMU ticks before the cores): a
+		// core sleeps while its pending request could only be refused
+		// for a full MSHR, and only its own walks free it (TLB entries
+		// are tagged with the core's address space).
+		unit.OnMSHRFreed = func(now clock.Global, core int) { ek.wake(chs+1+core, now) }
 	}
 
 	// Compile the software and build the cores.
@@ -248,7 +254,7 @@ func newSystem(cfg Config, event bool) (*system, error) {
 		dom := clock.NewDomain(a.FreqHz, clock.Hz(cfg.DRAM.FreqHz))
 		submitter := npu.Submitter(unit)
 		if ek != nil {
-			submitter = &wakeSubmitter{mmu: unit, ek: ek, mmuID: memory.Channels()}
+			submitter = &wakeSubmitter{MMU: unit, ek: ek, mmuID: memory.Channels()}
 		}
 		core, err := npu.NewCore(i, a, sched, dom, submitter, ids)
 		if err != nil {
@@ -321,10 +327,12 @@ func (s *system) run(ctx context.Context, loop func(context.Context) (clock.Glob
 	}
 	if reg := cfg.Metrics; reg != nil {
 		// Kernel cost counters, written directly rather than through
-		// the probe stream: component-tick invocations and heap traffic.
+		// the probe stream: component-tick invocations and scheduling
+		// work. sim.heap_pops, named after the kernel's former heap,
+		// counts the wake-array entries the kernel reads.
 		reg.Counter("sim.component_ticks").Add(s.compTicks)
 		if s.ek != nil {
-			reg.Counter("sim.heap_pops").Add(s.ek.pops)
+			reg.Counter("sim.heap_pops").Add(s.ek.scans)
 		}
 		cfg.HostProf.Publish(reg)
 	}

@@ -13,8 +13,9 @@ import (
 // The tick reference: the simulator's original main loop, kept only as
 // the oracle the event kernel (runEvent) is proven against. It builds
 // the system without the event kernel's stimulus seams — no DRAM
-// enqueue/completion wake hooks, cores submitting straight to the MMU —
-// so nothing the event kernel relies on can leak into the reference.
+// enqueue, completion or freed-slot wake hooks, no freed-MSHR hook,
+// cores submitting straight to the MMU — so nothing the event kernel
+// relies on can leak into the reference.
 
 // runTickReference runs cfg under the tick kernel and returns the same
 // Result (and, through cfg.Obs, the same probe stream) RunContext must

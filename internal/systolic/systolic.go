@@ -1,8 +1,10 @@
 // Package systolic provides an analytical timing model of a systolic
-// array executing GEMM with the output-stationary dataflow, in the
-// style of SCALE-Sim, which mNPUsim's compute model follows. The paper
-// implements the output-stationary dataflow only (weight-stationary is
-// listed as future work), and so do we.
+// array executing GEMM, in the style of SCALE-Sim, which mNPUsim's
+// compute model follows. The paper implements the output-stationary
+// dataflow only (weight-stationary is listed as future work); Array.GEMM
+// models it and is every preset's dataflow. Weight-stationary is
+// modelled too (dataflow.go, Array.GEMMWith), for the dataflow ablation
+// and for configurations that select it.
 package systolic
 
 import "fmt"

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"mnpusim/internal/model"
@@ -53,13 +54,25 @@ func TestClassesMatchTable1(t *testing.T) {
 	}
 }
 
+// TestByName pins ByName, which builds only the named benchmark, to the
+// matching entry of All for every name at every scale, and an unknown
+// name to its error.
 func TestByName(t *testing.T) {
-	w, err := ByName("gpt2", ScaleTiny)
-	if err != nil || w.Short != "gpt2" {
-		t.Errorf("ByName(gpt2): %v %v", w.Short, err)
+	for _, s := range []Scale{ScaleTiny, ScaleSmall, ScalePaper} {
+		for i, w := range All(s) {
+			got, err := ByName(w.Short, s)
+			if err != nil {
+				t.Fatalf("ByName(%q, %s): %v", w.Short, s, err)
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Errorf("ByName(%q, %s) differs from All()[%d]", w.Short, s, i)
+			}
+		}
 	}
-	if _, err := ByName("nope", ScaleTiny); err == nil {
-		t.Error("unknown name accepted")
+	_, err := ByName("nope", ScaleTiny)
+	const want = `workloads: unknown workload "nope" (have [alex dlrm ds2 gpt2 ncf res sfrnn yt])`
+	if err == nil || err.Error() != want {
+		t.Errorf("ByName(nope) error = %v, want %s", err, want)
 	}
 }
 
