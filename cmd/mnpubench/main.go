@@ -1,10 +1,13 @@
-// Command mnpubench regenerates the paper's evaluation figures. Each
-// experiment prints the same rows or series the paper reports, rendered
-// as text tables and ASCII charts.
+// Command mnpubench regenerates the paper's evaluation figures, the
+// design-choice ablations and the energy row; it is the evaluation's
+// one harness. Each experiment prints the same rows or series the paper
+// reports, rendered as text tables and ASCII charts, and -csv writes
+// the machine-readable ones. One process shares one experiments.Runner,
+// so a configuration that several figures read is simulated once.
 //
 //	mnpubench -list
 //	mnpubench -exp fig4 -scale tiny
-//	mnpubench -exp all -quad-sample 40
+//	mnpubench -exp all -scale tiny -csv out/
 package main
 
 import (
@@ -17,14 +20,17 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 
 	"mnpusim/internal/asciiplot"
 	"mnpusim/internal/config"
+	"mnpusim/internal/dram"
 	"mnpusim/internal/experiments"
 	"mnpusim/internal/obs"
 	"mnpusim/internal/report"
+	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
 
@@ -45,8 +51,11 @@ func writeCSV(name string, fill func(f *os.File) error) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return fill(f)
+	if err := fill(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 type experiment struct {
@@ -73,7 +82,8 @@ func table() []experiment {
 		{"fig16", "page-size performance and fairness, dual and quad core", runFig16},
 		{"fig17", "workload-mapping performance CDF (worst/random/predicted/oracle)", runFig17},
 		{"fig18", "workload-mapping fairness CDF", runFig18},
-		{"ablate", "design-choice ablations (TLB assoc, walkers, double buffering, scheduling, walk model, DMA width)", runAblations},
+		{"ablate", "design-choice ablations (TLB assoc, walkers, double buffering, scheduling, walk model, DMA width, dataflow, walker sharing)", runAblations},
+		{"energy", "off-chip energy per bit of sfrnn+gpt2, Static vs +DWT", runEnergy},
 	}
 }
 
@@ -92,8 +102,8 @@ func run(ctx context.Context, args []string) error {
 		expFlag    = fs.String("exp", "", "experiment to run (see -list), or 'all'")
 		listFlag   = fs.Bool("list", false, "list experiments")
 		scaleFlag  = fs.String("scale", "tiny", "system scale: tiny, small, or paper")
-		quadSample = fs.Int("quad-sample", 40, "quad-core mixes to evaluate (0 = all 330)")
-		mapSample  = fs.Int("map-sample", 0, "eight-workload sets to score (0 = all 6435)")
+		quadSample = fs.Int("quad-sample", 40, "quad-core mixes to sample: stride 330/N rounded down, so at least N (40 keeps 42; 0 = all 330); fig16 samples at most 20")
+		mapSample  = fs.Int("map-sample", 0, "eight-workload sets to sample: stride 6435/N rounded down, so at least N (0 = all 6435)")
 		seedFlag   = fs.Int64("seed", 7, "random seed for predictor training")
 		verbose    = fs.Bool("v", false, "log each simulation")
 		csvFlag    = fs.String("csv", "", "directory for machine-readable CSV output")
@@ -134,6 +144,13 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *expFlag == "" {
 		return fmt.Errorf("need -exp <name> or -list")
+	}
+	valid := []string{"all"}
+	for _, e := range table() {
+		valid = append(valid, e.name)
+	}
+	if !slices.Contains(valid, *expFlag) {
+		return fmt.Errorf("unknown experiment %q (want one of %s)", *expFlag, strings.Join(valid, ", "))
 	}
 	eopts := []experiments.Option{
 		experiments.WithContext(ctx),
@@ -200,7 +217,7 @@ func runFig2b(r *experiments.Runner) error {
 	})
 }
 
-func sharingBars(res experiments.SharingResult, fair bool) {
+func sharingBars(res experiments.SharingResult) {
 	for _, lv := range res.Levels {
 		per := res.PerWorkloadGeomean(lv)
 		fmt.Printf("%-7s overall geomean=%.3f fairness=%.3f | ", lv, res.OverallGeomean(lv), res.OverallFairness(lv))
@@ -209,7 +226,16 @@ func sharingBars(res experiments.SharingResult, fair bool) {
 		}
 		fmt.Println()
 	}
-	_ = fair
+}
+
+// schemeBars charts stat, an overall geomean or fairness, per scheme of
+// a partitioning study.
+func schemeBars(schemes []string, stat func(scheme string) float64) {
+	vals := make([]float64, len(schemes))
+	for i, s := range schemes {
+		vals[i] = stat(s)
+	}
+	fmt.Print(asciiplot.BarChart(schemes, vals, true, 40))
 }
 
 func runFig4(r *experiments.Runner) error {
@@ -217,7 +243,7 @@ func runFig4(r *experiments.Runner) error {
 	if err != nil {
 		return err
 	}
-	sharingBars(res, false)
+	sharingBars(res)
 	labels := make([]string, len(res.Levels))
 	vals := make([]float64, len(res.Levels))
 	for i, lv := range res.Levels {
@@ -292,14 +318,9 @@ func runFig9(r *experiments.Runner) error {
 		bestLabels = append(bestLabels, fmt.Sprintf("%s best=%.3f", w, res.StaticBest[w]))
 	}
 	fmt.Println("static best per workload:", strings.Join(bestLabels, " "))
-	labels := append([]string(nil), res.Schemes...)
-	vals := make([]float64, len(labels))
-	for i, s := range labels {
-		vals[i] = res.OverallGeomean(s)
-	}
-	fmt.Print(asciiplot.BarChart(labels, vals, true, 40))
+	schemeBars(res.Levels, res.OverallGeomean)
 	return writeCSV("fig9_bw_partitioning.csv", func(f *os.File) error {
-		return report.SchemeCSV(f, res.Schemes, res.Mixes)
+		return report.SchemeCSV(f, res.Levels, res.Mixes)
 	})
 }
 
@@ -308,12 +329,7 @@ func runFig10(r *experiments.Runner) error {
 	if err != nil {
 		return err
 	}
-	labels := append([]string(nil), res.Schemes...)
-	vals := make([]float64, len(labels))
-	for i, s := range labels {
-		vals[i] = res.OverallFairness(s)
-	}
-	fmt.Print(asciiplot.BarChart(labels, vals, true, 40))
+	schemeBars(res.Levels, res.OverallFairness)
 	return nil
 }
 
@@ -347,14 +363,9 @@ func runFig13(r *experiments.Runner) error {
 		return err
 	}
 	fmt.Print(res)
-	labels := append([]string(nil), res.Schemes...)
-	vals := make([]float64, len(labels))
-	for i, s := range labels {
-		vals[i] = res.OverallGeomean(s)
-	}
-	fmt.Print(asciiplot.BarChart(labels, vals, true, 40))
+	schemeBars(res.Levels, res.OverallGeomean)
 	return writeCSV("fig13_ptw_partitioning.csv", func(f *os.File) error {
-		return report.SchemeCSV(f, res.Schemes, res.Mixes)
+		return report.SchemeCSV(f, res.Levels, res.Mixes)
 	})
 }
 
@@ -363,12 +374,7 @@ func runFig14(r *experiments.Runner) error {
 	if err != nil {
 		return err
 	}
-	labels := append([]string(nil), res.Schemes...)
-	vals := make([]float64, len(labels))
-	for i, s := range labels {
-		vals[i] = res.OverallFairness(s)
-	}
-	fmt.Print(asciiplot.BarChart(labels, vals, true, 40))
+	schemeBars(res.Levels, res.OverallFairness)
 	return nil
 }
 
@@ -439,6 +445,8 @@ func runAblations(r *experiments.Runner) error {
 		experiments.SchedulingPolicy,
 		experiments.WalkMemoryModel,
 		experiments.DMAIssueWidth,
+		experiments.Dataflows,
+		experiments.WalkerStealing,
 	} {
 		res, err := f(r)
 		if err != nil {
@@ -446,5 +454,23 @@ func runAblations(r *experiments.Runner) error {
 		}
 		fmt.Print(res)
 	}
+	return nil
+}
+
+// runEnergy compares off-chip energy per bit between static
+// partitioning and full sharing on one mixed pair: sharing finishes
+// sooner (less background energy) but interleaved streams cause more
+// row activates, and pJ/bit shows the trade-off.
+func runEnergy(r *experiments.Runner) error {
+	p := dram.DefaultHBM2Energy()
+	var perBit [2]float64
+	for i, lv := range []sim.Sharing{sim.Static, sim.ShareDWT} {
+		res, err := r.Dual("sfrnn", "gpt2", lv)
+		if err != nil {
+			return err
+		}
+		perBit[i] = res.DRAM.EnergyPerBit(p, res.GlobalCycles)
+	}
+	fmt.Printf("sfrnn+gpt2 pJ/bit: static=%.2f +DWT=%.2f\n", perBit[0], perBit[1])
 	return nil
 }

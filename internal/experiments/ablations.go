@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"mnpusim/internal/dram"
-	"mnpusim/internal/metrics"
 	"mnpusim/internal/sim"
 	"mnpusim/internal/systolic"
 )
@@ -13,8 +11,8 @@ import (
 // ablationMixes is the subset of dual mixes used by the design-choice
 // ablations: one compute-heavy pair, one memory-heavy pair, and two
 // mixed pairs — enough to expose each mechanism without a full sweep.
-func ablationMixes() [][2]string {
-	return [][2]string{
+func ablationMixes() [][]string {
+	return [][]string{
 		{"res", "gpt2"},
 		{"sfrnn", "dlrm"},
 		{"sfrnn", "gpt2"},
@@ -22,64 +20,30 @@ func ablationMixes() [][2]string {
 	}
 }
 
-// SweepResult is a generic labelled sweep outcome: the overall geomean
-// speedup (vs Ideal) at each setting.
+// SweepResult is a labelled ablation outcome: the ablation mixes scored
+// against Ideal at each setting. Its levels are the setting labels.
 type SweepResult struct {
-	Name     string
-	Labels   []string
-	Geomeans []float64
-	Fairness []float64
+	Name string
+	Scores[string]
 }
 
-func (s SweepResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s:\n", s.Name)
-	for i, l := range s.Labels {
-		fmt.Fprintf(&b, "  %-10s geomean=%.3f fairness=%.3f\n", l, s.Geomeans[i], s.Fairness[i])
-	}
-	return b.String()
-}
+func (s SweepResult) String() string { return s.summary(s.Name, 10) }
 
-// runAblation executes the mixes with a config mutator per setting; the
-// setting x mix grid fans out onto the worker pool.
+// runAblation runs the ablation mixes at +DWT with a config mutator per
+// setting, each core against its standard Ideal.
 func runAblation(r *Runner, name string, labels []string, mutate func(cfg *sim.Config, setting int)) (SweepResult, error) {
-	out := SweepResult{Name: name, Labels: labels}
-	mixes := ablationMixes()
-	nm := len(mixes)
-	geos := make([]float64, len(labels)*nm)
-	fairs := make([]float64, len(labels)*nm)
-	err := r.ForEach(len(geos), func(i int) error {
-		si, mix := i/nm, mixes[i%nm]
-		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.ShareDWT, mix[0], mix[1])
-		if err != nil {
-			return err
-		}
-		mutate(&cfg, si)
-		res, err := r.run(cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: %s %s %v: %w", name, labels[si], mix, err)
-		}
-		sa, err := r.Speedup(mix[0], res.Cores[0].Cycles)
-		if err != nil {
-			return err
-		}
-		sb, err := r.Speedup(mix[1], res.Cores[1].Cycles)
-		if err != nil {
-			return err
-		}
-		geos[i] = metrics.MustGeomean([]float64{sa, sb})
-		fairs[i] = metrics.FairnessFromSpeedups([]float64{sa, sb})
-		return nil
-	})
-	if err != nil {
-		return SweepResult{}, err
-	}
-	for si := range labels {
-		out.Geomeans = append(out.Geomeans, metrics.MustGeomean(geos[si*nm:(si+1)*nm]))
-		out.Fairness = append(out.Fairness, metrics.Mean(fairs[si*nm:(si+1)*nm]))
-		r.logf("%s %s done", name, labels[si])
-	}
-	return out, nil
+	res, err := Grid[string]{
+		Cores: 2, Levels: labels, Mixes: ablationMixes(),
+		Config: func(mix []string, setting int) (sim.Config, error) {
+			cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.ShareDWT, mix...)
+			if err != nil {
+				return sim.Config{}, err
+			}
+			mutate(&cfg, setting)
+			return cfg, nil
+		},
+	}.Run(r)
+	return SweepResult{Name: name, Scores: res}, err
 }
 
 // TLBAssociativity reproduces the §4.4.2 observation: with a shared TLB

@@ -50,7 +50,7 @@ func (r AttributionResult) String() string {
 // the two solo Ideal baselines, each with a stall-cycle attribution
 // engine attached, and assembles the breakdowns. The level and baseline
 // runs fan out onto the worker pool; attribution is per-run state, so
-// these simulations are not memoized with the Runner's score caches.
+// these simulations bypass the Runner's memo.
 func DualAttribution(r *Runner, a, b string) (AttributionResult, error) {
 	out := AttributionResult{
 		Workloads: []string{a, b},

@@ -78,56 +78,17 @@ func BWPartitionSchemes() []BWScheme {
 
 // BWPartitionResult reproduces Figs 9 and 10: performance and fairness
 // of each bandwidth-partitioning scheme on the dual-core NPU, with
-// address translation removed to isolate the DRAM effect.
+// address translation removed to isolate the DRAM effect. Its levels
+// are the scheme names.
 type BWPartitionResult struct {
-	Schemes []string
-	// Mixes[scheme] holds one score per dual mix.
-	Mixes map[string][]MixScore
+	Scores[string]
 	// StaticBest[workload] is the best per-workload geomean across the
 	// five static schemes.
 	StaticBest map[string]float64
 }
 
-// OverallGeomean returns the geomean of per-mix geomeans for a scheme.
-func (r BWPartitionResult) OverallGeomean(scheme string) float64 {
-	vals := make([]float64, len(r.Mixes[scheme]))
-	for i, m := range r.Mixes[scheme] {
-		vals[i] = m.Geomean
-	}
-	return metrics.MustGeomean(vals)
-}
-
-// OverallFairness returns mean fairness for a scheme.
-func (r BWPartitionResult) OverallFairness(scheme string) float64 {
-	vals := make([]float64, len(r.Mixes[scheme]))
-	for i, m := range r.Mixes[scheme] {
-		vals[i] = m.Fairness
-	}
-	return metrics.Mean(vals)
-}
-
-// PerWorkloadGeomean mirrors Fig 9's per-workload bars.
-func (r BWPartitionResult) PerWorkloadGeomean(scheme string) map[string]float64 {
-	acc := map[string][]float64{}
-	for _, m := range r.Mixes[scheme] {
-		for i, w := range m.Workloads {
-			acc[w] = append(acc[w], m.Speedups[i])
-		}
-	}
-	out := map[string]float64{}
-	for w, v := range acc {
-		out[w] = metrics.MustGeomean(v)
-	}
-	return out
-}
-
 func (r BWPartitionResult) String() string {
-	var b strings.Builder
-	b.WriteString("DRAM bandwidth partitioning (dual-core, translation removed):\n")
-	for _, s := range r.Schemes {
-		fmt.Fprintf(&b, "  %-8s geomean=%.3f fairness=%.3f\n", s, r.OverallGeomean(s), r.OverallFairness(s))
-	}
-	return b.String()
+	return r.summary("DRAM bandwidth partitioning (dual-core, translation removed)", 8)
 }
 
 // bwDevice builds the 8-slice device used by the partitioning study:
@@ -145,13 +106,14 @@ func bwDevice(scale workloads.Scale) dram.Config {
 	return dram.HBM2Scaled(8, p.BL2*factor)
 }
 
-// bwConfig builds the no-translation dual config with a channel split.
-func bwConfig(r *Runner, a, b string, scheme BWScheme) (sim.Config, error) {
+// bwConfig builds the no-translation config of mix with a channel
+// split.
+func bwConfig(r *Runner, mix []string, scheme BWScheme) (sim.Config, error) {
 	level := sim.Static
 	if scheme.Slices == [2]int{} {
 		level = sim.ShareD
 	}
-	cfg, err := sim.NewWorkloadConfig(r.opts.Scale, level, a, b)
+	cfg, err := sim.NewWorkloadConfig(r.opts.Scale, level, mix...)
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -171,94 +133,41 @@ func bwConfig(r *Runner, a, b string, scheme BWScheme) (sim.Config, error) {
 	return cfg, nil
 }
 
-// BandwidthPartitioning runs Figs 9-10.
+// BandwidthPartitioning runs Figs 9-10 over the 36 dual mixes, each core
+// against its no-translation Ideal on the 8-slice device.
 func BandwidthPartitioning(r *Runner) (BWPartitionResult, error) {
 	schemes := BWPartitionSchemes()
-	out := BWPartitionResult{Mixes: map[string][]MixScore{}, StaticBest: map[string]float64{}}
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.Name
+	}
+	res, err := Grid[string]{
+		Cores: 2, Levels: names, Mixes: Mixes(r.Names(), 2, 0, 0),
+		Config: func(mix []string, scheme int) (sim.Config, error) {
+			return bwConfig(r, mix, schemes[scheme])
+		},
+		Baseline: func(w string) (sim.Config, error) {
+			cfg, err := bwConfig(r, []string{w, w}, BWScheme{})
+			if err != nil {
+				return sim.Config{}, err
+			}
+			return sim.IdealFor(cfg, 0), nil
+		},
+	}.Run(r)
+	if err != nil {
+		return BWPartitionResult{}, err
+	}
+	out := BWPartitionResult{Scores: res, StaticBest: map[string]float64{}}
 	for _, s := range schemes {
-		out.Schemes = append(out.Schemes, s.Name)
-	}
-
-	// No-translation Ideal baselines on the 8-slice device.
-	names := r.Names()
-	idealCycles := make([]int64, len(names))
-	err := r.ForEach(len(names), func(i int) error {
-		cfg, err := bwConfig(r, names[i], names[i], BWScheme{})
-		if err != nil {
-			return err
+		if s.Slices == [2]int{} {
+			continue
 		}
-		res, err := r.run(sim.IdealFor(cfg, 0))
-		if err != nil {
-			return fmt.Errorf("experiments: bw ideal %s: %w", names[i], err)
+		per := res.PerWorkloadGeomean(s.Name)
+		for _, w := range r.Names() {
+			out.StaticBest[w] = max(out.StaticBest[w], per[w])
 		}
-		idealCycles[i] = res.Cores[0].Cycles
-		return nil
-	})
-	if err != nil {
-		return BWPartitionResult{}, err
-	}
-	ideal := map[string]int64{}
-	for i, w := range names {
-		ideal[w] = idealCycles[i]
-	}
-
-	mixes := r.DualMixes()
-	ns := len(schemes)
-	scores := make([]MixScore, len(mixes)*ns)
-	err = r.ForEach(len(scores), func(i int) error {
-		mix, s := mixes[i/ns], schemes[i%ns]
-		cfg, err := bwConfig(r, mix[0], mix[1], s)
-		if err != nil {
-			return err
-		}
-		res, err := r.run(cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: bw %s+%s %s: %w", mix[0], mix[1], s.Name, err)
-		}
-		r.logf("bw %s+%s %s done", mix[0], mix[1], s.Name)
-		sp := []float64{
-			metrics.Speedup(ideal[mix[0]], res.Cores[0].Cycles),
-			metrics.Speedup(ideal[mix[1]], res.Cores[1].Cycles),
-		}
-		scores[i] = newMixScore(mix[:], sp)
-		return nil
-	})
-	if err != nil {
-		return BWPartitionResult{}, err
-	}
-	for i, sc := range scores {
-		name := schemes[i%ns].Name
-		out.Mixes[name] = append(out.Mixes[name], sc)
-	}
-	// Static Best per workload.
-	for _, w := range r.Names() {
-		best := 0.0
-		for _, s := range schemes {
-			if s.Slices == [2]int{} {
-				continue
-			}
-			if v := r.perWorkloadGeo(out.Mixes[s.Name], w); v > best {
-				best = v
-			}
-		}
-		out.StaticBest[w] = best
 	}
 	return out, nil
-}
-
-func (r *Runner) perWorkloadGeo(mixes []MixScore, w string) float64 {
-	var vals []float64
-	for _, m := range mixes {
-		for i, name := range m.Workloads {
-			if name == w {
-				vals = append(vals, m.Speedups[i])
-			}
-		}
-	}
-	if len(vals) == 0 {
-		return 0
-	}
-	return metrics.MustGeomean(vals)
 }
 
 // BWSweepResult reproduces Fig 11: single-core speedup versus DRAM
@@ -313,7 +222,7 @@ func BandwidthSweep(r *Runner) (BWSweepResult, error) {
 		}
 		cfg.NoTranslation = true
 		cfg.DRAM = dram.HBM2Scaled(pt.channels, pt.bl2)
-		res, err := r.run(cfg)
+		res, err := r.result(cfg)
 		if err != nil {
 			return fmt.Errorf("experiments: sweep %s x%d: %w", w, pt.factor, err)
 		}
@@ -370,11 +279,10 @@ func BandwidthTimeline(r *Runner, a, b string) (BWTimelineResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := sim.NewWorkloadConfig(r.opts.Scale, sim.Static, w, w)
+		cfg, err := r.idealConfig(w)
 		if err != nil {
 			return nil, err
 		}
-		cfg := sim.IdealFor(base, 0)
 		cfg.Obs = rec // the recorder consumes KindTransfer probe events
 		if _, err := r.run(cfg); err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,17 +50,17 @@ func TestRunnerCachesIdealAndDualRuns(t *testing.T) {
 }
 
 func TestDualMixesEnumerates36(t *testing.T) {
-	r := tinyRunner()
-	mixes := r.DualMixes()
+	mixes := Mixes(workloads.Names(), 2, 0, 0)
 	if len(mixes) != 36 {
 		t.Fatalf("dual mixes = %d, want 36 (M(8,2))", len(mixes))
 	}
-	seen := map[[2]string]bool{}
+	seen := map[string]bool{}
 	for _, m := range mixes {
-		if seen[m] {
-			t.Errorf("duplicate mix %v", m)
+		key := strings.Join(m, "+")
+		if len(m) != 2 || seen[key] {
+			t.Errorf("malformed or duplicate mix %v", m)
 		}
-		seen[m] = true
+		seen[key] = true
 	}
 }
 
@@ -69,9 +70,11 @@ func TestQuadMixesSampling(t *testing.T) {
 	if len(all) != 330 {
 		t.Fatalf("quad mixes = %d, want 330 (M(8,4))", len(all))
 	}
+	// Stride 330/40 = 8 keeps mixes 0, 8, ..., 328: 42 of them, the
+	// count Fig 5 prints.
 	sampled := QuadMixes(names, 40)
-	if len(sampled) < 40 || len(sampled) > 45 {
-		t.Errorf("sampled %d mixes for target 40", len(sampled))
+	if len(sampled) != 42 {
+		t.Errorf("sampled %d mixes for target 40, want 42", len(sampled))
 	}
 	for _, m := range sampled {
 		if len(m) != 4 {
@@ -236,5 +239,44 @@ func TestSharingGridScore(t *testing.T) {
 	}
 	if _, err := g.Score(cells, map[string]int64{"ncf": 1, "gpt2": 1}); err == nil {
 		t.Error("Score accepted a grid with no Ideal for res")
+	}
+}
+
+// TestMemoSharesConfigsAcrossStudies: the Runner's memo is keyed by the
+// configuration, so two studies that request the same one simulate it
+// once — Fig 13's dynamic cell is Fig 4's +DW cell of the same mix, and
+// both read the same Ideals — and a repeated study simulates nothing.
+func TestMemoSharesConfigsAcrossStudies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full simulations")
+	}
+	r := tinyRunner()
+	mixes := [][]string{{"ncf", "gpt2"}}
+	fig4 := SharingGrid{Cores: 2, Levels: []sim.Sharing{sim.ShareDW}, Mixes: mixes}
+	dw, err := fig4.Run(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Simulations(); n != 3 {
+		t.Fatalf("one +DW cell and two Ideals ran %d simulations, want 3", n)
+	}
+	dynamic, err := ptwGrid(r, []PTWScheme{{Name: "dynamic"}}, mixes).Run(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Simulations(); n != 3 {
+		t.Errorf("Fig 13's dynamic cell re-simulated: %d simulations, want 3", n)
+	}
+	if got, want := dynamic.Mixes["dynamic"][0], dw.Mixes[sim.ShareDW][0]; !reflect.DeepEqual(got, want) {
+		t.Errorf("dynamic cell scored %+v, +DW cell %+v", got, want)
+	}
+	if _, err := fig4.Run(r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Ideal("gpt2"); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Simulations(); n != 3 {
+		t.Errorf("repeating the study ran %d simulations, want 3", n)
 	}
 }

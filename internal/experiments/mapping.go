@@ -41,28 +41,17 @@ func (r MappingResult) String() string {
 }
 
 // BuildPairTable fills a PairTable from the 36 measured dual-core +DWT
-// mixes (reusing the Fig 4 cache).
+// mixes (Fig 4's +DWT cells).
 func BuildPairTable(r *Runner) (*predictor.PairTable, error) {
-	names := r.Names()
-	t := predictor.NewPairTable(len(names))
-	var pairs [][2]int
-	for i := 0; i < len(names); i++ {
-		for j := i; j < len(names); j++ {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	speedups := make([][2]float64, len(pairs))
-	err := r.ForEach(len(pairs), func(k int) error {
-		i, j := pairs[k][0], pairs[k][1]
-		sa, sb, err := r.mixSpeedups(names[i], names[j], sim.ShareDWT)
-		speedups[k] = [2]float64{sa, sb}
-		return err
-	})
+	scores, err := dualDWT(r)
 	if err != nil {
 		return nil, err
 	}
-	for k, p := range pairs {
-		t.Set(p[0], p[1], speedups[k][0], speedups[k][1])
+	t := predictor.NewPairTable(len(r.Names()))
+	// Mixes enumerates the dual mixes in multiset order, so score k is
+	// pair k.
+	for k, p := range stats.Multisets(len(r.Names()), 2) {
+		t.Set(p[0], p[1], scores[k].Speedups[0], scores[k].Speedups[1])
 	}
 	return t, nil
 }
@@ -104,7 +93,7 @@ func WorkloadMapping(r *Runner) (MappingResult, error) {
 		Pairs:    24,
 		Seed:     r.opts.Seed,
 		Sharing:  sim.ShareDWT,
-		Run:      r.run,
+		Run:      r.result,
 		Parallel: r.ForEach,
 	})
 	if err != nil {

@@ -64,15 +64,18 @@ func WithContext(ctx context.Context) Option {
 	return func(r *Runner) { r.ctx = ctx }
 }
 
-// WithQuadSample caps the number of quad-core mixes evaluated (0 means
-// all 330). The full sweep is exact but slow; sampling takes every k-th
-// mix of the deterministic enumeration.
+// WithQuadSample samples the quad-core mixes evaluated (0 means all
+// 330). The full sweep is exact but slow; sampling takes every k-th mix
+// of the deterministic enumeration, k = 330/n rounded down, so it keeps
+// at least n mixes and can keep a few more (40 keeps 42). PageSizeMulti
+// samples at most 20, since it runs each mix at three page sizes.
 func WithQuadSample(n int) Option {
 	return func(r *Runner) { r.opts.QuadSample = n }
 }
 
-// WithMapSample caps the number of eight-workload sets evaluated in the
-// mapping study (0 means all 6435).
+// WithMapSample samples the eight-workload sets evaluated in the
+// mapping study (0 means all 6435): every k-th set, k = 6435/n rounded
+// down, so at least n sets.
 func WithMapSample(n int) Option {
 	return func(r *Runner) { r.opts.MapSample = n }
 }

@@ -1,8 +1,11 @@
 // Package experiments reproduces every figure of the paper's evaluation
 // (Figs 2b and 4-18) plus the ablations discussed in the text, as
 // callable experiment functions. Each experiment returns a typed result
-// with the same rows or series the paper reports; the bench harness
-// (bench_test.go) and cmd/mnpubench print them.
+// with the same rows or series the paper reports; cmd/mnpubench, the
+// one harness, prints them. Every mix x setting study runs through one
+// executor (Grid.Run) and is scored by one type (Scores), and every
+// simulation that only yields a result goes through the Runner's memo,
+// keyed by the configuration's fingerprint.
 package experiments
 
 import (
@@ -32,44 +35,23 @@ type config struct {
 	Metrics    *obs.Registry
 }
 
-// memoCell is one singleflight cache slot: the first caller computes,
-// concurrent callers for the same key block on the same Once, and the
-// result (or error) is kept forever.
-type memoCell[V any] struct {
+// memoCell is one singleflight cache slot: the first caller simulates,
+// concurrent callers for the same fingerprint block on the same Once,
+// and the result (or error) is kept forever.
+type memoCell struct {
 	once sync.Once
-	val  V
+	res  sim.Result
 	err  error
 }
 
-// memoMap is a concurrency-safe singleflight memo table.
-type memoMap[V any] struct {
-	mu sync.Mutex
-	m  map[string]*memoCell[V]
-}
-
-func newMemoMap[V any]() *memoMap[V] {
-	return &memoMap[V]{m: make(map[string]*memoCell[V])}
-}
-
-// do returns the cached value for key, computing it via fn exactly once
-// across all goroutines.
-func (mm *memoMap[V]) do(key string, fn func() (V, error)) (V, error) {
-	mm.mu.Lock()
-	cell, ok := mm.m[key]
-	if !ok {
-		cell = &memoCell[V]{}
-		mm.m[key] = cell
-	}
-	mm.mu.Unlock()
-	cell.once.Do(func() { cell.val, cell.err = fn() })
-	return cell.val, cell.err
-}
-
-// Runner executes simulations with memoization: the Ideal baselines and
-// the mix results are shared across experiments (Figs 4, 6, 8, and 17
-// all consume the same 36 dual mixes; Figs 5 and 7 the same quad
-// mixes). All methods are safe for concurrent use; independent
-// simulations run on a bounded worker pool sized by Options.Workers.
+// Runner executes simulations with memoization: every result-only
+// simulation goes through one memo keyed by the configuration's
+// fingerprint (sim.Config.Fingerprint, the serving cache's key), so
+// studies that request the same configuration simulate it once. Figs 4,
+// 6, 8 and 17 read the same 36 dual mixes, Fig 13's dynamic cells are
+// Fig 4's +DW cells, and every study shares the Ideal baselines. All
+// methods are safe for concurrent use; independent simulations run on
+// a bounded worker pool sized by WithWorkers.
 type Runner struct {
 	opts  config
 	names []string
@@ -83,13 +65,12 @@ type Runner struct {
 
 	// sem bounds concurrent sim.Run calls. It is acquired only inside
 	// run, never while holding it, so experiment fan-outs may nest
-	// (a Dual that triggers an Ideal) without deadlock.
+	// (a grid cell that triggers an Ideal) without deadlock.
 	sem chan struct{}
 
-	ideal *memoMap[sim.CoreResult]
-	// mixes caches mix results of any width: key "a+b+...@level".
-	mixes *memoMap[sim.Result]
-	runs  atomic.Int64
+	memoMu sync.Mutex
+	memo   map[string]*memoCell // by sim.Config.Fingerprint
+	runs   atomic.Int64
 
 	logMu sync.Mutex
 }
@@ -101,8 +82,7 @@ func NewRunner(opts ...Option) *Runner {
 	r := &Runner{
 		ctx:   context.Background(),
 		names: workloads.Names(),
-		ideal: newMemoMap[sim.CoreResult](),
-		mixes: newMemoMap[sim.Result](),
+		memo:  make(map[string]*memoCell),
 	}
 	for _, opt := range opts {
 		opt(r)
@@ -274,80 +254,79 @@ feed:
 	return nil
 }
 
-// Ideal returns the cached Ideal (solo, full-resource) result for a
-// workload, simulating it on first use. The Ideal configuration is
-// derived from the dual-core system, per §4.1.3.
+// result returns cfg's Result, simulating it only the first time any
+// caller asks for a config with its fingerprint; concurrent callers for
+// one fingerprint wait for the one run. It is for result-only configs:
+// a run whose probe sink the caller reads (Figs 2b and 12, attribution)
+// goes through run, since a memo hit would leave that sink empty.
+func (r *Runner) result(cfg sim.Config) (sim.Result, error) {
+	key, err := cfg.Fingerprint()
+	if err != nil {
+		return sim.Result{}, err
+	}
+	r.memoMu.Lock()
+	cell, ok := r.memo[key]
+	if !ok {
+		cell = &memoCell{}
+		r.memo[key] = cell
+	}
+	r.memoMu.Unlock()
+	cell.once.Do(func() {
+		names := make([]string, len(cfg.Nets))
+		for i, n := range cfg.Nets {
+			names[i] = n.Name
+		}
+		mix := strings.Join(names, "+")
+		cell.res, cell.err = r.run(cfg)
+		if cell.err != nil {
+			cell.err = fmt.Errorf("experiments: %s %s: %w", mix, cfg.Sharing, cell.err)
+			return
+		}
+		r.logf("sim %s %s %.12s done", mix, cfg.Sharing, key)
+	})
+	return cell.res, cell.err
+}
+
+// idealConfig is workload name's Ideal (solo, full-resource) system,
+// derived from the dual-core system per §4.1.3.
+func (r *Runner) idealConfig(name string) (sim.Config, error) {
+	cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.Static, name, name)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	return sim.IdealFor(cfg, 0), nil
+}
+
+// Ideal returns workload name's Ideal result, simulating it on first
+// use.
 func (r *Runner) Ideal(name string) (sim.CoreResult, error) {
-	return r.ideal.do(name, func() (sim.CoreResult, error) {
-		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.Static, name, name)
-		if err != nil {
-			return sim.CoreResult{}, err
-		}
-		res, err := r.run(sim.IdealFor(cfg, 0))
-		if err != nil {
-			return sim.CoreResult{}, fmt.Errorf("experiments: ideal %s: %w", name, err)
-		}
-		r.logf("ideal %-6s cycles=%d", name, res.Cores[0].Cycles)
-		return res.Cores[0], nil
-	})
+	cfg, err := r.idealConfig(name)
+	if err != nil {
+		return sim.CoreResult{}, err
+	}
+	res, err := r.result(cfg)
+	if err != nil {
+		return sim.CoreResult{}, err
+	}
+	return res.Cores[0], nil
 }
 
-// Dual returns the cached dual-core mix result for (a, b) at the given
-// sharing level.
+// Dual returns the result of the dual-core mix (a, b) at the given
+// sharing level, simulating it on first use.
 func (r *Runner) Dual(a, b string, level sim.Sharing) (sim.Result, error) {
-	return r.mix([]string{a, b}, level)
-}
-
-// mix returns the cached result of one mix (one workload per core) at
-// the given sharing level, simulating it on first use.
-func (r *Runner) mix(names []string, level sim.Sharing) (sim.Result, error) {
-	mix := strings.Join(names, "+")
-	return r.mixes.do(mix+"@"+level.String(), func() (sim.Result, error) {
-		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, level, names...)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		res, err := r.run(cfg)
-		if err != nil {
-			return sim.Result{}, fmt.Errorf("experiments: %s %s: %w", mix, level, err)
-		}
-		r.logf("mix %s %s done", mix, level)
-		return res, nil
-	})
+	cfg, err := sim.NewWorkloadConfig(r.opts.Scale, level, a, b)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return r.result(cfg)
 }
 
 // Speedup returns workload name's speedup given its measured cycles,
-// against the cached Ideal baseline.
+// against its Ideal.
 func (r *Runner) Speedup(name string, cycles int64) (float64, error) {
 	ib, err := r.Ideal(name)
 	if err != nil {
 		return 0, err
 	}
 	return metrics.Speedup(ib.Cycles, cycles), nil
-}
-
-// DualMixes enumerates the 36 dual-core mixes in deterministic order.
-func (r *Runner) DualMixes() [][2]string {
-	var out [][2]string
-	for i := 0; i < len(r.names); i++ {
-		for j := i; j < len(r.names); j++ {
-			out = append(out, [2]string{r.names[i], r.names[j]})
-		}
-	}
-	return out
-}
-
-// mixSpeedups runs one dual mix and returns the two speedups.
-func (r *Runner) mixSpeedups(a, b string, level sim.Sharing) (sa, sb float64, err error) {
-	res, err := r.Dual(a, b, level)
-	if err != nil {
-		return 0, 0, err
-	}
-	if sa, err = r.Speedup(a, res.Cores[0].Cycles); err != nil {
-		return 0, 0, err
-	}
-	if sb, err = r.Speedup(b, res.Cores[1].Cycles); err != nil {
-		return 0, 0, err
-	}
-	return sa, sb, nil
 }

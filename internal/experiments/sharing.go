@@ -12,7 +12,7 @@ import (
 	"mnpusim/internal/workloads"
 )
 
-// MixScore holds one mix's outcome at one sharing level.
+// MixScore holds one mix's outcome at one level of a study.
 type MixScore struct {
 	Workloads []string
 	Speedups  []float64
@@ -20,43 +20,40 @@ type MixScore struct {
 	Fairness  float64
 }
 
+// Scores is the outcome of a mix x level study (a Grid): one MixScore
+// per mix at each level, in grid order. It is the one scoring type of
+// the paper's grids: SharingResult is Scores over sharing levels, and
+// the partitioning and ablation results embed Scores over scheme names.
+type Scores[K comparable] struct {
+	// Cores is the number of workloads in each mix.
+	Cores  int
+	Levels []K
+	// Mixes[level] holds one score per mix.
+	Mixes map[K][]MixScore
+}
+
 // SharingResult reproduces Figs 4-7: per-mix geomean speedup and
 // fairness for each sharing level, on dual- or quad-core NPUs.
-type SharingResult struct {
-	Cores  int
-	Levels []sim.Sharing
-	// Mixes[level] holds one score per workload mix.
-	Mixes map[sim.Sharing][]MixScore
-}
+type SharingResult = Scores[sim.Sharing]
 
 // OverallGeomean returns the geometric mean of per-mix geomean speedups
 // at one level (the headline numbers of §4.2.1).
-func (r SharingResult) OverallGeomean(level sim.Sharing) float64 {
-	sc := r.Mixes[level]
-	vals := make([]float64, len(sc))
-	for i, m := range sc {
-		vals[i] = m.Geomean
-	}
-	return metrics.MustGeomean(vals)
+func (s Scores[K]) OverallGeomean(level K) float64 {
+	return metrics.MustGeomean(s.GeomeanCDFValues(level))
 }
 
 // OverallFairness returns the arithmetic mean fairness at one level
 // (§4.2.2 reports averages).
-func (r SharingResult) OverallFairness(level sim.Sharing) float64 {
-	sc := r.Mixes[level]
-	vals := make([]float64, len(sc))
-	for i, m := range sc {
-		vals[i] = m.Fairness
-	}
-	return metrics.Mean(vals)
+func (s Scores[K]) OverallFairness(level K) float64 {
+	return metrics.Mean(s.FairnessCDFValues(level))
 }
 
 // PerWorkloadGeomean returns, for each workload, the geometric mean of
 // its speedups over every mix containing it — the per-workload bars of
-// Fig 4 / Fig 6.
-func (r SharingResult) PerWorkloadGeomean(level sim.Sharing) map[string]float64 {
+// Figs 4, 6 and 9.
+func (s Scores[K]) PerWorkloadGeomean(level K) map[string]float64 {
 	acc := map[string][]float64{}
-	for _, m := range r.Mixes[level] {
+	for _, m := range s.Mixes[level] {
 		for i, w := range m.Workloads {
 			acc[w] = append(acc[w], m.Speedups[i])
 		}
@@ -70,8 +67,8 @@ func (r SharingResult) PerWorkloadGeomean(level sim.Sharing) map[string]float64 
 
 // GeomeanCDFValues returns the per-mix geomeans at one level, for the
 // CDF plots of Figs 5 and 7.
-func (r SharingResult) GeomeanCDFValues(level sim.Sharing) []float64 {
-	sc := r.Mixes[level]
+func (s Scores[K]) GeomeanCDFValues(level K) []float64 {
+	sc := s.Mixes[level]
 	out := make([]float64, len(sc))
 	for i, m := range sc {
 		out[i] = m.Geomean
@@ -80,8 +77,8 @@ func (r SharingResult) GeomeanCDFValues(level sim.Sharing) []float64 {
 }
 
 // FairnessCDFValues returns the per-mix fairness values at one level.
-func (r SharingResult) FairnessCDFValues(level sim.Sharing) []float64 {
-	sc := r.Mixes[level]
+func (s Scores[K]) FairnessCDFValues(level K) []float64 {
+	sc := s.Mixes[level]
 	out := make([]float64, len(sc))
 	for i, m := range sc {
 		out[i] = m.Fairness
@@ -89,12 +86,23 @@ func (r SharingResult) FairnessCDFValues(level sim.Sharing) []float64 {
 	return out
 }
 
-// String summarizes the headline rows.
-func (r SharingResult) String() string {
+// String summarizes a sharing study's headline rows. The partitioning
+// and ablation results print their own titles over the same rows.
+func (s Scores[K]) String() string {
+	n := 0
+	if len(s.Levels) > 0 {
+		n = len(s.Mixes[s.Levels[0]])
+	}
+	return s.summary(fmt.Sprintf("%d-core sharing study (%d mixes)", s.Cores, n), 7)
+}
+
+// summary renders title, then one geomean and fairness row per level
+// with the level padded to width.
+func (s Scores[K]) summary(title string, width int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d-core sharing study (%d mixes):\n", r.Cores, len(r.Mixes[sim.Static]))
-	for _, lv := range r.Levels {
-		fmt.Fprintf(&b, "  %-7s geomean=%.3f fairness=%.3f\n", lv, r.OverallGeomean(lv), r.OverallFairness(lv))
+	b.WriteString(title + ":\n")
+	for _, lv := range s.Levels {
+		fmt.Fprintf(&b, "  %-*v geomean=%.3f fairness=%.3f\n", width, lv, s.OverallGeomean(lv), s.OverallFairness(lv))
 	}
 	return b.String()
 }
@@ -110,30 +118,40 @@ func newMixScore(names []string, speedups []float64) MixScore {
 	}
 }
 
-// SharingGrid is the paper's central study (§4.2, Figs 4-7) as data:
-// every mix run at every sharing level, each core's cycles divided by
-// its workload's solo Ideal run. It is the one implementation of that
-// computation: DualCoreSharing and QuadCoreSharing run it on a Runner,
-// and the serving layer's sweeps expand it into jobs and score the
-// jobs' results with it.
-type SharingGrid struct {
+// Grid is a mix x level study as data: every mix run at every level,
+// each core's cycles divided by its workload's baseline cycles. It is
+// the one executor of the paper's grids (the sharing study of §4.2, the
+// bandwidth and walker partitioning of Figs 9-10 and 13-14, and the
+// ablations), and the serving layer's sweeps expand a SharingGrid into
+// jobs and score the jobs' results with it.
+type Grid[K comparable] struct {
 	Cores  int
-	Levels []sim.Sharing
+	Levels []K
 	Mixes  [][]string
+	// Config builds the system of one mix at Levels[level]. Nil means
+	// the standard system at the level, which needs sim.Sharing levels.
+	Config func(mix []string, level int) (sim.Config, error)
+	// Baseline builds the system whose core-0 cycles a workload's
+	// speedups are divided into. Nil means its solo Ideal (§4.1.3).
+	Baseline func(workload string) (sim.Config, error)
 }
 
+// SharingGrid is the paper's central study (§4.2, Figs 4-7): every mix
+// at every sharing level on the standard system, against solo Ideals.
+type SharingGrid = Grid[sim.Sharing]
+
 // Len returns the number of cells, len(Mixes) x len(Levels).
-func (g SharingGrid) Len() int { return len(g.Mixes) * len(g.Levels) }
+func (g Grid[K]) Len() int { return len(g.Mixes) * len(g.Levels) }
 
 // Cell returns cell i of the mix-major, level-minor enumeration.
-func (g SharingGrid) Cell(i int) (mix []string, level sim.Sharing) {
+func (g Grid[K]) Cell(i int) (mix []string, level K) {
 	nl := len(g.Levels)
 	return g.Mixes[i/nl], g.Levels[i%nl]
 }
 
 // Ideals lists the grid's distinct workloads in first-appearance order:
-// the solo Ideal runs its speedups are normalized to.
-func (g SharingGrid) Ideals() []string {
+// the baseline runs its speedups are normalized to.
+func (g Grid[K]) Ideals() []string {
 	var out []string
 	seen := make(map[string]bool)
 	for _, mix := range g.Mixes {
@@ -147,24 +165,24 @@ func (g SharingGrid) Ideals() []string {
 	return out
 }
 
-// Score turns measured cycles into the SharingResult: cells[i] holds
-// cell i's per-core cycles and ideal each workload's Ideal cycles.
-func (g SharingGrid) Score(cells [][]int64, ideal map[string]int64) (SharingResult, error) {
+// Score turns measured cycles into Scores: cells[i] holds cell i's
+// per-core cycles and ideal each workload's baseline cycles.
+func (g Grid[K]) Score(cells [][]int64, ideal map[string]int64) (Scores[K], error) {
 	if len(cells) != g.Len() {
-		return SharingResult{}, fmt.Errorf("experiments: %d cell results for a %d-cell grid", len(cells), g.Len())
+		return Scores[K]{}, fmt.Errorf("experiments: %d cell results for a %d-cell grid", len(cells), g.Len())
 	}
-	out := SharingResult{Cores: g.Cores, Levels: g.Levels, Mixes: make(map[sim.Sharing][]MixScore)}
+	out := Scores[K]{Cores: g.Cores, Levels: g.Levels, Mixes: make(map[K][]MixScore)}
 	for i, cycles := range cells {
 		mix, lv := g.Cell(i)
 		if len(cycles) < len(mix) {
-			return SharingResult{}, fmt.Errorf("experiments: %v %s: %d core results for %d workloads",
+			return Scores[K]{}, fmt.Errorf("experiments: %v %v: %d core results for %d workloads",
 				mix, lv, len(cycles), len(mix))
 		}
 		sp := make([]float64, len(mix))
 		for k, w := range mix {
 			ib, ok := ideal[w]
 			if !ok {
-				return SharingResult{}, fmt.Errorf("experiments: no ideal baseline for %s", w)
+				return Scores[K]{}, fmt.Errorf("experiments: no ideal baseline for %s", w)
 			}
 			sp[k] = metrics.Speedup(ib, cycles[k])
 		}
@@ -173,43 +191,66 @@ func (g SharingGrid) Score(cells [][]int64, ideal map[string]int64) (SharingResu
 	return out, nil
 }
 
-// Run simulates the grid on r's worker pool and scores it. Cells and
-// Ideal baselines go through r's memo, so grids sharing cells (Figs 4
-// and 6, Figs 5 and 7) simulate each once, and the result is identical
-// at any worker count.
-func (g SharingGrid) Run(r *Runner) (SharingResult, error) {
-	cells := make([][]int64, g.Len())
-	err := r.ForEach(len(cells), func(i int) error {
-		mix, lv := g.Cell(i)
-		res, err := r.mix(mix, lv)
+// Run simulates the grid's cells and baselines through r's memo on its
+// worker pool, then scores them. Units are laid out as a served sweep
+// lays out its jobs: cell i first, then one baseline per workload in
+// Ideals order. The result is identical at any worker count.
+func (g Grid[K]) Run(r *Runner) (Scores[K], error) {
+	ideals := g.Ideals()
+	n := g.Len()
+	cycles := make([][]int64, n+len(ideals))
+	err := r.ForEach(len(cycles), func(i int) error {
+		var cfg sim.Config
+		var err error
+		if i < n {
+			cfg, err = g.cellConfig(r, i)
+		} else {
+			cfg, err = g.baselineConfig(r, ideals[i-n])
+		}
 		if err != nil {
 			return err
 		}
-		cells[i] = make([]int64, len(res.Cores))
-		for k, c := range res.Cores {
-			cells[i][k] = c.Cycles
+		res, err := r.result(cfg)
+		if err != nil {
+			return err
 		}
-		// The cell's Ideal baselines run here too, on the pool beside
-		// the cells rather than serially after them.
-		for _, w := range mix {
-			if _, err := r.Ideal(w); err != nil {
-				return err
-			}
+		cycles[i] = make([]int64, len(res.Cores))
+		for k, c := range res.Cores {
+			cycles[i][k] = c.Cycles
 		}
 		return nil
 	})
 	if err != nil {
-		return SharingResult{}, err
+		return Scores[K]{}, err
 	}
-	ideal := make(map[string]int64)
-	for _, w := range g.Ideals() {
-		ib, err := r.Ideal(w)
-		if err != nil {
-			return SharingResult{}, err
-		}
-		ideal[w] = ib.Cycles
+	ideal := make(map[string]int64, len(ideals))
+	for k, w := range ideals {
+		ideal[w] = cycles[n+k][0]
 	}
-	return g.Score(cells, ideal)
+	return g.Score(cycles[:n], ideal)
+}
+
+// cellConfig builds cell i's system with Config, or as the standard
+// system at its sharing level.
+func (g Grid[K]) cellConfig(r *Runner, i int) (sim.Config, error) {
+	mix, lv := g.Cell(i)
+	if g.Config != nil {
+		return g.Config(mix, i%len(g.Levels))
+	}
+	level, ok := any(lv).(sim.Sharing)
+	if !ok {
+		return sim.Config{}, fmt.Errorf("experiments: a grid of %T levels needs a Config", lv)
+	}
+	return sim.NewWorkloadConfig(r.opts.Scale, level, mix...)
+}
+
+// baselineConfig builds workload w's baseline with Baseline, or as its
+// Ideal.
+func (g Grid[K]) baselineConfig(r *Runner, w string) (sim.Config, error) {
+	if g.Baseline != nil {
+		return g.Baseline(w)
+	}
+	return r.idealConfig(w)
 }
 
 // DualCoreSharing runs Fig 4 (performance) and Fig 6 (fairness): all 36
@@ -220,8 +261,9 @@ func DualCoreSharing(r *Runner) (SharingResult, error) {
 
 // Mixes enumerates the M(len(names), cores) workload mixes in the
 // deterministic multiset order, optionally sampled. With seed 0 the
-// sample keeps every k-th mix (k = population/sample, the stride the
-// quad experiments have always used); a non-zero seed instead keeps a
+// sample keeps every k-th mix (k = population/sample rounded down, the
+// stride the quad experiments have always used), so it keeps at least
+// sample mixes and can keep a few more; a non-zero seed instead keeps a
 // seed-keyed random subset of exactly sample mixes, still in
 // enumeration order. The same (names, cores, sample, seed) always
 // yields the same list.
@@ -254,8 +296,10 @@ func Mixes(names []string, cores, sample int, seed int64) [][]string {
 	return out
 }
 
-// QuadMixes enumerates the 330 quad-core mixes, optionally sampled down
-// to at most sample mixes (every k-th of the deterministic order).
+// QuadMixes enumerates the 330 quad-core mixes, optionally sampled:
+// every k-th mix of the deterministic order, k = 330/sample rounded
+// down, which keeps at least sample mixes and can keep a few more
+// (sample 40 keeps 42).
 func QuadMixes(names []string, sample int) [][]string {
 	return Mixes(names, 4, sample, 0)
 }
@@ -284,25 +328,30 @@ func (s SensitivityResult) String() string {
 	return b.String()
 }
 
-// ContentionSensitivity runs Fig 8 over the cached dual +DWT mixes.
+// ContentionSensitivity runs Fig 8 over the dual +DWT mixes.
 func ContentionSensitivity(r *Runner) (SensitivityResult, error) {
-	out := SensitivityResult{Speedups: map[string][]float64{}, Boxes: map[string]metrics.BoxStats{}}
-	mixes := r.DualMixes()
-	pairs := make([][2]float64, len(mixes))
-	err := r.ForEach(len(mixes), func(i int) error {
-		sa, sb, err := r.mixSpeedups(mixes[i][0], mixes[i][1], sim.ShareDWT)
-		pairs[i] = [2]float64{sa, sb}
-		return err
-	})
+	scores, err := dualDWT(r)
 	if err != nil {
 		return SensitivityResult{}, err
 	}
-	for i, mix := range mixes {
-		out.Speedups[mix[0]] = append(out.Speedups[mix[0]], pairs[i][0])
-		out.Speedups[mix[1]] = append(out.Speedups[mix[1]], pairs[i][1])
+	out := SensitivityResult{Speedups: map[string][]float64{}, Boxes: map[string]metrics.BoxStats{}}
+	for _, m := range scores {
+		for k, w := range m.Workloads {
+			out.Speedups[w] = append(out.Speedups[w], m.Speedups[k])
+		}
 	}
 	for w, sp := range out.Speedups {
 		out.Boxes[w] = metrics.Box(sp)
 	}
 	return out, nil
+}
+
+// dualDWT scores the 36 dual-core mixes at +DWT, in Mixes order: Fig 4's
+// +DWT cells, which Figs 8 and 17 read.
+func dualDWT(r *Runner) ([]MixScore, error) {
+	res, err := SharingGrid{Cores: 2, Levels: []sim.Sharing{sim.ShareDWT}, Mixes: Mixes(r.Names(), 2, 0, 0)}.Run(r)
+	if err != nil {
+		return nil, err
+	}
+	return res.Mixes[sim.ShareDWT], nil
 }

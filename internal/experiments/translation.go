@@ -40,83 +40,44 @@ func PTWPartitionSchemes(total int) []PTWScheme {
 // PTWPartitionResult reproduces Figs 13-14: performance and fairness of
 // walker-partitioning schemes on the dual-core NPU. DRAM stays shared
 // (the comparison is static walker partitioning versus dynamic +DW).
+// Its levels are the scheme names.
 type PTWPartitionResult struct {
-	Schemes []string
-	Mixes   map[string][]MixScore
-}
-
-// OverallGeomean returns the geomean of per-mix geomeans for a scheme.
-func (r PTWPartitionResult) OverallGeomean(scheme string) float64 {
-	vals := make([]float64, len(r.Mixes[scheme]))
-	for i, m := range r.Mixes[scheme] {
-		vals[i] = m.Geomean
-	}
-	return metrics.MustGeomean(vals)
-}
-
-// OverallFairness returns mean fairness for a scheme.
-func (r PTWPartitionResult) OverallFairness(scheme string) float64 {
-	vals := make([]float64, len(r.Mixes[scheme]))
-	for i, m := range r.Mixes[scheme] {
-		vals[i] = m.Fairness
-	}
-	return metrics.Mean(vals)
+	Scores[string]
 }
 
 func (r PTWPartitionResult) String() string {
-	var b strings.Builder
-	b.WriteString("PTW partitioning (dual-core, DRAM shared):\n")
-	for _, s := range r.Schemes {
-		fmt.Fprintf(&b, "  %-8s geomean=%.3f fairness=%.3f\n", s, r.OverallGeomean(s), r.OverallFairness(s))
-	}
-	return b.String()
+	return r.summary("PTW partitioning (dual-core, DRAM shared)", 8)
 }
 
-// PTWPartitioning runs Figs 13-14.
+// ptwGrid is the walker-partitioning study of schemes over mixes: +DW
+// with each static split's walkers pinned to its cores. The dynamic
+// scheme's cells are the sharing study's +DW cells.
+func ptwGrid(r *Runner, schemes []PTWScheme, mixes [][]string) Grid[string] {
+	names := make([]string, len(schemes))
+	for i, s := range schemes {
+		names[i] = s.Name
+	}
+	return Grid[string]{
+		Cores: 2, Levels: names, Mixes: mixes,
+		Config: func(mix []string, scheme int) (sim.Config, error) {
+			cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.ShareDW, mix...)
+			if err != nil {
+				return sim.Config{}, err
+			}
+			if s := schemes[scheme].Split; s != [2]int{} {
+				cfg.WalkerMin = []int{s[0], s[1]}
+				cfg.WalkerMax = []int{s[0], s[1]}
+			}
+			return cfg, nil
+		},
+	}
+}
+
+// PTWPartitioning runs Figs 13-14 over the 36 dual mixes.
 func PTWPartitioning(r *Runner) (PTWPartitionResult, error) {
-	p := sim.ParamsFor(r.opts.Scale)
-	schemes := PTWPartitionSchemes(2 * p.PTWs)
-	out := PTWPartitionResult{Mixes: map[string][]MixScore{}}
-	for _, s := range schemes {
-		out.Schemes = append(out.Schemes, s.Name)
-	}
-	mixes := r.DualMixes()
-	ns := len(schemes)
-	scores := make([]MixScore, len(mixes)*ns)
-	err := r.ForEach(len(scores), func(i int) error {
-		mix, s := mixes[i/ns], schemes[i%ns]
-		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.ShareDW, mix[0], mix[1])
-		if err != nil {
-			return err
-		}
-		if s.Split != [2]int{} {
-			cfg.WalkerMin = []int{s.Split[0], s.Split[1]}
-			cfg.WalkerMax = []int{s.Split[0], s.Split[1]}
-		}
-		res, err := r.run(cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: ptw %s+%s %s: %w", mix[0], mix[1], s.Name, err)
-		}
-		r.logf("ptw %s+%s %s done", mix[0], mix[1], s.Name)
-		sa, err := r.Speedup(mix[0], res.Cores[0].Cycles)
-		if err != nil {
-			return err
-		}
-		sb, err := r.Speedup(mix[1], res.Cores[1].Cycles)
-		if err != nil {
-			return err
-		}
-		scores[i] = newMixScore(mix[:], []float64{sa, sb})
-		return nil
-	})
-	if err != nil {
-		return PTWPartitionResult{}, err
-	}
-	for i, sc := range scores {
-		name := schemes[i%ns].Name
-		out.Mixes[name] = append(out.Mixes[name], sc)
-	}
-	return out, nil
+	schemes := PTWPartitionSchemes(2 * sim.ParamsFor(r.opts.Scale).PTWs)
+	res, err := ptwGrid(r, schemes, Mixes(r.Names(), 2, 0, 0)).Run(r)
+	return PTWPartitionResult{Scores: res}, err
 }
 
 // PageSizeSingleResult reproduces Fig 15: single-core speedup of the
@@ -158,13 +119,12 @@ func PageSizeSingle(r *Runner) (PageSizeSingleResult, error) {
 	cycles := make([]int64, len(names)*np)
 	err := r.ForEach(len(cycles), func(i int) error {
 		w, pi := names[i/np], i%np
-		base, err := sim.NewWorkloadConfig(r.opts.Scale, sim.Static, w, w)
+		cfg, err := r.idealConfig(w)
 		if err != nil {
 			return err
 		}
-		cfg := sim.IdealFor(base, 0)
 		pageConfig(&cfg, r.opts.Scale, pi)
-		res, err := r.run(cfg)
+		res, err := r.result(cfg)
 		if err != nil {
 			return fmt.Errorf("experiments: page %s %s: %w", w, out.Pages[pi], err)
 		}
@@ -222,12 +182,8 @@ func PageSizeMulti(r *Runner) (PageSizeMultiResult, error) {
 		Fairness: map[int][]float64{},
 	}
 	for _, cores := range []int{2, 4} {
-		var mixes [][]string
-		if cores == 2 {
-			for _, m := range r.DualMixes() {
-				mixes = append(mixes, []string{m[0], m[1]})
-			}
-		} else {
+		mixes := Mixes(r.Names(), 2, 0, 0)
+		if cores == 4 {
 			sample := r.opts.QuadSample
 			if sample == 0 || sample > 20 {
 				sample = 20 // three page sizes make the full sweep heavy
@@ -240,13 +196,12 @@ func PageSizeMulti(r *Runner) (PageSizeMultiResult, error) {
 		idealCycles := make([]int64, np*nw)
 		err := r.ForEach(len(idealCycles), func(i int) error {
 			pi, w := i/nw, names[i%nw]
-			base, err := sim.NewWorkloadConfig(r.opts.Scale, sim.Static, w, w)
+			cfg, err := r.idealConfig(w)
 			if err != nil {
 				return err
 			}
-			cfg := sim.IdealFor(base, 0)
 			pageConfig(&cfg, r.opts.Scale, pi)
-			res, err := r.run(cfg)
+			res, err := r.result(cfg)
 			if err != nil {
 				return err
 			}
@@ -274,7 +229,7 @@ func PageSizeMulti(r *Runner) (PageSizeMultiResult, error) {
 				return err
 			}
 			pageConfig(&cfg, r.opts.Scale, pi)
-			res, err := r.run(cfg)
+			res, err := r.result(cfg)
 			if err != nil {
 				return fmt.Errorf("experiments: page multi %v %s: %w", mix, out.Pages[pi], err)
 			}

@@ -186,10 +186,12 @@ type SweepSpec struct {
 	// empty means all four, in the paper's order.
 	Sharing []string `json:"sharing,omitempty"`
 	// Sample, when positive and smaller than the full population,
-	// samples the mix enumeration down to at most this many mixes:
-	// every k-th mix when Seed is 0 (the deterministic stride the
-	// quad experiments use), or a Seed-keyed random subset (kept in
-	// enumeration order) otherwise.
+	// samples the mix enumeration. With Seed 0 it keeps every k-th mix,
+	// k = population/Sample rounded down (the deterministic stride the
+	// quad experiments use), so at least Sample mixes and possibly a few
+	// more: 40 of the 330 quad mixes keeps 42. Otherwise it keeps a
+	// Seed-keyed random subset of exactly Sample mixes, in enumeration
+	// order.
 	Sample int `json:"sample,omitempty"`
 	// Seed keys the sampled-subset selection; 0 selects stride
 	// sampling. The same (grid, sample, seed) always expands to the

@@ -5,8 +5,7 @@
 //
 // The recorders are thin consumers of the internal/obs probe stream:
 // both implement obs.Sink, so sim.Config.Obs is the one instrumentation
-// path and the recorders are just backends over it. The legacy Record
-// entry points remain for direct use.
+// path and the recorders are just backends over it.
 package trace
 
 import (
@@ -21,9 +20,8 @@ import (
 // Fig. 2(b) plots the moving average of memory requests over 1000-cycle
 // windows.
 type RateRecorder struct {
-	window  int64
-	counts  []int64
-	maxSeen int64
+	window int64
+	counts []int64
 }
 
 // NewRateRecorder creates a recorder with the given window size in
@@ -34,9 +32,6 @@ func NewRateRecorder(window int64) (*RateRecorder, error) {
 	}
 	return &RateRecorder{window: window}, nil
 }
-
-// Record counts one event (weight 1) at the given cycle.
-func (r *RateRecorder) Record(cycle int64) { r.Add(cycle, 1) }
 
 // Emit implements obs.Sink: the recorder counts DMA request issues from
 // the probe stream, the Fig. 2b burstiness signal. All other event
@@ -57,16 +52,10 @@ func (r *RateRecorder) Add(cycle, weight int64) {
 		r.counts = append(r.counts, 0)
 	}
 	r.counts[w] += weight
-	if cycle > r.maxSeen {
-		r.maxSeen = cycle
-	}
 }
 
 // Window returns the window size.
 func (r *RateRecorder) Window() int64 { return r.window }
-
-// Counts returns the per-window event counts.
-func (r *RateRecorder) Counts() []int64 { return r.counts }
 
 // Rates returns events per cycle for each window.
 func (r *RateRecorder) Rates() []float64 {
@@ -121,13 +110,14 @@ func NewBandwidthRecorder(cores int, window int64) (*BandwidthRecorder, error) {
 // event kinds are ignored.
 func (b *BandwidthRecorder) Emit(e obs.Event) {
 	if e.Kind == obs.KindTransfer {
-		b.Record(e.Cycle.Int64(), int(e.Core), int(e.A), mem.Class(e.B))
+		b.Record(e.Cycle.Int64(), int(e.Core), int(e.A))
 	}
 }
 
-// Record attributes a completed transfer; it is shaped to plug directly
-// into dram.Memory's OnTransfer hook.
-func (b *BandwidthRecorder) Record(now int64, core int, bytes int, _ mem.Class) {
+// Record attributes a completed transfer of bytes to core at cycle now;
+// Emit feeds it the probe stream's transfers. Transfers of cores outside
+// the recorder's range, or at negative cycles, are dropped.
+func (b *BandwidthRecorder) Record(now int64, core, bytes int) {
 	if core < 0 || core >= b.cores || now < 0 {
 		return
 	}
@@ -149,31 +139,6 @@ func (b *BandwidthRecorder) Utilization(core int, peakBytesPerCycle float64) []f
 		out[i] = float64(v) / (peakBytesPerCycle * float64(b.window))
 	}
 	return out
-}
-
-// Sum returns the per-window total across cores as a fraction of peak
-// (the ds2+gpt2 line of Fig. 12).
-func (b *BandwidthRecorder) Sum(peakBytesPerCycle float64) []float64 {
-	n := 0
-	for _, c := range b.bytes {
-		n = max(n, len(c))
-	}
-	out := make([]float64, n)
-	for _, c := range b.bytes {
-		for i, v := range c {
-			out[i] += float64(v) / (peakBytesPerCycle * float64(b.window))
-		}
-	}
-	return out
-}
-
-// Windows returns the number of recorded windows across all cores.
-func (b *BandwidthRecorder) Windows() int {
-	n := 0
-	for _, c := range b.bytes {
-		n = max(n, len(c))
-	}
-	return n
 }
 
 // RequestLog writes request records in the artifact's log format:

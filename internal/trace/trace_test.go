@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mnpusim/internal/clock"
 	"mnpusim/internal/mem"
 	"mnpusim/internal/obs"
 )
@@ -19,19 +20,15 @@ func mustRate(t *testing.T, window int64) *RateRecorder {
 
 func TestRateRecorderWindows(t *testing.T) {
 	r := mustRate(t, 100)
-	r.Record(0)
-	r.Record(99)
-	r.Record(100)
+	r.Add(0, 1)
+	r.Add(99, 1)
+	r.Add(100, 1)
 	r.Add(250, 5)
-	counts := r.Counts()
-	if len(counts) != 3 {
-		t.Fatalf("windows = %d", len(counts))
-	}
-	if counts[0] != 2 || counts[1] != 1 || counts[2] != 5 {
-		t.Errorf("counts = %v", counts)
-	}
 	rates := r.Rates()
-	if rates[0] != 0.02 || rates[2] != 0.05 {
+	if len(rates) != 3 {
+		t.Fatalf("windows = %d", len(rates))
+	}
+	if rates[0] != 0.02 || rates[1] != 0.01 || rates[2] != 0.05 {
 		t.Errorf("rates = %v", rates)
 	}
 	if r.Window() != 100 {
@@ -41,8 +38,8 @@ func TestRateRecorderWindows(t *testing.T) {
 
 func TestRateRecorderIgnoresNegativeCycles(t *testing.T) {
 	r := mustRate(t, 10)
-	r.Record(-1)
-	if len(r.Counts()) != 0 {
+	r.Add(-1, 1)
+	if len(r.Rates()) != 0 {
 		t.Error("negative cycle recorded")
 	}
 }
@@ -91,25 +88,21 @@ func TestBandwidthRecorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Record(0, 0, 64, mem.Data)
-	b.Record(50, 0, 64, mem.Data)
-	b.Record(150, 1, 128, mem.Data)
-	b.Record(10, 5, 64, mem.Data) // out-of-range core ignored
-	b.Record(-1, 0, 64, mem.Data) // negative cycle ignored
-	u0 := b.Utilization(0, 1.28)  // peak 1.28 B/cyc -> 128 B per window
+	transfer := func(cycle int64, core, bytes int) {
+		b.Emit(obs.Event{Cycle: clock.Global(cycle), Kind: obs.KindTransfer, Core: int32(core), A: int64(bytes), B: int64(mem.Data)})
+	}
+	transfer(0, 0, 64)
+	transfer(50, 0, 64)
+	transfer(150, 1, 128)
+	transfer(10, 5, 64)          // out-of-range core ignored
+	transfer(-1, 0, 64)          // negative cycle ignored
+	u0 := b.Utilization(0, 1.28) // peak 1.28 B/cyc -> 128 B per window
 	if len(u0) != 1 || u0[0] != 1.0 {
 		t.Errorf("core0 util = %v", u0)
 	}
 	u1 := b.Utilization(1, 1.28)
 	if len(u1) != 2 || u1[1] != 1.0 || u1[0] != 0 {
 		t.Errorf("core1 util = %v", u1)
-	}
-	sum := b.Sum(1.28)
-	if len(sum) != 2 || sum[0] != 1.0 || sum[1] != 1.0 {
-		t.Errorf("sum = %v", sum)
-	}
-	if b.Windows() != 2 {
-		t.Errorf("windows = %d", b.Windows())
 	}
 	if b.Utilization(7, 1) != nil {
 		t.Error("bad core should return nil")
@@ -129,8 +122,8 @@ func TestRecordersConsumeProbeStream(t *testing.T) {
 	sink.Emit(obs.Event{Cycle: 20, Kind: obs.KindDMAIssue, Core: 0, A: 2})
 	sink.Emit(obs.Event{Cycle: 30, Kind: obs.KindTransfer, Core: 1, Unit: 0, A: 128, B: int64(mem.Data)})
 	sink.Emit(obs.Event{Cycle: 40, Kind: obs.KindTLBHit, Core: 0}) // ignored by both
-	if got := r.Counts(); len(got) != 1 || got[0] != 2 {
-		t.Errorf("rate counts = %v, want [2]", got)
+	if got := r.Rates(); len(got) != 1 || got[0] != 0.02 {
+		t.Errorf("rates = %v, want [0.02]", got)
 	}
 	if got := b.Utilization(1, 1.28); len(got) != 1 || got[0] != 1.0 {
 		t.Errorf("bandwidth util = %v, want [1]", got)
