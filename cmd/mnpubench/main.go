@@ -65,6 +65,7 @@ type experiment struct {
 }
 
 func table() []experiment {
+	mapping := &mappingFigs{}
 	return []experiment{
 		{"fig2b", "memory-request burstiness of NCF (single core)", runFig2b},
 		{"fig4", "dual-core mix performance: Static/+D/+DW/+DWT vs Ideal (36 mixes)", runFig4},
@@ -80,8 +81,8 @@ func table() []experiment {
 		{"fig14", "PTW partitioning fairness", runFig14},
 		{"fig15", "page-size speedup, single core", runFig15},
 		{"fig16", "page-size performance and fairness, dual and quad core", runFig16},
-		{"fig17", "workload-mapping performance CDF (worst/random/predicted/oracle)", runFig17},
-		{"fig18", "workload-mapping fairness CDF", runFig18},
+		{"fig17", "workload-mapping performance CDF (worst/random/predicted/oracle)", mapping.fig17},
+		{"fig18", "workload-mapping fairness CDF", mapping.fig18},
 		{"ablate", "design-choice ablations (TLB assoc, walkers, double buffering, scheduling, walk model, DMA width, dataflow, walker sharing)", runAblations},
 		{"energy", "off-chip energy per bit of sfrnn+gpt2, Static vs +DWT", runEnergy},
 	}
@@ -182,27 +183,11 @@ func run(ctx context.Context, args []string) error {
 	}
 	fmt.Printf("(%d simulations)\n", r.Simulations())
 	if reg != nil {
-		if err := writeCounters(*obsCtr, reg.Snapshot()); err != nil {
+		if err := reg.Snapshot().WriteFile(*obsCtr); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeCounters writes a registry snapshot to path, or stdout for "-".
-func writeCounters(path string, snap obs.Snapshot) error {
-	if path == "-" {
-		return snap.WriteText(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func runFig2b(r *experiments.Runner) error {
@@ -402,8 +387,24 @@ func runFig16(r *experiments.Runner) error {
 	return nil
 }
 
-func runFig17(r *experiments.Runner) error {
-	res, err := experiments.WorkloadMapping(r)
+// mappingFigs prints Figs 17 and 18, the two halves of one
+// MappingResult, so a run trains the predictor and scores every set
+// once. One table() holds one study.
+type mappingFigs struct{ res *experiments.MappingResult }
+
+func (m *mappingFigs) study(r *experiments.Runner) (*experiments.MappingResult, error) {
+	if m.res == nil {
+		res, err := experiments.WorkloadMapping(r)
+		if err != nil {
+			return nil, err
+		}
+		m.res = &res
+	}
+	return m.res, nil
+}
+
+func (m *mappingFigs) fig17(r *experiments.Runner) error {
+	res, err := m.study(r)
 	if err != nil {
 		return err
 	}
@@ -420,8 +421,8 @@ func runFig17(r *experiments.Runner) error {
 	return nil
 }
 
-func runFig18(r *experiments.Runner) error {
-	res, err := experiments.WorkloadMapping(r)
+func (m *mappingFigs) fig18(r *experiments.Runner) error {
+	res, err := m.study(r)
 	if err != nil {
 		return err
 	}

@@ -146,7 +146,7 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("obs trace written to %s\n", *obsFlag)
 	}
 	if cfg.Metrics != nil {
-		if err := writeCounters(*obsCounters, cfg.Metrics.Snapshot()); err != nil {
+		if err := cfg.Metrics.Snapshot().WriteFile(*obsCounters); err != nil {
 			return err
 		}
 	}
@@ -289,22 +289,6 @@ func writeResults(dir string, cfg sim.Config, res sim.Result) error {
 		}
 	}
 	return nil
-}
-
-// writeCounters writes a registry snapshot to path, or stdout for "-".
-func writeCounters(path string, snap obs.Snapshot) error {
-	if path == "-" {
-		return snap.WriteText(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func human(b int64) string {

@@ -182,7 +182,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "obs trace written to %s\n", *obsF)
 	}
 	if reg != nil {
-		if err := writeCounters(*obsCtr, reg.Snapshot()); err != nil {
+		if err := reg.Snapshot().WriteFile(*obsCtr); err != nil {
 			return err
 		}
 	}
@@ -255,7 +255,7 @@ func postmortem(inPath, obsPath, ctrPath string) error {
 			obsPath, sum.Events, len(sum.ProcessNames), len(sum.ThreadNames))
 	}
 	if ctrPath != "" {
-		if err := writeCounters(ctrPath, d.Snapshot()); err != nil {
+		if err := d.Snapshot().WriteFile(ctrPath); err != nil {
 			return err
 		}
 		if ctrPath != "-" {
@@ -342,20 +342,4 @@ func spans(inPath, obsPath string) error {
 			obsPath, sum.Events, len(sum.ProcessNames), len(sum.ThreadNames))
 	}
 	return nil
-}
-
-// writeCounters writes a registry snapshot to path, or stdout for "-".
-func writeCounters(path string, snap obs.Snapshot) error {
-	if path == "-" {
-		return snap.WriteText(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := snap.WriteText(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

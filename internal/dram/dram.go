@@ -8,8 +8,8 @@ import (
 	"mnpusim/internal/obs"
 )
 
-// TransferFunc observes every completed data burst; used by the
-// bandwidth-timeline instrumentation (Fig. 12).
+// TransferFunc observes every completed data burst; the simulator
+// uses it for per-core byte accounting.
 type TransferFunc func(now clock.Global, core int, bytes int, class mem.Class)
 
 // Memory is one DRAM device: a set of channels with per-channel
@@ -20,7 +20,6 @@ type Memory struct {
 	channels []*channel
 	mappers  []Mapper // indexed by core
 	seq      uint64
-	inflight int
 
 	// OnTransfer, if non-nil, is called when a request's data burst
 	// completes.
@@ -169,11 +168,9 @@ func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 	}
 	loc := m.mapperFor(r.Core).Locate(r.Addr)
 	m.seq++
-	m.inflight++
 	inner := r.Done
 	chIdx := int32(loc.Channel)
 	r.Done = func(done clock.Global, rr *mem.Request) {
-		m.inflight--
 		if m.obs != nil {
 			m.obs.Emit(obs.Event{Cycle: done, Kind: obs.KindTransfer, Core: int32(rr.Core),
 				Unit: chIdx, A: int64(rr.Size), B: int64(rr.Class)})
@@ -199,13 +196,6 @@ func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 	return true
 }
 
-// Tick advances every channel controller by one global cycle.
-func (m *Memory) Tick(now clock.Global) {
-	for i := range m.channels {
-		m.TickChannel(i, now)
-	}
-}
-
 // Channels returns the number of channels in the device.
 func (m *Memory) Channels() int { return len(m.channels) }
 
@@ -223,40 +213,14 @@ func (m *Memory) TickChannel(ch int, now clock.Global) {
 }
 
 // ChannelNextEventAfter returns the earliest future cycle at which
-// channel ch needs ticking (see the device-wide NextEventAfter for the
-// contract: queued commands are cycle-by-cycle, completions and refresh
-// deadlines are absolute bounds).
+// channel ch needs ticking: the first cycle a queued request could
+// issue a command, a burst completes, or a refresh falls due. An idle
+// channel still reports its next refresh deadline, so no sleep spans a
+// refresh; one with no work and no refresh returns a far-future
+// sentinel.
 func (m *Memory) ChannelNextEventAfter(ch int, now clock.Global) clock.Global {
 	return m.channels[ch].nextEventAfter(now)
 }
-
-// Busy reports whether any channel has queued or in-flight work.
-func (m *Memory) Busy() bool { return m.inflight > 0 }
-
-// NextEventAfter returns the earliest future cycle at which the device
-// needs ticking. Every channel is consulted — even one with no queued
-// or in-flight work has refresh deadlines that bound how far the system
-// may fast-forward. With no work and no deadlines it returns a
-// far-future sentinel.
-func (m *Memory) NextEventAfter(now clock.Global) clock.Global {
-	var next clock.Global = clock.FarFuture
-	for _, ch := range m.channels {
-		e := ch.nextEventAfter(now)
-		if e <= now+1 {
-			return e
-		}
-		if e < next {
-			next = e
-		}
-	}
-	return next
-}
-
-// SkipTo is a no-op: NextEventAfter already refuses to fast-forward
-// past any completion or refresh deadline, so a skipped window contains
-// no channel state change and there is no bookkeeping to catch up. It
-// exists to complete the NextEventAfter/SkipTo fast-forward protocol.
-func (m *Memory) SkipTo(now clock.Global) {}
 
 // Stats aggregates counters across channels.
 type Stats struct {

@@ -40,13 +40,37 @@ func (tm *testMemory) request(core int, addr uint64, kind mem.Kind, doneAt *cloc
 	}
 }
 
+// tickAll ticks every channel of m at now, as the event kernel does on
+// a cycle at which every channel is due.
+func tickAll(m *Memory, now clock.Global) {
+	for ch := range m.Channels() {
+		m.TickChannel(ch, now)
+	}
+}
+
+// busy reports whether any channel of m holds a queued request or a
+// burst still in flight.
+func busy(m *Memory) bool {
+	for _, c := range m.channels {
+		if len(c.queue) > 0 || len(c.completions) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// tick advances the memory by one cycle.
+func (tm *testMemory) tick() {
+	tickAll(tm.m, tm.now)
+	tm.now++
+}
+
 // tickUntilIdle advances the memory until no work remains, returning
 // the cycle it went idle. It fails the test after limit cycles.
 func (tm *testMemory) tickUntilIdle(limit clock.Global) clock.Global {
 	for i := clock.Global(0); i < limit; i++ {
-		tm.m.Tick(tm.now)
-		tm.now++
-		if !tm.m.Busy() {
+		tm.tick()
+		if !busy(tm.m) {
 			return tm.now
 		}
 	}
@@ -170,8 +194,7 @@ func TestStreamAchievesNearPeakBandwidth(t *testing.T) {
 		}) {
 			issued++
 		}
-		tm.m.Tick(tm.now)
-		tm.now++
+		tm.tick()
 	}
 	if completed != n {
 		t.Fatalf("completed %d of %d", completed, n)
@@ -215,8 +238,7 @@ func TestChannelPartitionIsolation(t *testing.T) {
 					issued1++
 				}
 			}
-			tm.m.Tick(tm.now)
-			tm.now++
+			tm.tick()
 		}
 		if done0 != n {
 			t.Fatalf("core 0 completed %d of %d", done0, n)
@@ -255,8 +277,7 @@ func TestSharedChannelContention(t *testing.T) {
 			}) {
 				issued0++
 			}
-			tm.m.Tick(tm.now)
-			tm.now++
+			tm.tick()
 		}
 		if done0 != n {
 			t.Fatalf("core 0 completed %d of %d", done0, n)
@@ -280,8 +301,7 @@ func TestRefreshHappens(t *testing.T) {
 				issued++
 			}
 		}
-		tm.m.Tick(tm.now)
-		tm.now++
+		tm.tick()
 	}
 	st := tm.m.Stats().Totals()
 	if st.Refreshes < 3 {
@@ -304,8 +324,7 @@ func TestRefreshNotStarvedBySaturatingStream(t *testing.T) {
 		for tm.m.Enqueue(tm.now, tm.request(0, uint64(issued*64), mem.Read, nil)) {
 			issued++
 		}
-		tm.m.Tick(tm.now)
-		tm.now++
+		tm.tick()
 	}
 	st := tm.m.Stats().Totals()
 	if st.Refreshes < 3 {
@@ -318,15 +337,18 @@ func TestSkipWindowBoundedByRefresh(t *testing.T) {
 	cfg := HBM2(1)
 	tm := newTestMemory(t, cfg)
 	refi := clock.Global(cfg.Timing.REFI)
-	// SkipTo performs no bookkeeping: refreshes happen by ticking at
-	// the deadline NextEventAfter reports, never by crediting, so
-	// skipped and ticked executions stay bit-identical.
-	tm.m.SkipTo(refi - 1)
-	if got := tm.m.Stats().Totals().Refreshes; got != 0 {
-		t.Errorf("SkipTo credited %d refreshes, want 0", got)
+	// An idle channel sleeps until its refresh deadline and no further:
+	// refreshes happen by ticking at that deadline, never by crediting a
+	// skipped window, so sleeping and ticked executions stay identical.
+	tm.m.TickChannel(0, 0)
+	if e := tm.m.ChannelNextEventAfter(0, 0); e != refi {
+		t.Fatalf("idle channel wakes at %d, want its refresh deadline %d", e, refi)
 	}
-	for now := refi - 1; now < refi+10; now++ {
-		tm.m.Tick(now)
+	if got := tm.m.Stats().Totals().Refreshes; got != 0 {
+		t.Errorf("refreshes before the deadline = %d, want 0", got)
+	}
+	for now := refi; now < refi+10; now++ {
+		tm.m.TickChannel(0, now)
 	}
 	if got := tm.m.Stats().Totals().Refreshes; got != 1 {
 		t.Errorf("refreshes after ticking past the deadline = %d, want 1", got)
@@ -334,16 +356,26 @@ func TestSkipWindowBoundedByRefresh(t *testing.T) {
 }
 
 func TestNextEventAfter(t *testing.T) {
-	cfg := HBM2(1)
+	cfg := HBM2(2)
 	tm := newTestMemory(t, cfg)
-	// An idle device's next event is its first refresh deadline: a
-	// fast-forward must never jump a refresh.
-	if e := tm.m.NextEventAfter(0); e != clock.Global(cfg.Timing.REFI) {
-		t.Errorf("idle next event = %d, want refresh deadline %d", e, cfg.Timing.REFI)
+	if err := tm.m.SetCoreChannels(0, []int{1}); err != nil {
+		t.Fatal(err)
 	}
+	// An idle channel's next event is its first refresh deadline: a
+	// sleep must never jump a refresh.
+	for ch := range cfg.Channels {
+		if e := tm.m.ChannelNextEventAfter(ch, 0); e != clock.Global(cfg.Timing.REFI) {
+			t.Errorf("idle channel %d next event = %d, want refresh deadline %d", ch, e, cfg.Timing.REFI)
+		}
+	}
+	// Queued work needs its channel ticked next cycle; the other
+	// channel still sleeps until its refresh.
 	tm.m.Enqueue(0, tm.request(0, 0, mem.Read, nil))
-	if e := tm.m.NextEventAfter(0); e != 1 {
+	if e := tm.m.ChannelNextEventAfter(1, 0); e != 1 {
 		t.Errorf("queued work should need ticking next cycle, got %d", e)
+	}
+	if e := tm.m.ChannelNextEventAfter(0, 0); e != clock.Global(cfg.Timing.REFI) {
+		t.Errorf("channel without work next event = %d, want refresh deadline %d", e, cfg.Timing.REFI)
 	}
 }
 
@@ -389,8 +421,7 @@ func TestConflictingRequestIsNotStarved(t *testing.T) {
 					issuedB++
 				}
 			}
-			tm.m.Tick(tm.now)
-			tm.now++
+			tm.tick()
 		}
 		if victimDone < 0 {
 			t.Fatalf("victim starved forever with cap=%d", cap)
@@ -424,8 +455,7 @@ func TestPTPriorityShortensWalkReadLatency(t *testing.T) {
 		pt := tm.request(0, 1<<21, mem.Read, &ptDone)
 		pt.Class = mem.PageTable
 		for !tm.m.Enqueue(tm.now, pt) {
-			tm.m.Tick(tm.now)
-			tm.now++
+			tm.tick()
 		}
 		for tm.now < 50000 && ptDone < 0 {
 			if issued < 256 {
@@ -433,8 +463,7 @@ func TestPTPriorityShortensWalkReadLatency(t *testing.T) {
 					issued++
 				}
 			}
-			tm.m.Tick(tm.now)
-			tm.now++
+			tm.tick()
 		}
 		if ptDone < 0 {
 			t.Fatal("PT read never completed")

@@ -54,8 +54,8 @@ func TestChannelWakeContract(t *testing.T) {
 			}
 
 			const cycles = 40_000
-			for now := clock.Global(0); now < cycles || ref.Busy() || wake.Busy(); now++ {
-				ref.Tick(now)
+			for now := clock.Global(0); now < cycles || busy(ref) || busy(wake); now++ {
+				tickAll(ref, now)
 				for ch := 0; ch < cfg.Channels; ch++ {
 					if armed[ch] > now {
 						continue

@@ -218,14 +218,6 @@ func (c Config) EffectiveWalkLatency() clock.Global {
 	return 50
 }
 
-// EffectiveWalkLevels resolves the walk depth.
-func (c Config) EffectiveWalkLevels() int {
-	if c.WalkLevels > 0 {
-		return c.WalkLevels
-	}
-	return c.PageSize.WalkLevels()
-}
-
 // TotalWalkers returns the size of the walker pool.
 func (c Config) TotalWalkers() int { return c.Cores * c.WalkersPerCore }
 

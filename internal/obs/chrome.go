@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -32,11 +33,13 @@ const (
 	walkTID = 1
 )
 
-// ChromeTrace is a streaming Sink writing the Chrome trace-event JSON
-// format (the "traceEvents" object form), loadable in Perfetto
-// (https://ui.perfetto.dev) or chrome://tracing. Timestamps are global
-// cycles written as microseconds, so one displayed microsecond is one
-// DRAM-clock cycle.
+// ChromeTrace is the Chrome trace-event JSON writer (the "traceEvents"
+// object form), loadable in Perfetto (https://ui.perfetto.dev) or
+// chrome://tracing. As a Sink it lays the probe stream out on the
+// tracks above, with global cycles written as microseconds, so one
+// displayed microsecond is one DRAM-clock cycle. Other timelines (the
+// flight recorder's replay, the serving layer's spans) write through
+// NameProcess, NameThread and Complete in their own units.
 //
 // High-frequency scalar events (TLB hits/misses, transfers) are left to
 // the registry and not written to the timeline; see the Emit switch for
@@ -110,24 +113,41 @@ func (t *ChromeTrace) raw(format string, args ...any) {
 	_, t.err = fmt.Fprintf(t.w, format, args...)
 }
 
-// meta writes a metadata record (process_name / thread_name).
-func (t *ChromeTrace) meta(kind string, pid, tid int, name string) {
-	t.raw(`{"ph":"M","name":%q,"pid":%d,"tid":%d,"args":{"name":%q}}`, kind, pid, tid, name)
+// quote returns s as a JSON string literal. %q is not JSON: it writes
+// a control byte as \x01. Marshaling a string cannot fail.
+func quote(s string) string {
+	b, _ := json.Marshal(s)
+	return string(b)
 }
 
-func (t *ChromeTrace) nameProcess(pid int, name string) {
+// NameProcess names process pid. Only the first name given for a pid
+// is written.
+func (t *ChromeTrace) NameProcess(pid int, name string) {
 	if !t.procNamed[pid] {
 		t.procNamed[pid] = true
-		t.meta("process_name", pid, 0, name)
+		t.raw(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}`, pid, quote(name))
 	}
 }
 
-func (t *ChromeTrace) nameThread(pid, tid int, name string) {
+// NameThread names thread tid of process pid. Only the first name given
+// for a track is written.
+func (t *ChromeTrace) NameThread(pid, tid int, name string) {
 	key := int64(pid)<<20 | int64(tid)
 	if !t.threadNamed[key] {
 		t.threadNamed[key] = true
-		t.meta("thread_name", pid, tid, name)
+		t.raw(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`, pid, tid, quote(name))
 	}
+}
+
+// Complete writes a complete ("X") event lasting dur from ts on thread
+// tid of process pid. args, if non-empty, is written in key order.
+func (t *ChromeTrace) Complete(name string, pid, tid int, ts, dur int64, args map[string]string) {
+	if len(args) == 0 {
+		t.raw(`{"ph":"X","name":%s,"pid":%d,"tid":%d,"ts":%d,"dur":%d}`, quote(name), pid, tid, ts, dur)
+		return
+	}
+	a, _ := json.Marshal(args) // cannot fail on a map of strings
+	t.raw(`{"ph":"X","name":%s,"pid":%d,"tid":%d,"ts":%d,"dur":%d,"args":%s}`, quote(name), pid, tid, ts, dur, a)
 }
 
 func (t *ChromeTrace) coreName(core int32) string {
@@ -139,33 +159,35 @@ func (t *ChromeTrace) coreName(core int32) string {
 
 func (t *ChromeTrace) ensureCoreTracks(core int32) int {
 	pid := corePIDBase + int(core)
-	t.nameProcess(pid, t.coreName(core))
-	t.nameThread(pid, tileTID, "tiles")
-	t.nameThread(pid, dmaTID, "dma")
+	t.NameProcess(pid, t.coreName(core))
+	t.NameThread(pid, tileTID, "tiles")
+	t.NameThread(pid, dmaTID, "dma")
 	return pid
 }
 
 func (t *ChromeTrace) ensureChannelTrack(ch int32) {
-	t.nameProcess(dramPID, "dram")
-	t.nameThread(dramPID, int(ch)+1, fmt.Sprintf("ch%d", ch))
+	t.NameProcess(dramPID, "dram")
+	t.NameThread(dramPID, int(ch)+1, fmt.Sprintf("ch%d", ch))
 }
 
 func (t *ChromeTrace) ensurePTWTracks(core int32) int {
 	pid := ptwPIDBase + int(core)
-	t.nameProcess(pid, fmt.Sprintf("ptw core%d", core))
-	t.nameThread(pid, walkTID, "walks")
+	t.NameProcess(pid, fmt.Sprintf("ptw core%d", core))
+	t.NameThread(pid, walkTID, "walks")
 	return pid
 }
 
 func (t *ChromeTrace) ensureSimTracks() {
-	t.nameProcess(simPID, "sim")
-	t.nameThread(simPID, simTID, "loop")
+	t.NameProcess(simPID, "sim")
+	t.NameThread(simPID, simTID, "loop")
 }
 
 // closeOpenSpans ends every tile and walk span still open when the
 // simulation stops, at the final cycle, so the exported trace always
 // has balanced spans. Iteration is sorted so identical runs produce
-// byte-identical traces.
+// byte-identical traces. It empties both maps: a replayed
+// flight-recorder window may hold many run ends, and each must cost
+// only the spans opened since the last.
 func (t *ChromeTrace) closeOpenSpans(ts clock.Global) {
 	var cores []int32
 	for core, depth := range t.openTiles {
@@ -179,7 +201,6 @@ func (t *ChromeTrace) closeOpenSpans(ts clock.Global) {
 		for i := 0; i < t.openTiles[core]; i++ {
 			t.raw(`{"ph":"E","pid":%d,"tid":%d,"ts":%d}`, pid, tileTID, ts)
 		}
-		t.openTiles[core] = 0
 	}
 
 	cores = cores[:0]
@@ -202,18 +223,19 @@ func (t *ChromeTrace) closeOpenSpans(ts clock.Global) {
 					vpn, pid, walkTID, ts)
 			}
 		}
-		t.openWalks[core] = nil
 	}
+	clear(t.openTiles)
+	clear(t.openWalks)
 }
 
 // instant writes a thread-scoped instant event.
 func (t *ChromeTrace) instant(name string, pid, tid int, ts clock.Global) {
-	t.raw(`{"ph":"i","s":"t","name":%q,"pid":%d,"tid":%d,"ts":%d}`, name, pid, tid, ts)
+	t.raw(`{"ph":"i","s":"t","name":%s,"pid":%d,"tid":%d,"ts":%d}`, quote(name), pid, tid, ts)
 }
 
 // counter writes a counter sample. Counters are keyed by (pid, name).
 func (t *ChromeTrace) counter(name string, pid int, ts clock.Global, value int64) {
-	t.raw(`{"ph":"C","name":%q,"pid":%d,"ts":%d,"args":{"v":%d}}`, name, pid, ts, value)
+	t.raw(`{"ph":"C","name":%s,"pid":%d,"ts":%d,"args":{"v":%d}}`, quote(name), pid, ts, value)
 }
 
 // Emit translates one probe event into trace records.
@@ -234,8 +256,7 @@ func (t *ChromeTrace) Emit(e Event) {
 		t.instant(fmt.Sprintf("%s core%d", e.Str, e.Core), simPID, simTID, e.Cycle)
 	case KindSkipWindow:
 		t.ensureSimTracks()
-		t.raw(`{"ph":"X","name":"skip","pid":%d,"tid":%d,"ts":%d,"dur":%d}`,
-			simPID, simTID, e.Cycle, e.A)
+		t.Complete("skip", simPID, simTID, e.Cycle.Int64(), e.A, nil)
 
 	case KindTileStart:
 		pid := t.ensureCoreTracks(e.Core)
@@ -294,8 +315,7 @@ func (t *ChromeTrace) Emit(e Event) {
 		t.instant("row conflict", dramPID, int(e.Unit)+1, e.Cycle)
 	case KindRefresh:
 		t.ensureChannelTrack(e.Unit)
-		t.raw(`{"ph":"X","name":"refresh rank%d","pid":%d,"tid":%d,"ts":%d,"dur":%d}`,
-			e.B, dramPID, int(e.Unit)+1, e.Cycle, e.A)
+		t.Complete(fmt.Sprintf("refresh rank%d", e.B), dramPID, int(e.Unit)+1, e.Cycle.Int64(), e.A, nil)
 
 	case KindTLBHit, KindTLBMiss, KindTransfer:
 		// Registry-only: too frequent for a useful timeline.

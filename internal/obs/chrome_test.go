@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -130,5 +131,32 @@ func TestValidateAllowsIndependentTracks(t *testing.T) {
 		{"ph":"C","name":"q","pid":1,"ts":50,"args":{"v":1}}]}`
 	if _, err := ValidateChromeTrace([]byte(data)); err != nil {
 		t.Errorf("independent tracks rejected: %v", err)
+	}
+}
+
+// TestChromeTraceEncodesControlBytes writes a core name and a span
+// attribute holding a control byte. Every string must be encoded as
+// JSON: %q's \x01 escape is not JSON, and the validator rejects it.
+func TestChromeTraceEncodesControlBytes(t *testing.T) {
+	var sb strings.Builder
+	ct := NewChromeTrace(&sb)
+	ct.Emit(Event{Cycle: 0, Kind: KindRunStart, Core: -1, A: 1, Str: "static"})
+	ct.Emit(Event{Cycle: 0, Kind: KindCoreInfo, Core: 0, Str: "net\x01\"x\"\\"})
+	ct.NameProcess(7, "svc")
+	ct.NameThread(7, 1, "http")
+	ct.Complete("http GET /v1/jobs", 7, 1, 0, 5, map[string]string{"note": "a\x01b\xff"})
+	ct.Emit(Event{Cycle: 9, Kind: KindRunEnd, Core: -1, A: 9})
+	if err := ct.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := ValidateChromeTrace([]byte(sb.String()))
+	if err != nil {
+		t.Fatalf("trace invalid: %v\n%s", err, sb.String())
+	}
+	if want := "core0 net\x01\"x\"\\"; !slices.Contains(sum.ProcessNames, want) {
+		t.Errorf("processes = %q, want one named %q", sum.ProcessNames, want)
+	}
+	if !strings.Contains(sb.String(), `"args":{"note":"a\u0001b\ufffd"}`) {
+		t.Errorf("span attribute not JSON-encoded:\n%s", sb.String())
 	}
 }

@@ -1,11 +1,12 @@
 package dtrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+
+	"mnpusim/internal/obs"
 )
 
 // Span-name prefixes map to fixed thread tracks so every service's
@@ -35,24 +36,12 @@ func trackOf(name string) int {
 	return 6
 }
 
-// chromeEvent is one trace-event record; pointer Ts/Dur distinguish
-// "absent" from zero for metadata records.
-type chromeEvent struct {
-	Ph   string `json:"ph"`
-	Name string `json:"name"`
-	Pid  int    `json:"pid"`
-	Tid  int    `json:"tid"`
-	Ts   *int64 `json:"ts,omitempty"`
-	Dur  *int64 `json:"dur,omitempty"`
-	Args any    `json:"args,omitempty"`
-}
-
-// WriteChromeTrace renders a trace as Chrome trace-event
-// JSON: one process (pid) per service, one thread (tid) per span
-// category, X complete events with microsecond timestamps relative to
-// the trace's earliest span. The output satisfies
-// obs.ValidateChromeTrace's invariants (events per track are sorted by
-// timestamp), so `mnputrace -mode spans` can validate before writing.
+// WriteChromeTrace renders a trace through obs.ChromeTrace: one process
+// (pid) per service, one thread (tid) per span category, one complete
+// event per span with microsecond timestamps relative to the trace's
+// earliest span. Events per track are sorted by timestamp, so the
+// output satisfies obs.ValidateChromeTrace and `mnputrace -mode spans`
+// can validate before writing.
 func WriteChromeTrace(w io.Writer, spans []Span) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("no spans to render")
@@ -92,28 +81,13 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		return a.SpanID < b.SpanID
 	})
 
-	var events []chromeEvent
+	ct := obs.NewChromeTrace(w)
 	for _, s := range services {
-		pid := pidOf[s]
-		events = append(events, chromeEvent{
-			Ph: "M", Name: "process_name", Pid: pid,
-			Args: map[string]string{"name": s},
-		})
-	}
-	usedTrack := make(map[[2]int]bool)
-	for _, sp := range ordered {
-		k := [2]int{pidOf[sp.Service], trackOf(sp.Name)}
-		if !usedTrack[k] {
-			usedTrack[k] = true
-			events = append(events, chromeEvent{
-				Ph: "M", Name: "thread_name", Pid: k[0], Tid: k[1] + 1,
-				Args: map[string]string{"name": chromeTracks[k[1]]},
-			})
-		}
+		ct.NameProcess(pidOf[s], s)
 	}
 	for _, sp := range ordered {
-		ts := (sp.StartUnixNS - minNS) / 1000
-		dur := sp.DurNS / 1000
+		pid, track := pidOf[sp.Service], trackOf(sp.Name)
+		ct.NameThread(pid, track+1, chromeTracks[track])
 		args := map[string]string{
 			"trace_id": sp.TraceID,
 			"span_id":  sp.SpanID,
@@ -124,15 +98,7 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 		for k, v := range sp.Attrs {
 			args[k] = v
 		}
-		events = append(events, chromeEvent{
-			Ph: "X", Name: sp.Name,
-			Pid: pidOf[sp.Service], Tid: trackOf(sp.Name) + 1,
-			Ts: &ts, Dur: &dur, Args: args,
-		})
+		ct.Complete(sp.Name, pid, track+1, (sp.StartUnixNS-minNS)/1000, sp.DurNS/1000, args)
 	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{events})
+	return ct.Close()
 }

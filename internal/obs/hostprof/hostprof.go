@@ -146,15 +146,6 @@ func (p *Profiler) NS(s Section) int64 {
 	return p.ns[s].Load()
 }
 
-// Breakdown returns the per-section totals keyed by section name.
-func (p *Profiler) Breakdown() map[string]int64 {
-	out := make(map[string]int64, NumSections)
-	for _, s := range Sections() {
-		out[s.String()] = p.NS(s)
-	}
-	return out
-}
-
 // Publish adds the per-section totals to reg as
 // sim.host_ns.component.<section> counters. The counters accumulate:
 // runs sharing one registry sum their host time, matching every other

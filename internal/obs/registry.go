@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -204,4 +205,21 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteFile writes the snapshot's text form to path, or to stdout for
+// "-".
+func (s Snapshot) WriteFile(path string) error {
+	if path == "-" {
+		return s.WriteText(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := s.WriteText(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -173,8 +173,9 @@ type JobProgress struct {
 // fingerprinted jobs (one per mix x level, plus one Ideal baseline per
 // distinct workload).
 type SweepSpec struct {
-	// Cores is the mix width: 2 (M(n,2) dual mixes), 4 (quad), or 8
-	// (octa). Default 2.
+	// Cores is the mix width: 2 (M(n,2) dual mixes) or 4 (quad), the
+	// NPUs the paper evaluates; any other width is rejected with 400.
+	// Default 2.
 	Cores int `json:"cores,omitempty"`
 	// Workloads restricts the mix population to these benchmarks, each
 	// named once; empty means all eight of Table 1. An unknown or
@@ -239,7 +240,7 @@ type SweepView struct {
 	// result cache without a new simulation.
 	CacheHits int `json:"cache_hits"`
 	// Jobs is the per-unit detail, included only when requested with
-	// ?jobs=true (a full octa sweep has 6435+ units).
+	// ?jobs=true (a full quad sweep has 1328 units).
 	Jobs []SweepJobView `json:"jobs,omitempty"`
 	// Result is the aggregated experiments.SharingResult (per-mix
 	// MixScores, per-level geomean speedup and fairness), present once

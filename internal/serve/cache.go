@@ -65,10 +65,8 @@ type resultCache struct {
 	// the get fallthrough even if unindexed here).
 	index map[string]struct{}
 
-	// onDiskHit / onDiskWrite / onDiskSkip observe the persistent
-	// tier; nil-safe via the counters' zero behavior is not available
-	// here, so they stay plain funcs set by the server (may be nil).
-	onDiskHit, onDiskWrite func()
+	// onDiskHit, if non-nil, observes a hit in the persistent tier.
+	onDiskHit func()
 }
 
 type lruEntry struct {
@@ -193,9 +191,6 @@ func (c *resultCache) put(key string, result, attr []byte) {
 	if err := c.writeFile(key, v); err != nil {
 		c.logf("cache write failed", "key", key, "err", err)
 		return
-	}
-	if c.onDiskWrite != nil {
-		c.onDiskWrite()
 	}
 	c.mu.Lock()
 	c.index[key] = struct{}{}

@@ -75,6 +75,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"cancel missing job", "DELETE", "/v1/jobs/j999", "", 404, api.ErrNotFound, false},
 		{"sweep bad body", "POST", "/v1/sweeps", "{not json", 400, api.ErrInvalidRequest, false},
 		{"sweep bad cores", "POST", "/v1/sweeps", `{"cores":16}`, 400, api.ErrInvalidRequest, false},
+		{"sweep octa sampled", "POST", "/v1/sweeps", `{"cores":8,"sample":10}`, 400, api.ErrInvalidRequest, false},
 		{"sweep bad workload", "POST", "/v1/sweeps", `{"workloads":["nope"]}`, 400, api.ErrInvalidRequest, false},
 		{"sweep duplicate workload", "POST", "/v1/sweeps", `{"workloads":["ncf","ncf"]}`, 400, api.ErrInvalidRequest, false},
 		{"sweep bad sharing", "POST", "/v1/sweeps", `{"sharing":["bogus"]}`, 400, api.ErrInvalidRequest, false},

@@ -48,7 +48,6 @@ func TestSweepExpansionCounts(t *testing.T) {
 		{"quad sampled", SweepSpec{Cores: 4, Sample: 30}, 30, 30*4 + 8},
 		{"quad seeded sample", SweepSpec{Cores: 4, Sample: 25, Seed: 7}, 25, 25*4 + 8},
 		{"two workloads one level", SweepSpec{Cores: 2, Workloads: []string{"ncf", "gpt2"}, Sharing: []string{"+dwt"}}, 3, 3 + 2},
-		{"octa sampled", SweepSpec{Cores: 8, Sample: 10}, 11, 11*4 + 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

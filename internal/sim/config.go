@@ -99,11 +99,10 @@ type Config struct {
 	// than whenever Metrics is set.
 	HostProf *hostprof.Profiler `json:"-"`
 
-	// OnTransfer, if non-nil, observes completed DRAM bursts (the
-	// bandwidth timeline of Fig. 12).
-	OnTransfer dram.TransferFunc `json:"-"`
-	// OnIssue, if non-nil, observes every DMA request issue (the
-	// request burstiness of Fig. 2b).
+	// OnIssue, if non-nil, observes every DMA request issue with its
+	// virtual address, which no probe event carries (the request log
+	// of `mnputrace -mode log`). Completed bursts are observed as
+	// obs.KindTransfer events.
 	OnIssue func(now clock.Global, r *mem.Request) `json:"-"`
 }
 
@@ -243,7 +242,6 @@ func IdealFor(cfg Config, i int) Config {
 	out.StartCycles = nil
 	out.Obs = nil
 	out.Metrics = nil
-	out.OnTransfer = nil
 	out.OnIssue = nil
 	return out
 }

@@ -14,12 +14,13 @@ import (
 )
 
 // canonicalConfig mirrors the Config fields that determine the Result.
-// Observation hooks (Obs, Metrics, HostProf, OnTransfer, OnIssue) are
-// excluded because observation never alters execution — two configs
-// differing only in those fields share one cache slot. Field order is fixed: encoding/json emits struct fields in
-// declaration order, so the canonical bytes are deterministic. Cycle
-// fields are stored as raw int64 so the canonical bytes are identical
-// to the pre-typed-clock encoding.
+// Observation hooks (Obs, Metrics, HostProf, OnIssue) are excluded
+// because observation never alters execution — two configs differing
+// only in those fields share one cache slot. Field order is fixed:
+// encoding/json emits struct fields in declaration order, so the
+// canonical bytes are deterministic. Cycle fields are stored as raw
+// int64 so the canonical bytes are identical to the pre-typed-clock
+// encoding.
 type canonicalConfig struct {
 	Arch                []npu.ArchConfig
 	Nets                []model.Network

@@ -8,6 +8,7 @@ import (
 	"mnpusim/internal/mem"
 	"mnpusim/internal/model"
 	"mnpusim/internal/npu"
+	"mnpusim/internal/obs"
 	"mnpusim/internal/systolic"
 	"mnpusim/internal/workloads"
 )
@@ -249,10 +250,19 @@ func TestWalkerPartitionBoundsApply(t *testing.T) {
 	}
 }
 
+// TestTransferAndIssueHooks observes completed bursts as KindTransfer
+// probe events and DMA issues through OnIssue, and checks the probe
+// stream's bytes match the Result's per-core accounting.
 func TestTransferAndIssueHooks(t *testing.T) {
 	cfg := NewConfig(workloads.ScaleTiny, ShareDWT, smallNet("a"))
 	var transfers, issues int
-	cfg.OnTransfer = func(now clock.Global, core int, bytes int, class mem.Class) { transfers++ }
+	var moved int64
+	cfg.Obs = obs.Func(func(e obs.Event) {
+		if e.Kind == obs.KindTransfer {
+			transfers++
+			moved += e.A
+		}
+	})
 	cfg.OnIssue = func(now clock.Global, r *mem.Request) { issues++ }
 	r := mustRun(t, cfg)
 	if transfers == 0 || issues == 0 {
@@ -260,6 +270,9 @@ func TestTransferAndIssueHooks(t *testing.T) {
 	}
 	if r.Cores[0].DataBytes <= 0 {
 		t.Error("per-core data bytes not accounted")
+	}
+	if want := r.Cores[0].DataBytes + r.Cores[0].PTBytes; moved != want {
+		t.Errorf("transfer events moved %d bytes, Result accounts %d", moved, want)
 	}
 }
 

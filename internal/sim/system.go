@@ -281,7 +281,7 @@ func newSystem(cfg Config, event bool) (*system, error) {
 		ptBytes:   make([]int64, n),
 	}
 
-	// Per-core transfer accounting (plus the caller's hook).
+	// Per-core transfer accounting.
 	memory.OnTransfer = func(now clock.Global, core int, bytes int, class mem.Class) {
 		if core >= 0 && core < n {
 			if class == mem.PageTable {
@@ -289,9 +289,6 @@ func newSystem(cfg Config, event bool) (*system, error) {
 			} else {
 				s.dataBytes[core] += int64(bytes)
 			}
-		}
-		if cfg.OnTransfer != nil {
-			cfg.OnTransfer(now, core, bytes, class)
 		}
 	}
 	return s, nil

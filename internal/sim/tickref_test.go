@@ -30,7 +30,9 @@ func runTickReference(ctx context.Context, cfg Config) (Result, error) {
 
 // runTick is the tick kernel: every component ticks on every global
 // cycle, with a fast-forward across windows in which no component can
-// change state. It returns the final global cycle count.
+// change state. It drives the DRAM through the per-channel API the
+// event kernel uses (TickChannel, ChannelNextEventAfter), ticking every
+// channel. It returns the final global cycle count.
 func (s *system) runTick(ctx context.Context) (clock.Global, error) {
 	cfg := s.cfg
 	chTicks := int64(s.memory.Channels())
@@ -65,7 +67,9 @@ func (s *system) runTick(ctx context.Context) (clock.Global, error) {
 		if hp != nil {
 			hpT = hostprof.Now()
 		}
-		s.memory.Tick(now)
+		for ch := range s.memory.Channels() {
+			s.memory.TickChannel(ch, now)
+		}
 		if hp != nil {
 			hpT = hp.AddSince(hostprof.SecTickDRAM, hpT)
 		}
@@ -92,7 +96,10 @@ func (s *system) runTick(ctx context.Context) (clock.Global, error) {
 		// must tick normally; otherwise no component changes state in
 		// (now, next), so the window is fast-forwarded and the ticks it
 		// would have run are no-ops by construction.
-		next := s.memory.NextEventAfter(now)
+		var next clock.Global = farFuture
+		for ch := 0; ch < s.memory.Channels() && next > now+1; ch++ {
+			next = min(next, s.memory.ChannelNextEventAfter(ch, now))
+		}
 		if next > now+1 {
 			if e := s.unit.NextEventAfter(now); e < next {
 				next = e
@@ -136,7 +143,6 @@ func (s *system) runTick(ctx context.Context) (clock.Global, error) {
 		if s.sink != nil {
 			s.sink.Emit(obs.Event{Cycle: now, Kind: obs.KindSkipWindow, Core: -1, A: (next - now - 1).Int64()})
 		}
-		s.memory.SkipTo(next)
 		s.unit.SkipTo(next)
 		for i, c := range s.cores {
 			if now >= s.starts[i] {
