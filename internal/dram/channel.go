@@ -7,10 +7,15 @@ import (
 	"mnpusim/internal/obs"
 )
 
-// pending pairs a queued request with its decoded location.
+// pending pairs a queued request with its decoded location and the
+// facts the scheduler reads about it every cycle, decoded once on
+// admission.
 type pending struct {
 	req    *mem.Request
 	loc    Location
+	bank   int    // per-channel bank index (Config.BankIndex)
+	group  int    // rank*BankGroups+BankGroup: the tCCDL window it shares
+	read   bool   // req.Kind == mem.Read
 	seq    uint64 // arrival order for FCFS tie-breaking
 	bypass int    // times a younger request was serviced first
 }
@@ -34,6 +39,7 @@ type bank struct {
 type channel struct {
 	cfg   Config
 	id    int
+	dev   *Memory // retires completed bursts (Memory.complete)
 	banks []bank
 
 	queue       []pending
@@ -55,6 +61,14 @@ type channel struct {
 	// Refresh state per rank.
 	nextRefresh []clock.Global
 	refreshing  []clock.Global // busy-until cycle; 0 when idle
+	// due[rank] is refreshDue for the cycle pick is choosing at.
+	due []bool
+
+	// horizon caches horizonNow between ticks while horizonOK holds.
+	// Only a tick changes the timers it reads; an admission can only
+	// lower it, by the new request's earliestProgress.
+	horizon   clock.Global
+	horizonOK bool
 
 	// lastTick tracks tick monotonicity under -tags=invariants.
 	lastTick clock.Global
@@ -84,18 +98,22 @@ type ChannelStats struct {
 	// it tries each core's drain window (the first 32 requests) in
 	// order, round-robin across cores, until it admits one, and goes
 	// round again after each grant; every try on a full channel counts
-	// one. While every drain-window request's channel is full the MMU
-	// sleeps instead, and later charges each slept cycle one refusal
-	// per drain-window request on that request's channel
-	// (ChargeRefusals), exactly what its tries would have counted.
-	// Page-table reads check for space first and are never refused.
+	// one. The MMU makes none of those tries: it offers Enqueue only
+	// requests whose channel has space and charges the rest
+	// (ChargeRefusals), and while every drain-window request's channel
+	// is full it sleeps and charges each slept cycle one refusal per
+	// drain-window request on that request's channel, exactly what the
+	// tries would have counted. Page-table reads check for space first
+	// and are never refused.
 	QueueFullRejects int64
 }
 
-func newChannel(cfg Config, id int) *channel {
+func newChannel(m *Memory, id int) *channel {
+	cfg := m.cfg
 	ch := &channel{
 		cfg:          cfg,
 		id:           id,
+		dev:          m,
 		banks:        make([]bank, cfg.BanksPerChannel()),
 		nextCASGroup: make([]clock.Global, cfg.Ranks*cfg.BankGroups),
 		lastActivate: make([]clock.Global, cfg.Ranks),
@@ -103,6 +121,7 @@ func newChannel(cfg Config, id int) *channel {
 		actWindowPos: make([]int, cfg.Ranks),
 		nextRefresh:  make([]clock.Global, cfg.Ranks),
 		refreshing:   make([]clock.Global, cfg.Ranks),
+		due:          make([]bool, cfg.Ranks),
 		lastTick:     -1,
 	}
 	for i := range ch.banks {
@@ -129,14 +148,27 @@ func newChannel(cfg Config, id int) *channel {
 // canAccept reports whether the controller queue has space.
 func (c *channel) canAccept() bool { return len(c.queue) < c.cfg.QueueDepth }
 
-// enqueue admits a request; the caller must have checked canAccept.
+// enqueue admits a request; the caller must have checked canAccept. A
+// cached horizon falls to the new request's earliest command, which
+// under FCFS counts only if the request is the head.
 func (c *channel) enqueue(req *mem.Request, loc Location, seq uint64) {
-	c.queue = append(c.queue, pending{req: req, loc: loc, seq: seq})
+	c.queue = append(c.queue, pending{
+		req:   req,
+		loc:   loc,
+		bank:  c.cfg.BankIndex(loc),
+		group: loc.Rank*c.cfg.BankGroups + loc.BankGroup,
+		read:  req.Kind == mem.Read,
+		seq:   seq,
+	})
+	if c.horizonOK && (c.cfg.Policy != FCFS || len(c.queue) == 1) {
+		c.horizon = min(c.horizon, c.earliestProgress(&c.queue[len(c.queue)-1]))
+	}
 }
 
 // tick advances the controller by one global cycle: retire completions,
 // handle refresh, then issue at most one DRAM command.
 func (c *channel) tick(now clock.Global) {
+	c.horizonOK = false
 	if invariant.Enabled {
 		invariant.Check(now > c.lastTick,
 			"dram: channel %d ticked backwards: %d after %d", c.id, now, c.lastTick)
@@ -172,7 +204,7 @@ func (c *channel) retire(now clock.Global) {
 	out := c.completions[:0]
 	for _, cmp := range c.completions {
 		if cmp.at <= now {
-			cmp.req.Complete(now)
+			c.dev.complete(now, c.id, cmp.req)
 		} else {
 			out = append(out, cmp)
 		}
@@ -183,7 +215,7 @@ func (c *channel) retire(now clock.Global) {
 // handleRefresh performs refresh management for all ranks. It returns
 // true if it consumed the command slot this cycle.
 func (c *channel) handleRefresh(now clock.Global) bool {
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	for r := 0; r < c.cfg.Ranks; r++ {
 		if c.refreshing[r] > now {
 			continue // refresh in progress; bank constraints already set
@@ -257,50 +289,69 @@ func (c *channel) handleRefresh(now clock.Global) bool {
 //     progress this cycle.
 //  3. FR-FCFS: the oldest request whose row is open and whose CAS can
 //     fire right now.
-//  4. The oldest request overall (to make forward progress with
-//     activates/precharges).
+//  4. The oldest request overall that can make progress (to move on
+//     with activates/precharges, overlapping with in-flight data).
 //
-// Under FCFS only the head request is considered.
+// One pass in age order decides all four, with each rank's refresh
+// hold read once: a starved head that can progress wins at once, as
+// does the first page-table read that can; otherwise the first row hit
+// that can fire, else the first request that can progress. A starved
+// head whose bank is mid-precharge/activate does not freeze the
+// channel: other banks keep issuing, which cannot delay the head's own
+// bank preparation. Under FCFS only the head request is considered.
 func (c *channel) pick(now clock.Global) int {
 	if c.cfg.Policy == FCFS {
 		return 0
 	}
+	for r := range c.due {
+		c.due[r] = c.refreshDue(now, r)
+	}
 	starved := c.cfg.StarvationCap > 0 && c.queue[0].bypass >= c.cfg.StarvationCap
-	if starved && c.canProgress(now, &c.queue[0]) {
-		return 0
-	}
-	// A starved head whose bank is mid-precharge/activate does not
-	// freeze the channel: other banks keep issuing below, which cannot
-	// delay the head's own bank preparation.
-	if c.cfg.PTPriority {
-		for i := range c.queue {
-			p := &c.queue[i]
-			if p.req.Class == mem.PageTable && c.canProgress(now, p) {
-				c.notePick(i, starved)
-				return i
-			}
-		}
-	}
+	ptFirst := c.cfg.PTPriority
+	hit, ready := -1, -1
 	for i := range c.queue {
 		p := &c.queue[i]
-		if c.refreshDue(now, p.loc.Rank) {
+		if c.due[p.loc.Rank] {
 			continue
 		}
-		b := &c.banks[c.cfg.BankIndex(p.loc)]
-		if b.openRow == p.loc.Row && c.casReady(now, p) {
+		b := &c.banks[p.bank]
+		var ok, rowHit bool
+		switch {
+		case b.openRow == p.loc.Row:
+			ok = c.casReady(now, p, b)
+			rowHit = ok
+		case b.openRow >= 0:
+			ok = now >= b.nextPrecharge
+		default:
+			ok = c.canActivate(now, p)
+		}
+		if !ok {
+			continue
+		}
+		if i == 0 && starved {
+			return 0
+		}
+		if ptFirst && p.req.Class == mem.PageTable {
 			c.notePick(i, starved)
 			return i
 		}
-	}
-	// No CAS can fire: let the oldest request that can make any
-	// progress prepare its bank, overlapping with in-flight data.
-	for i := range c.queue {
-		if c.canProgress(now, &c.queue[i]) {
-			c.notePick(i, starved)
-			return i
+		if rowHit && hit < 0 {
+			hit = i
+			if !ptFirst {
+				break
+			}
+		}
+		if ready < 0 {
+			ready = i
 		}
 	}
-	return -1
+	if hit >= 0 {
+		ready = hit
+	}
+	if ready >= 0 {
+		c.notePick(ready, starved)
+	}
+	return ready
 }
 
 // notePick charges a bypass to the queue head when a younger request is
@@ -320,47 +371,19 @@ func (c *channel) refreshDue(now clock.Global, r int) bool {
 	return c.cfg.Timing.REFI > 0 && c.refreshing[r] <= now && now >= c.nextRefresh[r]
 }
 
-// canProgress reports whether the request could issue any useful command
-// (CAS, precharge, or activate) this cycle.
-func (c *channel) canProgress(now clock.Global, p *pending) bool {
-	if c.refreshDue(now, p.loc.Rank) {
+// casReady reports whether the column command for p, whose row is open
+// in its bank b, could issue at now. The data bus is pipelined: a CAS
+// may issue while earlier data is still in flight, as long as its own
+// data window (starting CL or CWL cycles later) begins after the bus
+// frees, plus a turnaround bubble when the transfer direction changes.
+func (c *channel) casReady(now clock.Global, p *pending, b *bank) bool {
+	if now < c.nextCASGroup[p.group] || now < c.nextCASAny {
 		return false
 	}
-	b := &c.banks[c.cfg.BankIndex(p.loc)]
-	switch {
-	case b.openRow == p.loc.Row:
-		return c.casReady(now, p)
-	case b.openRow >= 0:
-		return now >= b.nextPrecharge
-	default:
-		return c.canActivate(now, p.loc)
+	if p.read {
+		return now >= b.nextRead && now+clock.Global(c.cfg.Timing.CL) >= c.busNeededAt(true)
 	}
-}
-
-// casReady reports whether the column command for p could issue at now.
-// The data bus is pipelined: a CAS may issue while earlier data is still
-// in flight, as long as its own data window (starting CL or CWL cycles
-// later) begins after the bus frees, plus a turnaround bubble when the
-// transfer direction changes.
-func (c *channel) casReady(now clock.Global, p *pending) bool {
-	b := &c.banks[c.cfg.BankIndex(p.loc)]
-	if b.openRow != p.loc.Row {
-		return false
-	}
-	grp := p.loc.Rank*c.cfg.BankGroups + p.loc.BankGroup
-	if now < c.nextCASGroup[grp] || now < c.nextCASAny {
-		return false
-	}
-	if p.req.Kind == mem.Read {
-		if now < b.nextRead {
-			return false
-		}
-		return now+clock.Global(c.cfg.Timing.CL) >= c.busNeededAt(true)
-	}
-	if now < b.nextWrite {
-		return false
-	}
-	return now+clock.Global(c.cfg.Timing.CWL) >= c.busNeededAt(false)
+	return now >= b.nextWrite && now+clock.Global(c.cfg.Timing.CWL) >= c.busNeededAt(false)
 }
 
 // busNeededAt returns the earliest cycle the data bus may start a new
@@ -377,23 +400,21 @@ func (c *channel) busNeededAt(read bool) clock.Global {
 // or CAS). CAS removes the request from the queue and schedules its
 // completion.
 func (c *channel) issue(now clock.Global, idx int) {
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	p := &c.queue[idx]
 	if c.refreshDue(now, p.loc.Rank) {
 		return // rank is closing for refresh; hold the command
 	}
-	bi := c.cfg.BankIndex(p.loc)
-	b := &c.banks[bi]
+	b := &c.banks[p.bank]
 
 	switch {
 	case b.openRow == p.loc.Row:
-		if !c.casReady(now, p) {
+		if !c.casReady(now, p, b) {
 			return
 		}
-		grp := p.loc.Rank*c.cfg.BankGroups + p.loc.BankGroup
-		c.nextCASGroup[grp] = now + clock.Global(t.CCDL)
+		c.nextCASGroup[p.group] = now + clock.Global(t.CCDL)
 		c.nextCASAny = now + clock.Global(t.CCDS)
-		if p.req.Kind == mem.Read {
+		if p.read {
 			dataAt := max(now+clock.Global(t.CL), c.busNeededAt(true))
 			c.busFreeAt = dataAt + clock.Global(t.BL2)
 			c.lastWasRead = true
@@ -415,7 +436,7 @@ func (c *channel) issue(now clock.Global, idx int) {
 		c.stats.RowHits++
 		c.stats.BytesMoved += int64(p.req.Size)
 		c.stats.BusBusyCycles += int64(t.BL2)
-		isWrite := p.req.Kind == mem.Write
+		isWrite := !p.read
 		core := int32(p.req.Core)
 		c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
 		if c.obs != nil {
@@ -431,7 +452,7 @@ func (c *channel) issue(now clock.Global, idx int) {
 	case b.openRow >= 0:
 		// Row conflict: precharge when legal.
 		if now >= b.nextPrecharge {
-			c.precharge(now, bi)
+			c.precharge(now, p.bank)
 			c.stats.RowMisses++
 			if c.obs != nil {
 				c.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindRowConflict,
@@ -441,8 +462,8 @@ func (c *channel) issue(now clock.Global, idx int) {
 
 	default:
 		// Bank closed: activate when legal.
-		if c.canActivate(now, p.loc) {
-			c.activate(now, p.loc)
+		if c.canActivate(now, p) {
+			c.activate(now, p)
 			if c.obs != nil {
 				c.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindRowMiss,
 					Core: int32(p.req.Core), Unit: int32(c.id)})
@@ -458,43 +479,44 @@ func (c *channel) precharge(now clock.Global, bankIdx int) {
 	c.stats.Precharges++
 }
 
-func (c *channel) canActivate(now clock.Global, loc Location) bool {
-	b := &c.banks[c.cfg.BankIndex(loc)]
-	if now < b.nextActivate {
+// canActivate reports whether p's bank, which is precharged, may open
+// p's row at now.
+func (c *channel) canActivate(now clock.Global, p *pending) bool {
+	if now < c.banks[p.bank].nextActivate {
 		return false
 	}
-	t := c.cfg.Timing
-	if now < c.lastActivate[loc.Rank]+clock.Global(t.RRDS) {
+	t := &c.cfg.Timing
+	r := p.loc.Rank
+	if now < c.lastActivate[r]+clock.Global(t.RRDS) {
 		return false
 	}
 	// tFAW: the 4th-most-recent activate must be at least FAW ago.
-	w := c.actWindow[loc.Rank]
-	oldest := w[c.actWindowPos[loc.Rank]]
+	oldest := c.actWindow[r][c.actWindowPos[r]]
 	return now >= oldest+clock.Global(t.FAW)
 }
 
-func (c *channel) activate(now clock.Global, loc Location) {
-	t := c.cfg.Timing
-	b := &c.banks[c.cfg.BankIndex(loc)]
+func (c *channel) activate(now clock.Global, p *pending) {
+	t := &c.cfg.Timing
+	b := &c.banks[p.bank]
+	r := p.loc.Rank
 	if invariant.Enabled {
 		invariant.Check(b.openRow == -1,
-			"dram: activate on open bank (ch=%d bank=%d row=%d)", c.id, c.cfg.BankIndex(loc), b.openRow)
+			"dram: activate on open bank (ch=%d bank=%d row=%d)", c.id, p.bank, b.openRow)
 		invariant.Check(now >= b.nextActivate,
 			"dram: tRC/tRP violated: activate at %d before %d", now, b.nextActivate)
-		invariant.Check(now >= c.lastActivate[loc.Rank]+clock.Global(t.RRDS),
-			"dram: tRRD violated: activate at %d, last %d, RRDS=%d", now, c.lastActivate[loc.Rank], t.RRDS)
-		oldest := c.actWindow[loc.Rank][c.actWindowPos[loc.Rank]]
+		invariant.Check(now >= c.lastActivate[r]+clock.Global(t.RRDS),
+			"dram: tRRD violated: activate at %d, last %d, RRDS=%d", now, c.lastActivate[r], t.RRDS)
+		oldest := c.actWindow[r][c.actWindowPos[r]]
 		invariant.Check(now >= oldest+clock.Global(t.FAW),
 			"dram: tFAW violated: 5th activate at %d within FAW=%d of %d", now, t.FAW, oldest)
 	}
-	b.openRow = loc.Row
+	b.openRow = p.loc.Row
 	b.nextRead = now + clock.Global(t.RCD)
 	b.nextWrite = now + clock.Global(t.RCD)
 	b.nextPrecharge = now + clock.Global(t.RAS)
-	c.lastActivate[loc.Rank] = now
-	w := c.actWindow[loc.Rank]
-	w[c.actWindowPos[loc.Rank]] = now
-	c.actWindowPos[loc.Rank] = (c.actWindowPos[loc.Rank] + 1) % 4
+	c.lastActivate[r] = now
+	c.actWindow[r][c.actWindowPos[r]] = now
+	c.actWindowPos[r] = (c.actWindowPos[r] + 1) % 4
 	c.stats.Activates++
 }
 
@@ -503,74 +525,76 @@ func (c *channel) finishAt(at clock.Global, req *mem.Request) {
 }
 
 // nextEventAfter returns the earliest future cycle at which this channel
-// needs attention, for fast-forwarding. If the channel still has queued
-// commands it returns now+1 (command scheduling is cycle-by-cycle); with
-// only in-flight completions it returns the earliest completion. Refresh
-// deadlines bound the result too: a refresh that is due (or whose
-// precharge-all sequence is underway) runs cycle-by-cycle, and a future
-// deadline caps how far the system may fast-forward, so a skipped window
-// never spans a bank-state change.
+// needs attention: horizonNow, or now+1 if that has passed (a due
+// refresh, or a command that could issue now, proceeds cycle by
+// cycle). The horizon is recomputed only after a tick; an admission
+// lowers the cached value in O(1) (enqueue), so the kernel's enqueue
+// seam does not rescan the queue.
 func (c *channel) nextEventAfter(now clock.Global) clock.Global {
+	if !c.horizonOK {
+		c.horizon = c.horizonNow()
+		c.horizonOK = true
+	} else if invariant.Enabled {
+		fresh := c.horizonNow()
+		invariant.Check(c.horizon == fresh,
+			"dram: channel %d cached horizon %d, recomputed %d", c.id, c.horizon, fresh)
+	}
+	if c.horizon <= now {
+		return now + 1
+	}
+	return c.horizon
+}
+
+// horizonNow returns the earliest cycle at which the channel's state
+// can change without new work arriving, which may already have passed:
+// a rank's refresh deadline (a skipped window never spans a bank-state
+// change, and a refresh that is due runs cycle by cycle), a burst
+// completion, or the first cycle a queued request could issue a
+// command. Between command issues the controller state is frozen —
+// every timer (bank, CAS window, bus) is an absolute cycle — so that
+// last cycle is exact, not a bound. Under FCFS only the head request
+// is ever considered.
+func (c *channel) horizonNow() clock.Global {
 	var next clock.Global = clock.FarFuture
 	if c.cfg.Timing.REFI > 0 {
-		for r := range c.nextRefresh {
-			if c.refreshing[r] <= now && c.nextRefresh[r] <= now {
-				// A due refresh progresses cycle-by-cycle: the
-				// precharge-all sequence and the refresh start each
-				// consume command slots as bank timers expire.
-				return now + 1
-			}
-			if c.nextRefresh[r] < next {
-				next = c.nextRefresh[r]
-			}
+		for _, at := range c.nextRefresh {
+			next = min(next, at)
 		}
 	}
 	for _, cmp := range c.completions {
-		if cmp.at < next {
-			next = cmp.at
-		}
+		next = min(next, cmp.at)
 	}
-	// Between command issues the controller state is frozen — every
-	// timer (bank, CAS window, bus) is an absolute cycle — so the
-	// earliest cycle any queued request could issue a command is exact,
-	// not a bound. Under FCFS only the head request is ever considered.
 	n := len(c.queue)
-	if c.cfg.Policy == FCFS && n > 1 {
-		n = 1
+	if c.cfg.Policy == FCFS {
+		n = min(n, 1)
 	}
 	for i := 0; i < n; i++ {
-		if e := c.earliestProgress(&c.queue[i]); e < next {
-			next = e
-		}
-	}
-	if next <= now {
-		return now + 1
+		next = min(next, c.earliestProgress(&c.queue[i]))
 	}
 	return next
 }
 
 // earliestProgress returns the earliest cycle at which p could issue a
 // useful command (CAS, precharge, or activate) given the controller's
-// current timers, mirroring canProgress cycle for cycle: canProgress(t,
-// p) is false for every t before the returned cycle and true at it,
+// current timers, mirroring pick's readiness test cycle for cycle: p
+// cannot progress at any t before the returned cycle and can at it,
 // provided no other command issues in between (any such issue means the
 // channel was ticked, which re-evaluates this horizon).
 func (c *channel) earliestProgress(p *pending) clock.Global {
-	t := c.cfg.Timing
-	b := &c.banks[c.cfg.BankIndex(p.loc)]
+	t := &c.cfg.Timing
+	b := &c.banks[p.bank]
 	switch {
 	case b.openRow == p.loc.Row:
-		grp := p.loc.Rank*c.cfg.BankGroups + p.loc.BankGroup
-		e := max(c.nextCASGroup[grp], c.nextCASAny)
-		if p.req.Kind == mem.Read {
+		e := max(c.nextCASGroup[p.group], c.nextCASAny)
+		if p.read {
 			return max(e, b.nextRead, c.busNeededAt(true)-clock.Global(t.CL))
 		}
 		return max(e, b.nextWrite, c.busNeededAt(false)-clock.Global(t.CWL))
 	case b.openRow >= 0:
 		return b.nextPrecharge
 	default:
-		w := c.actWindow[p.loc.Rank]
-		oldest := w[c.actWindowPos[p.loc.Rank]]
-		return max(b.nextActivate, c.lastActivate[p.loc.Rank]+clock.Global(t.RRDS), oldest+clock.Global(t.FAW))
+		r := p.loc.Rank
+		oldest := c.actWindow[r][c.actWindowPos[r]]
+		return max(b.nextActivate, c.lastActivate[r]+clock.Global(t.RRDS), oldest+clock.Global(t.FAW))
 	}
 }

@@ -8,10 +8,6 @@ import (
 	"mnpusim/internal/obs"
 )
 
-// TransferFunc observes every completed data burst; the simulator
-// uses it for per-core byte accounting.
-type TransferFunc func(now clock.Global, core int, bytes int, class mem.Class)
-
 // Memory is one DRAM device: a set of channels with per-channel
 // controllers, plus per-core channel routing for bandwidth sharing and
 // partitioning.
@@ -21,9 +17,8 @@ type Memory struct {
 	mappers  []Mapper // indexed by core
 	seq      uint64
 
-	// OnTransfer, if non-nil, is called when a request's data burst
-	// completes.
-	OnTransfer TransferFunc
+	// moved[core] counts the bytes of core's completed bursts, by class.
+	moved []CoreBytes
 
 	// OnEnqueue, if non-nil, is called after a request is admitted into
 	// channel ch's controller queue. The event-driven kernel uses it to
@@ -31,10 +26,10 @@ type Memory struct {
 	// channel can change state at now+1.
 	OnEnqueue func(now clock.Global, ch int)
 
-	// OnComplete, if non-nil, is called after a request's Done chain has
-	// run (burst retired at cycle done). The event-driven kernel uses it
-	// to wake the request's originator — the MMU for page-table reads,
-	// the issuing core for data — on the completion cycle.
+	// OnComplete, if non-nil, is called after a request's Done has run
+	// (burst retired at cycle done). The event-driven kernel uses it to
+	// wake the request's originator — the MMU for page-table reads, the
+	// issuing core for data — on the completion cycle.
 	OnComplete func(done clock.Global, r *mem.Request)
 
 	// OnSlotFreed, if non-nil, is called when TickChannel takes channel
@@ -60,7 +55,7 @@ func New(cfg Config) (*Memory, error) {
 	m := &Memory{cfg: cfg}
 	m.channels = make([]*channel, cfg.Channels)
 	for i := range m.channels {
-		m.channels[i] = newChannel(cfg, i)
+		m.channels[i] = newChannel(m, i)
 	}
 	return m, nil
 }
@@ -157,9 +152,9 @@ func (m *Memory) ChargeRefusals(ch int, n int64) { m.channels[ch].stats.QueueFul
 // (and charges one refusal to the channel) if the queue is full; the
 // caller should retry on a later cycle. A refusal costs one Route; the
 // full Location is decoded only for an admitted request. The request's
-// Done callback fires when its data burst completes.
+// Done runs when its data burst retires (Memory.complete).
 //
-//lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and the Done wrapper's OnComplete re-arms the walk or data consumer at the burst's completion cycle
+//lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and complete's OnComplete re-arms the walk or data consumer at the burst's completion cycle
 func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 	ch := m.channels[m.Route(r)]
 	if !ch.canAccept() {
@@ -168,32 +163,53 @@ func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 	}
 	loc := m.mapperFor(r.Core).Locate(r.Addr)
 	m.seq++
-	inner := r.Done
-	chIdx := int32(loc.Channel)
-	r.Done = func(done clock.Global, rr *mem.Request) {
-		if m.obs != nil {
-			m.obs.Emit(obs.Event{Cycle: done, Kind: obs.KindTransfer, Core: int32(rr.Core),
-				Unit: chIdx, A: int64(rr.Size), B: int64(rr.Class)})
-		}
-		if m.OnTransfer != nil {
-			m.OnTransfer(done, rr.Core, int(rr.Size), rr.Class)
-		}
-		if inner != nil {
-			inner(done, rr)
-		}
-		if m.OnComplete != nil {
-			m.OnComplete(done, rr)
-		}
-	}
 	ch.enqueue(r, loc, m.seq)
 	if m.obs != nil {
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindDRAMEnqueue, Core: int32(r.Core),
-			Unit: chIdx, A: int64(len(ch.queue))})
+			Unit: int32(loc.Channel), A: int64(len(ch.queue))})
 	}
 	if m.OnEnqueue != nil {
 		m.OnEnqueue(now, loc.Channel)
 	}
 	return true
+}
+
+// complete retires r, whose data burst on channel ch finished at cycle
+// done: it emits the transfer probe, counts the bytes against r's core,
+// runs r's Done and then OnComplete, in that order.
+func (m *Memory) complete(done clock.Global, ch int, r *mem.Request) {
+	if m.obs != nil {
+		m.obs.Emit(obs.Event{Cycle: done, Kind: obs.KindTransfer, Core: int32(r.Core),
+			Unit: int32(ch), A: int64(r.Size), B: int64(r.Class)})
+	}
+	if r.Core >= 0 {
+		for r.Core >= len(m.moved) {
+			m.moved = append(m.moved, CoreBytes{})
+		}
+		if r.Class == mem.PageTable {
+			m.moved[r.Core].PageTable += int64(r.Size)
+		} else {
+			m.moved[r.Core].Data += int64(r.Size)
+		}
+	}
+	r.Complete(done)
+	if m.OnComplete != nil {
+		m.OnComplete(done, r)
+	}
+}
+
+// CoreBytes splits the bytes of one core's completed bursts by class.
+type CoreBytes struct {
+	Data      int64
+	PageTable int64
+}
+
+// MovedBy returns the bytes of core's completed bursts so far, by class.
+func (m *Memory) MovedBy(core int) CoreBytes {
+	if core < 0 || core >= len(m.moved) {
+		return CoreBytes{}
+	}
+	return m.moved[core]
 }
 
 // Channels returns the number of channels in the device.

@@ -498,16 +498,25 @@ func TestFCFSPreservesArrivalOrder(t *testing.T) {
 	}
 }
 
-func TestTransferHookObservesBytesAndCore(t *testing.T) {
+func TestMovedByCountsBytesPerCoreAndClass(t *testing.T) {
 	tm := newTestMemory(t, HBM2(1))
-	var hookCore, hookBytes int
-	tm.m.OnTransfer = func(now clock.Global, core int, bytes int, class mem.Class) {
-		hookCore, hookBytes = core, bytes
-	}
 	tm.m.Enqueue(0, tm.request(3, 0, mem.Read, nil))
+	tm.m.Enqueue(0, tm.request(3, 64, mem.Write, nil))
+	pt := tm.request(3, 128, mem.Read, nil)
+	pt.Class, pt.Size = mem.PageTable, 8
+	tm.m.Enqueue(0, pt)
+	tm.m.Enqueue(0, tm.request(1, 192, mem.Read, nil))
 	tm.tickUntilIdle(1000)
-	if hookCore != 3 || hookBytes != 64 {
-		t.Errorf("hook saw core=%d bytes=%d", hookCore, hookBytes)
+	if got, want := tm.m.MovedBy(3), (CoreBytes{Data: 128, PageTable: 8}); got != want {
+		t.Errorf("core 3 moved %+v, want %+v", got, want)
+	}
+	if got, want := tm.m.MovedBy(1), (CoreBytes{Data: 64}); got != want {
+		t.Errorf("core 1 moved %+v, want %+v", got, want)
+	}
+	for _, core := range []int{-1, 0, 2, 4} {
+		if got := tm.m.MovedBy(core); got != (CoreBytes{}) {
+			t.Errorf("core %d moved %+v, want nothing", core, got)
+		}
 	}
 }
 

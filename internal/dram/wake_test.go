@@ -31,7 +31,6 @@ func (l *completionLog) done(now clock.Global, r *mem.Request) {
 func TestChannelWakeContract(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
 			cfg := HBM2(2)
 			ref := MustNew(cfg)
 			wake := MustNew(cfg)
@@ -53,8 +52,8 @@ func TestChannelWakeContract(t *testing.T) {
 				}
 			}
 
-			const cycles = 40_000
-			for now := clock.Global(0); now < cycles || busy(ref) || busy(wake); now++ {
+			stream := newRequestStream(seed)
+			for now := clock.Global(0); now < streamCycles || busy(ref) || busy(wake); now++ {
 				tickAll(ref, now)
 				for ch := 0; ch < cfg.Channels; ch++ {
 					if armed[ch] > now {
@@ -74,21 +73,11 @@ func TestChannelWakeContract(t *testing.T) {
 				// in the simulator: a request admitted at now is first
 				// visible to its channel at now+1 — the wake OnEnqueue
 				// arms.
-				if now < cycles && rng.Intn(4) == 0 {
-					n := 1 + rng.Intn(4)
-					for i := 0; i < n; i++ {
-						// A few hot rows plus a wide tail: row hits,
-						// conflicts, and queue pressure all occur.
-						addr := uint64(rng.Intn(1<<14)) * 64
-						kind := mem.Read
-						if rng.Intn(3) == 0 {
-							kind = mem.Write
-						}
-						okRef := ref.Enqueue(now, request(&refIDs, &refLog, addr, kind))
-						okWake := wake.Enqueue(now, request(&wakeIDs, &wakeLog, addr, kind))
-						if okRef != okWake {
-							t.Fatalf("cycle %d: enqueue acceptance diverged (ref=%v wake=%v)", now, okRef, okWake)
-						}
+				for _, sr := range stream.draw(now) {
+					okRef := ref.Enqueue(now, request(&refIDs, &refLog, sr.addr, sr.kind))
+					okWake := wake.Enqueue(now, request(&wakeIDs, &wakeLog, sr.addr, sr.kind))
+					if okRef != okWake {
+						t.Fatalf("cycle %d: enqueue acceptance diverged (ref=%v wake=%v)", now, okRef, okWake)
 					}
 				}
 			}
@@ -100,5 +89,71 @@ func TestChannelWakeContract(t *testing.T) {
 				t.Errorf("stats diverged:\nref:  %+v\nwake: %+v", ref.Stats(), wake.Stats())
 			}
 		})
+	}
+}
+
+// streamCycles is how long the seeded request stream enqueues.
+const streamCycles = 40_000
+
+// requestStream draws TestChannelWakeContract's seeded request stream
+// one cycle at a time: the requests enqueued after the cycle's ticks.
+type requestStream struct{ rng *rand.Rand }
+
+func newRequestStream(seed int64) requestStream {
+	return requestStream{rng: rand.New(rand.NewSource(seed))}
+}
+
+// streamRequest is one block request of the stream.
+type streamRequest struct {
+	addr uint64
+	kind mem.Kind
+}
+
+// draw returns the cycle's requests: none from streamCycles on. A few
+// hot rows plus a wide tail: row hits, conflicts, and queue pressure
+// all occur.
+func (s requestStream) draw(now clock.Global) []streamRequest {
+	if now >= streamCycles || s.rng.Intn(4) != 0 {
+		return nil
+	}
+	out := make([]streamRequest, 1+s.rng.Intn(4))
+	for i := range out {
+		out[i] = streamRequest{addr: uint64(s.rng.Intn(1<<14)) * 64, kind: mem.Read}
+		if s.rng.Intn(3) == 0 {
+			out[i].kind = mem.Write
+		}
+	}
+	return out
+}
+
+// BenchmarkDRAMChannelTick replays TestChannelWakeContract's seeded
+// stream (seed 1) into a two-channel device driven as the event kernel
+// drives one: a channel ticks only at its horizon, and an admission
+// re-arms its channel at the recomputed horizon (the enqueue seam).
+// Every request shares one Done, so allocations are the device's own
+// plus the requests. One op is the whole stream.
+func BenchmarkDRAMChannelTick(b *testing.B) {
+	b.ReportAllocs()
+	done := func(clock.Global, *mem.Request) {}
+	for range b.N {
+		cfg := HBM2(2)
+		m := MustNew(cfg)
+		armed := make([]clock.Global, cfg.Channels)
+		m.OnEnqueue = func(now clock.Global, ch int) {
+			armed[ch] = min(armed[ch], m.ChannelNextEventAfter(ch, now))
+		}
+		stream := newRequestStream(1)
+		var ids mem.IDAllocator
+		for now := clock.Global(0); now < streamCycles || busy(m); now++ {
+			for ch := range armed {
+				if armed[ch] <= now {
+					m.TickChannel(ch, now)
+					armed[ch] = m.ChannelNextEventAfter(ch, now)
+				}
+			}
+			for _, sr := range stream.draw(now) {
+				m.Enqueue(now, &mem.Request{ID: ids.Next(), Addr: sr.addr, Size: 64, Kind: sr.kind, Done: done})
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mnpusim/internal/clock"
 	"mnpusim/internal/invariant"
@@ -78,13 +79,16 @@ type MMU struct {
 	rrNext  int
 	blocked []bool // reused by every tick's drain, indexed by core
 
-	// parked[ch] counts drain-window requests (the first drainWindow of
-	// each core's issue queue) routed to backend channel ch. The MMU
-	// may drain iff one of those channels has space; while none has,
-	// it sleeps, and each slept cycle owes the backend parked[ch]
-	// refusals on every channel: what a drain on that cycle would have
+	// window[core*chs+ch] has bit i set iff the request at index i of
+	// core's issue queue is in the drain window (i < drainWindow) and
+	// routes to backend channel ch. The MMU may drain iff some window
+	// request's channel has space; while none has, it sleeps, and each
+	// slept cycle owes the backend one refusal per window request on
+	// that request's channel: what a drain on that cycle would have
 	// counted. settled is the first cycle not yet paid for.
-	parked  []int64
+	window  []uint32
+	chs     int
+	space   []bool // reused by drainOne, indexed by channel
 	settled clock.Global
 
 	// Per-cycle TLB port accounting.
@@ -122,7 +126,9 @@ func New(cfg Config, backend Backend, tables []*PageTable, ids *mem.IDAllocator)
 		queued:    make([]int, cfg.Cores),
 		issueQ:    make([]mem.Queue, cfg.Cores),
 		blocked:   make([]bool, cfg.Cores),
-		parked:    make([]int64, backend.Channels()),
+		window:    make([]uint32, cfg.Cores*backend.Channels()),
+		chs:       backend.Channels(),
+		space:     make([]bool, backend.Channels()),
 		portUsed:  make([]int, cfg.Cores),
 		portCycle: -1,
 		stats:     make([]CoreStats, cfg.Cores),
@@ -264,29 +270,57 @@ func (m *MMU) ChargeMSHRStalls(core int, n int64) {
 	m.tlbFor(core).misses += n
 }
 
-// push appends a translated request to core's issue queue. A request
-// that lands inside the drain window is parked on its channel; the
-// refusals owed for cycles slept before this change are settled first.
+// push appends a translated request to core's issue queue, marking it
+// in its channel's window mask if it lands inside the drain window.
+// The refusals owed for cycles slept before this change are settled
+// first.
 func (m *MMU) push(now clock.Global, core int, r *mem.Request) {
 	m.settle(now + 1)
 	q := &m.issueQ[core]
 	q.Push(r)
-	if q.Len() <= drainWindow {
-		m.parked[m.backend.Route(r)]++
+	if n := q.Len(); n <= drainWindow {
+		m.window[core*m.chs+m.backend.Route(r)] |= 1 << (n - 1)
 	}
+}
+
+// remove takes the request at index i out of core's issue queue. Every
+// window mask of core drops bit i and shifts the bits above it down one
+// place; the request that slides into the window's last place is
+// marked on its channel.
+func (m *MMU) remove(core, i int) {
+	q := &m.issueQ[core]
+	q.RemoveAt(i)
+	low := uint32(1)<<i - 1
+	win := m.window[core*m.chs : (core+1)*m.chs]
+	for ch, w := range win {
+		win[ch] = w&low | (w>>1)&^low
+	}
+	if q.Len() >= drainWindow {
+		win[m.backend.Route(q.At(drainWindow-1))] |= 1 << (drainWindow - 1)
+	}
+}
+
+// windowed returns the number of drain-window requests, over all
+// cores, routed to channel ch.
+func (m *MMU) windowed(ch int) int64 {
+	n := 0
+	for i := ch; i < len(m.window); i += m.chs {
+		n += bits.OnesCount32(m.window[i])
+	}
+	return int64(n)
 }
 
 // settle pays the backend the refusals of cycles [settled, upto): each
 // is a cycle the MMU slept through with every drain-window request's
 // channel full, on which a drain would have tried, and been refused,
-// once per parked request.
+// once per window request.
 func (m *MMU) settle(upto clock.Global) {
 	if upto <= m.settled {
 		return
 	}
 	n := (upto - m.settled).Int64()
-	for ch, k := range m.parked {
-		if k > 0 {
+	for ch := 0; ch < m.chs; ch++ {
+		if k := m.windowed(ch); k > 0 {
 			m.backend.ChargeRefusals(ch, k*n)
 		}
 	}
@@ -489,24 +523,53 @@ func (m *MMU) drainIssueQueues(now clock.Global) {
 }
 
 // drainOne admits the oldest admissible request (within drainWindow) of
-// core's issue queue into the backend; the request that slides into the
-// window behind it is parked on its channel.
+// core's issue queue into the backend. It asks each channel with window
+// requests once whether it has space, and offers the backend only the
+// window requests of channels that do, oldest first. A window request
+// on a full channel is not offered: the backend would refuse it, so
+// drainOne charges that refusal arithmetically (ChargeRefusals, the
+// awake twin of settle) for every such request older than the one
+// admitted, or for all of them when none is.
 func (m *MMU) drainOne(now clock.Global, core int) bool {
+	win := m.window[core*m.chs : (core+1)*m.chs]
+	var open uint32 // window positions whose channel has space
+	for ch, w := range win {
+		m.space[ch] = w != 0 && m.backend.HasSpace(ch)
+		if m.space[ch] {
+			open |= w
+		}
+	}
 	q := &m.issueQ[core]
-	limit := min(q.Len(), drainWindow)
-	for i := 0; i < limit; i++ {
-		r := q.At(i)
-		if m.backend.Enqueue(now, r) {
-			q.RemoveAt(i)
-			m.parked[m.backend.Route(r)]--
-			if q.Len() >= drainWindow {
-				m.parked[m.backend.Route(q.At(drainWindow-1))]++
-			}
+	from := 0 // window positions below from are charged or offered
+	for open != 0 {
+		i := bits.TrailingZeros32(open)
+		open &= open - 1
+		m.chargeFull(win, below(i)&^below(from))
+		from = i + 1
+		if m.backend.Enqueue(now, q.At(i)) {
+			m.remove(core, i)
 			return true
 		}
 	}
+	m.chargeFull(win, ^below(from))
 	return false
 }
+
+// chargeFull charges one refusal for every window position in mask
+// whose channel drainOne found full.
+func (m *MMU) chargeFull(win []uint32, mask uint32) {
+	for ch, w := range win {
+		if m.space[ch] {
+			continue
+		}
+		if n := bits.OnesCount32(w & mask); n > 0 {
+			m.backend.ChargeRefusals(ch, int64(n))
+		}
+	}
+}
+
+// below returns the mask of window positions before i.
+func below(i int) uint32 { return uint32(1)<<i - 1 }
 
 // NextEventAfter returns the earliest global cycle at which the MMU
 // needs ticking. It is now+1 only if a tick could change something: a
@@ -560,8 +623,8 @@ func (m *MMU) canDispatch() bool {
 // canDrain reports whether some drain-window request's channel has
 // space.
 func (m *MMU) canDrain() bool {
-	for ch, k := range m.parked {
-		if k > 0 && m.backend.HasSpace(ch) {
+	for ch := 0; ch < m.chs; ch++ {
+		if m.windowed(ch) > 0 && m.backend.HasSpace(ch) {
 			return true
 		}
 	}

@@ -62,7 +62,7 @@ func testMMUConfig(cores int) Config {
 	}
 }
 
-func newTestMMU(t *testing.T, cfg Config, backend Backend) *MMU {
+func newTestMMU(t testing.TB, cfg Config, backend Backend) *MMU {
 	t.Helper()
 	tables := make([]*PageTable, cfg.Cores)
 	for i := range tables {

@@ -212,7 +212,7 @@ func TestMMUWakeContractRefusingBackend(t *testing.T) {
 	for name, tweak := range variants {
 		for _, seed := range []int64{5, 23} {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
+				stim := newRefusingStimulus(seed, cores, channels)
 				cfg := testMMUConfig(cores)
 				tweak(&cfg)
 				refBack := newRefusingBackend(channels, capacity)
@@ -224,13 +224,11 @@ func TestMMUWakeContractRefusingBackend(t *testing.T) {
 				armed := clock.Global(0)
 				sleeps := 0
 
-				const cycles = 20_000
 				var now clock.Global
-				for ; now < cycles || ref.Busy() || wake.Busy() || refBack.busy(); now++ {
+				for ; now < refusingCycles || ref.Busy() || wake.Busy() || refBack.busy(); now++ {
 					// The backend moves first, as DRAM channels tick
 					// before the MMU in the simulator.
-					if rng.Intn(2) == 0 {
-						ch := rng.Intn(channels)
+					if ch := stim.free(); ch >= 0 {
 						refBack.free(now, ch)
 						if wakeBack.free(now, ch) {
 							armed = min(armed, now)
@@ -252,25 +250,17 @@ func TestMMUWakeContractRefusingBackend(t *testing.T) {
 						}
 						armed = min(next, far)
 					}
-					if now < cycles && rng.Intn(4) == 0 {
-						n := 1 + rng.Intn(3)
-						for i := 0; i < n; i++ {
-							core := rng.Intn(cores)
-							va := uint64(rng.Intn(48))<<12 | uint64(rng.Intn(64))*64
-							mk := func() *mem.Request {
-								return &mem.Request{Core: core, VAddr: va, Size: 64, Kind: mem.Read, Class: mem.Data}
-							}
-							okRef := ref.Submit(now, mk())
-							okWake := wake.Submit(now, mk())
-							if okRef != okWake {
-								t.Fatalf("cycle %d: submit acceptance diverged (ref=%v wake=%v)", now, okRef, okWake)
-							}
-							if okWake == mem.Admitted {
-								armed = min(armed, wake.NextEventAfter(now))
-							}
+					for _, sub := range stim.submits(now) {
+						okRef := ref.Submit(now, sub.request())
+						okWake := wake.Submit(now, sub.request())
+						if okRef != okWake {
+							t.Fatalf("cycle %d: submit acceptance diverged (ref=%v wake=%v)", now, okRef, okWake)
+						}
+						if okWake == mem.Admitted {
+							armed = min(armed, wake.NextEventAfter(now))
 						}
 					}
-					if now > 10*cycles {
+					if now > 10*refusingCycles {
 						t.Fatal("twins never went idle")
 					}
 				}
@@ -296,6 +286,80 @@ func TestMMUWakeContractRefusingBackend(t *testing.T) {
 					t.Errorf("per-channel refusals diverged: ref=%v wake=%v", refBack.refused, wakeBack.refused)
 				}
 			})
+		}
+	}
+}
+
+// refusingCycles is how long the refusing-backend stimulus submits.
+const refusingCycles = 20_000
+
+// refusingStimulus draws the seeded stimulus of
+// TestMMUWakeContractRefusingBackend one cycle at a time: first the
+// backend channel that frees a slot (free), then, after the MMU's tick,
+// the requests the cores submit (submits).
+type refusingStimulus struct {
+	rng             *rand.Rand
+	cores, channels int
+}
+
+func newRefusingStimulus(seed int64, cores, channels int) *refusingStimulus {
+	return &refusingStimulus{rng: rand.New(rand.NewSource(seed)), cores: cores, channels: channels}
+}
+
+// free returns the channel whose oldest slot frees this cycle, or -1.
+func (s *refusingStimulus) free() int {
+	if s.rng.Intn(2) == 0 {
+		return s.rng.Intn(s.channels)
+	}
+	return -1
+}
+
+// submission is one core's read of one virtual block.
+type submission struct {
+	core int
+	va   uint64
+}
+
+func (s submission) request() *mem.Request {
+	return &mem.Request{Core: s.core, VAddr: s.va, Size: 64, Kind: mem.Read, Class: mem.Data}
+}
+
+// submits returns the cycle's submissions: none from refusingCycles on.
+// A small page pool drives TLB hits, misses, and coalesced walks; the
+// offset varies freely.
+func (s *refusingStimulus) submits(now clock.Global) []submission {
+	if now >= refusingCycles || s.rng.Intn(4) != 0 {
+		return nil
+	}
+	out := make([]submission, 1+s.rng.Intn(3))
+	for i := range out {
+		core := s.rng.Intn(s.cores)
+		out[i] = submission{core: core, va: uint64(s.rng.Intn(48))<<12 | uint64(s.rng.Intn(64))*64}
+	}
+	return out
+}
+
+// BenchmarkMMUTick replays TestMMUWakeContractRefusingBackend's seeded
+// stimulus (seed 5, fixed-latency walks) into one MMU ticked every
+// cycle, as that test's reference twin is: translation, walks, and the
+// drain into a backend whose channels stay full most of the time. One
+// op is the whole stream.
+func BenchmarkMMUTick(b *testing.B) {
+	const cores, channels, capacity = 2, 3, 3
+	b.ReportAllocs()
+	for range b.N {
+		stim := newRefusingStimulus(5, cores, channels)
+		back := newRefusingBackend(channels, capacity)
+		m := newTestMMU(b, testMMUConfig(cores), back)
+		for now := clock.Global(0); now < refusingCycles || m.Busy() || back.busy(); now++ {
+			if ch := stim.free(); ch >= 0 {
+				back.free(now, ch)
+			}
+			back.complete(now)
+			m.Tick(now)
+			for _, sub := range stim.submits(now) {
+				m.Submit(now, sub.request())
+			}
 		}
 	}
 }

@@ -94,6 +94,10 @@ type Core struct {
 
 	inflight int
 
+	// done is the Done of every request the core builds: one method
+	// value for the core's lifetime, not a closure per request.
+	done func(clock.Global, *mem.Request)
+
 	finishedFirst bool
 
 	// OnIssue, if non-nil, observes every request the DMA issues
@@ -134,6 +138,7 @@ func NewCore(id int, arch ArchConfig, sched *tile.Schedule, dom clock.Domain, su
 	}
 	c.stats.LayerEndCycles = make(map[int]int64)
 	c.loadEmit = newEmitter(sched.Tasks[0].Loads, arch.BlockBytes)
+	c.done = c.complete
 	return c, nil
 }
 
@@ -312,25 +317,31 @@ func (c *Core) buildRequest(addr uint64, kind mem.Kind, tileIdx int) *mem.Reques
 		Kind:  kind,
 		Class: mem.Data,
 		Tile:  tileIdx,
+		Done:  c.done,
 	}
 	if tileIdx >= 0 {
 		r.Layer = c.sched.Tasks[tileIdx].Layer
 	}
-	r.Done = func(done clock.Global, _ *mem.Request) {
-		c.inflight--
-		if kind == mem.Read {
-			c.loadInflight--
-		} else {
-			c.storeInflight--
-		}
-		if c.Obs != nil {
-			// done is already on the true global timeline: memory
-			// completions are delivered on the undelayed global clock.
-			c.Obs.Emit(obs.Event{Cycle: done, Kind: obs.KindDMAComplete,
-				Core: int32(c.id), A: int64(c.inflight)})
-		}
-	}
 	return r
+}
+
+// complete retires one of the core's requests whose burst finished at
+// global cycle done.
+//
+//lint:allow wakecontract audited stimulus seam: only a request's Done calls it, from dram.Memory's burst retirement, which then calls Memory.OnComplete; the kernel wires that to re-arm this core at the completion cycle
+func (c *Core) complete(done clock.Global, r *mem.Request) {
+	c.inflight--
+	if r.Kind == mem.Read {
+		c.loadInflight--
+	} else {
+		c.storeInflight--
+	}
+	if c.Obs != nil {
+		// done is already on the true global timeline: memory
+		// completions are delivered on the undelayed global clock.
+		c.Obs.Emit(obs.Event{Cycle: done, Kind: obs.KindDMAComplete,
+			Core: int32(c.id), A: int64(c.inflight)})
+	}
 }
 
 // swapReady reports whether the current load tile is complete (all its

@@ -435,8 +435,12 @@ func (d *Dump) TotalDropped() int64 {
 // exporter, producing a timeline that passes ValidateChromeTrace even
 // though the window may start mid-tile or mid-walk: finish events whose
 // start was evicted are skipped, core names are re-seeded from the
-// sticky CoreInfo, and a synthetic run-end closes any span still open
-// at the window's last cycle.
+// sticky CoreInfo, a window or refresh of negative duration (which only
+// a damaged dump holds) is dropped, and a synthetic run-end closes any
+// span still open at the window's last cycle. A run end closes every
+// open span in the exporter, so the replay forgets its open spans there
+// too, and a finish after it is one whose start the run end already
+// closed.
 func (d *Dump) WriteChromeTrace(w io.Writer) error {
 	ct := obs.NewChromeTrace(w)
 
@@ -448,37 +452,51 @@ func (d *Dump) WriteChromeTrace(w io.Writer) error {
 
 	tileDepth := make(map[int32]int)
 	openWalks := make(map[int32]map[int64]int)
+	open := 0 // spans begun since the last run end and not yet finished
 	sawEnd := false
+	last := d.LastCycle
 	for _, e := range d.Merged() {
+		last = max(last, e.Cycle)
 		switch e.Kind {
 		case obs.KindTileStart:
 			tileDepth[e.Core]++
+			open++
 		case obs.KindTileFinish:
 			if tileDepth[e.Core] == 0 {
 				continue // start evicted from the window
 			}
 			tileDepth[e.Core]--
+			open--
 		case obs.KindWalkStart:
 			if openWalks[e.Core] == nil {
 				openWalks[e.Core] = map[int64]int{}
 			}
 			openWalks[e.Core][e.A]++
+			open++
 		case obs.KindWalkEnd:
 			if openWalks[e.Core][e.A] == 0 {
 				continue // start evicted from the window
 			}
 			openWalks[e.Core][e.A]--
+			open--
+		case obs.KindSkipWindow, obs.KindRefresh:
+			if e.A < 0 {
+				continue // a duration no recorder writes
+			}
 		case obs.KindRunEnd:
 			sawEnd = true
+			clear(tileDepth)
+			clear(openWalks)
+			open = 0
 		}
 		ct.Emit(e)
 	}
-	if !sawEnd {
+	if !sawEnd || open > 0 {
 		ct.Emit(obs.Event{
 			Kind:  obs.KindRunEnd,
-			Cycle: d.LastCycle,
+			Cycle: last,
 			Core:  -1,
-			A:     d.LastCycle.Int64(),
+			A:     last.Int64(),
 		})
 	}
 	return ct.Close()

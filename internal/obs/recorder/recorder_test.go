@@ -240,6 +240,27 @@ func TestWriteChromeTraceFullRun(t *testing.T) {
 	}
 }
 
+// TestWriteChromeTraceRunEndBeforeFinish replays a window holding a
+// tile start, a run end and that tile's finish: the run end closes the
+// tile, so the finish must not be written as an end without a begin.
+func TestWriteChromeTraceRunEndBeforeFinish(t *testing.T) {
+	r := New(1, 0, 8)
+	r.Emit(ev(obs.KindTileStart, 10, 0, withA(1), withB(0)))
+	r.Emit(ev(obs.KindRunEnd, 20, -1, withA(20)))
+	r.Emit(ev(obs.KindTileFinish, 30, 0, withA(1), withB(0)))
+	d, err := Decode(r.DumpBytes("on-demand"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
+		t.Fatalf("replayed trace is invalid: %v\n%s", err, buf.String())
+	}
+}
+
 func TestSnapshotReplaysCounters(t *testing.T) {
 	r := New(2, 2, 64)
 	feed(r)

@@ -86,9 +86,6 @@ type system struct {
 	sink   obs.Sink
 	ek     *eventKernel
 
-	// Per-core completed DRAM traffic, split by class.
-	dataBytes, ptBytes []int64
-
 	// finished tracks which cores already emitted their first-inference
 	// phase event; nil when no sink is attached.
 	finished []bool
@@ -268,30 +265,16 @@ func newSystem(cfg Config, event bool) (*system, error) {
 		cores[i] = core
 	}
 
-	s := &system{
-		cfg:       cfg,
-		memory:    memory,
-		unit:      unit,
-		cores:     cores,
-		scheds:    scheds,
-		starts:    starts,
-		sink:      sink,
-		ek:        ek,
-		dataBytes: make([]int64, n),
-		ptBytes:   make([]int64, n),
-	}
-
-	// Per-core transfer accounting.
-	memory.OnTransfer = func(now clock.Global, core int, bytes int, class mem.Class) {
-		if core >= 0 && core < n {
-			if class == mem.PageTable {
-				s.ptBytes[core] += int64(bytes)
-			} else {
-				s.dataBytes[core] += int64(bytes)
-			}
-		}
-	}
-	return s, nil
+	return &system{
+		cfg:    cfg,
+		memory: memory,
+		unit:   unit,
+		cores:  cores,
+		scheds: scheds,
+		starts: starts,
+		sink:   sink,
+		ek:     ek,
+	}, nil
 }
 
 // run drives the built system to completion with loop (the event
@@ -342,6 +325,7 @@ func (s *system) run(ctx context.Context, loop func(context.Context) (clock.Glob
 	}
 	for i, c := range s.cores {
 		st := c.Stats()
+		moved := s.memory.MovedBy(i)
 		res.Cores[i] = CoreResult{
 			Net:            cfg.Nets[i].Name,
 			Cycles:         st.FirstIterCycles,
@@ -352,8 +336,8 @@ func (s *system) run(ctx context.Context, loop func(context.Context) (clock.Glob
 			LayerEndCycles: st.LayerEndCycles,
 			NPU:            st,
 			MMU:            s.unit.Stats(i),
-			DataBytes:      s.dataBytes[i],
-			PTBytes:        s.ptBytes[i],
+			DataBytes:      moved.Data,
+			PTBytes:        moved.PageTable,
 		}
 		if !cfg.NoTranslation {
 			res.Cores[i].TLBHitRate = s.unit.TLBFor(i).HitRate()
