@@ -29,9 +29,11 @@
 // Every request is tagged with an X-Request-Id, timed via a
 // Server-Timing header, and access-logged; submissions carry W3C
 // traceparent propagation end to end — fetch a trace with
-// GET /v1/traces/{id} (render it with mnputrace -mode spans), and tune
-// the bounded span store with -trace-store/-trace-spans or turn
-// tracing off with -no-trace.
+// GET /v1/traces/{id} (render it with mnputrace -mode spans), cap the
+// spans kept per trace with -trace-spans, or turn tracing off with
+// -no-trace. The flight-recorder rings and the span store keep their
+// default sizes (recorder.DefaultRingCap events per track, the last
+// dtrace.DefaultMaxTraces traces).
 // On SIGINT/SIGTERM the daemon stops accepting jobs, drains in-flight
 // work (bounded by -drain-timeout, after which remaining jobs are
 // cancelled), keeps status GETs answering throughout the drain, then
@@ -100,10 +102,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		debugAddr    = fs.String("debug-addr", "", "serve net/http/pprof on this extra address (empty = off)")
 		wdFraction   = fs.Float64("watchdog", 0.75, "anomaly watchdog: capture a flight-recorder dump and CPU profile when a job reaches this fraction of its timeout still running (0 = off; needs a job timeout)")
 		wdProfile    = fs.Duration("watchdog-profile", 250*time.Millisecond, "CPU-profile capture duration when the watchdog fires")
-		ringCap      = fs.Int("recorder-ring", 0, "flight-recorder ring capacity per (core, channel) track, in events (0 = default)")
 		cacheDir     = fs.String("cache-dir", "", "persistent result-cache directory (empty = memory only); instances sharing one directory share results")
 		noTrace      = fs.Bool("no-trace", false, "disable distributed tracing (no spans recorded, no trace/request IDs minted)")
-		traceStore   = fs.Int("trace-store", 0, "max traces held in the in-memory span store (0 = default 256)")
 		traceSpans   = fs.Int("trace-spans", 0, "max spans retained per trace (0 = default 4096)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -133,10 +133,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Logger:            logger,
 		WatchdogFraction:  *wdFraction,
 		WatchdogProfile:   *wdProfile,
-		RecorderRingCap:   *ringCap,
 		CacheDir:          *cacheDir,
 		DisableTracing:    *noTrace,
-		TraceMaxTraces:    *traceStore,
 		TraceMaxSpans:     *traceSpans,
 	})
 	if err != nil {

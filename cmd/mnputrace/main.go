@@ -39,10 +39,8 @@ import (
 	"os"
 	"sort"
 
-	"mnpusim/internal/clock"
 	"mnpusim/internal/config"
 	"mnpusim/internal/experiments"
-	"mnpusim/internal/mem"
 	"mnpusim/internal/obs"
 	"mnpusim/internal/obs/dtrace"
 	"mnpusim/internal/obs/recorder"
@@ -75,6 +73,9 @@ func run(args []string) error {
 		return err
 	}
 
+	if *mode == "log" && *limit < 1 {
+		return fmt.Errorf("-limit must be at least 1, got %d", *limit)
+	}
 	if *mode == "validate" {
 		return validateTrace(*inF)
 	}
@@ -151,26 +152,24 @@ func run(args []string) error {
 			w = f
 		}
 		bw := bufio.NewWriter(w)
-		defer bw.Flush()
-		log := trace.NewRequestLog(bw)
+		log := trace.NewRequestLog(bw, *limit)
 		base, err := sim.NewWorkloadConfig(scale, sim.Static, *workload)
 		if err != nil {
 			return err
 		}
 		cfg := sim.IdealFor(base, 0)
+		cfg.Obs = log
 		if chrome != nil {
-			cfg.Obs = chrome
+			cfg.Obs = obs.Tee(chrome, log)
 		}
 		cfg.Metrics = reg
-		cfg.OnIssue = func(now clock.Global, req *mem.Request) {
-			if log.Lines() < *limit {
-				_ = log.Log(now.Int64(), req)
-			}
-		}
 		if _, err := sim.Run(cfg); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d records\n", min(log.Lines(), *limit))
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %d records\n", log.Lines())
 	default:
 		return fmt.Errorf("unknown mode %q (want rate, bandwidth, log, validate, postmortem, or spans)", *mode)
 	}

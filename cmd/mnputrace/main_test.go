@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"os"
@@ -16,23 +18,54 @@ import (
 	"mnpusim/internal/serve/api"
 )
 
+// TestRunLogMode pins the whole ncf request log: every DMA issue of the
+// Ideal run, one record each (cycle, vaddr, core, class+kind), and a
+// -limit run writes its first records.
 func TestRunLogMode(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "req.log")
-	if err := run([]string{"-mode", "log", "-workload", "ncf", "-out", out, "-limit", "100"}); err != nil {
+	dir := t.TempDir()
+	full, head := filepath.Join(dir, "full.log"), filepath.Join(dir, "head.log")
+	if err := run([]string{"-mode", "log", "-workload", "ncf", "-out", full}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(out)
+	if err := run([]string{"-mode", "log", "-workload", "ncf", "-out", head, "-limit", "100"}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 100 {
-		t.Fatalf("log has %d lines, want 100", len(lines))
+	kinds := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if f := strings.Fields(line); len(f) != 4 || !strings.HasPrefix(f[1], "0x") {
+			t.Fatalf("record format: %q", line)
+		} else {
+			kinds[f[3]]++
+		}
 	}
-	// Each record: cycle, vaddr, core, class+kind.
-	fields := strings.Fields(lines[0])
-	if len(fields) != 4 || !strings.HasPrefix(fields[1], "0x") {
-		t.Errorf("record format: %q", lines[0])
+	if kinds["DR"] != 1673 || kinds["DW"] != 708 || len(kinds) != 2 {
+		t.Errorf("records by class+kind = %v, want 1673 DR and 708 DW", kinds)
+	}
+	sum := sha256.Sum256(data)
+	if got, want := hex.EncodeToString(sum[:]), "987ec1991eb70fa053a3b0a2c6a4838a0188697fe9711b5fb3b783546121301f"; got != want {
+		t.Errorf("log sha256 %s, want %s", got, want)
+	}
+	first, err := os.ReadFile(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(first, []byte("\n")); n != 100 || !bytes.HasPrefix(data, first) {
+		t.Errorf("-limit 100 wrote %d records, not the log's first 100", n)
+	}
+}
+
+// TestRunLogModeRejectsLimitBelowOne: a log of no records is a usage
+// error, not an empty success.
+func TestRunLogModeRejectsLimitBelowOne(t *testing.T) {
+	for _, limit := range []string{"0", "-5"} {
+		out := filepath.Join(t.TempDir(), "req.log")
+		if err := run([]string{"-mode", "log", "-out", out, "-limit", limit}); err == nil {
+			t.Errorf("-limit %s accepted", limit)
+		}
 	}
 }
 

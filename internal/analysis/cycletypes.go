@@ -101,7 +101,7 @@ func checkCycleCast(p *Pass, call *ast.CallExpr) {
 	switch {
 	case dstCycle != "" && srcCycle != "":
 		if dstCycle != srcCycle {
-			p.Report(call.Pos(), "cast converts clock.%s directly to clock.%s; convert through clock.Domain (ToGlobal/ToLocal/LocalFloor)", srcCycle, dstCycle)
+			p.Report(call.Pos(), "cast converts clock.%s directly to clock.%s; convert through clock.Domain (ToGlobal/LocalFloor)", srcCycle, dstCycle)
 		}
 	case dstCycle != "":
 		// Raw value entering the typed domain.

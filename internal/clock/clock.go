@@ -94,12 +94,6 @@ func (d Domain) ToGlobal(localCycles Local) Global {
 	return Global(ceilDiv(int64(localCycles)*d.gr, d.lr))
 }
 
-// ToLocal converts a global cycle count to local cycles, rounding up so
-// a response never arrives at the core before the resource produced it.
-func (d Domain) ToLocal(globalCycles Global) Local {
-	return Local(ceilDiv(int64(globalCycles)*d.lr, d.gr))
-}
-
 // LocalFloor returns how many full local cycles have elapsed by global
 // cycle g. Cores use it to find how many local cycles to process when
 // ticked on the global clock.
@@ -109,9 +103,6 @@ func (d Domain) LocalFloor(g Global) Local {
 	}
 	return Local(int64(g) * d.lr / d.gr)
 }
-
-// Ratio reports local/global as a float, useful for diagnostics.
-func (d Domain) Ratio() float64 { return float64(d.local) / float64(d.global) }
 
 func ceilDiv(a, b int64) int64 {
 	if a <= 0 {

@@ -24,9 +24,6 @@ func TestUnityRatioIsIdentity(t *testing.T) {
 		if g := d.ToGlobal(Local(n)); g.Int64() != n {
 			t.Errorf("ToGlobal(%d) = %d, want identity", n, g)
 		}
-		if l := d.ToLocal(Global(n)); l.Int64() != n {
-			t.Errorf("ToLocal(%d) = %d, want identity", n, l)
-		}
 		if f := d.LocalFloor(Global(n)); f.Int64() != n {
 			t.Errorf("LocalFloor(%d) = %d, want identity", n, f)
 		}
@@ -38,7 +35,6 @@ func TestUnityRatioIsIdentity(t *testing.T) {
 func TestNonDivisibleRatioExact(t *testing.T) {
 	d := NewDomain(700*MHz, 1200*MHz)
 	toGlobal := func(n int64) int64 { return d.ToGlobal(Local(n)).Int64() }
-	toLocal := func(n int64) int64 { return d.ToLocal(Global(n)).Int64() }
 	localFloor := func(n int64) int64 { return d.LocalFloor(Global(n)).Int64() }
 	cases := []struct {
 		name string
@@ -49,9 +45,6 @@ func TestNonDivisibleRatioExact(t *testing.T) {
 		{"ToGlobal", toGlobal, 1, 2},      // ceil(12/7)
 		{"ToGlobal", toGlobal, 7, 12},     // exact multiple
 		{"ToGlobal", toGlobal, 8, 14},     // ceil(96/7)
-		{"ToLocal", toLocal, 1, 1},        // ceil(7/12)
-		{"ToLocal", toLocal, 12, 7},       // exact multiple
-		{"ToLocal", toLocal, 13, 8},       // ceil(91/12)
 		{"LocalFloor", localFloor, 11, 6}, // floor(77/12)
 		{"LocalFloor", localFloor, 12, 7}, // exact multiple
 		{"LocalFloor", localFloor, 1, 0},  // floor(7/12)
@@ -71,9 +64,6 @@ func TestZeroAndNegativeCycles(t *testing.T) {
 			if g := d.ToGlobal(Local(n)); g != 0 {
 				t.Errorf("%s: ToGlobal(%d) = %d, want 0", name, n, g)
 			}
-			if l := d.ToLocal(Global(n)); l != 0 {
-				t.Errorf("%s: ToLocal(%d) = %d, want 0", name, n, l)
-			}
 			if f := d.LocalFloor(Global(n)); f != 0 {
 				t.Errorf("%s: LocalFloor(%d) = %d, want 0", name, n, f)
 			}
@@ -82,16 +72,13 @@ func TestZeroAndNegativeCycles(t *testing.T) {
 }
 
 // TestRoundTripNeverEarly asserts the directional-rounding contract:
-// converting out and back can only overestimate, never underestimate,
-// so a synchronized event can never fire before its cause.
+// by the global cycle ToGlobal(n), at least n local cycles have
+// elapsed, so a synchronized event can never fire before its cause.
 func TestRoundTripNeverEarly(t *testing.T) {
 	for name, d := range edgeDomains() {
 		for n := int64(1); n <= 500; n++ {
-			if rt := d.ToLocal(d.ToGlobal(Local(n))); rt.Int64() < n {
-				t.Fatalf("%s: ToLocal(ToGlobal(%d)) = %d, arrived early", name, n, rt)
-			}
-			if rt := d.ToGlobal(d.ToLocal(Global(n))); rt.Int64() < n {
-				t.Fatalf("%s: ToGlobal(ToLocal(%d)) = %d, arrived early", name, n, rt)
+			if rt := d.LocalFloor(d.ToGlobal(Local(n))); rt.Int64() < n {
+				t.Fatalf("%s: LocalFloor(ToGlobal(%d)) = %d, arrived early", name, n, rt)
 			}
 		}
 	}

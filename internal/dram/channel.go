@@ -13,11 +13,10 @@ import (
 type pending struct {
 	req    *mem.Request
 	loc    Location
-	bank   int    // per-channel bank index (Config.BankIndex)
-	group  int    // rank*BankGroups+BankGroup: the tCCDL window it shares
-	read   bool   // req.Kind == mem.Read
-	seq    uint64 // arrival order for FCFS tie-breaking
-	bypass int    // times a younger request was serviced first
+	bank   int  // per-channel bank index (Config.BankIndex)
+	group  int  // rank*BankGroups+BankGroup: the tCCDL window it shares
+	read   bool // req.Kind == mem.Read
+	bypass int  // times a younger request was serviced first
 }
 
 // completion is a data transfer scheduled to finish in the future.
@@ -151,14 +150,13 @@ func (c *channel) canAccept() bool { return len(c.queue) < c.cfg.QueueDepth }
 // enqueue admits a request; the caller must have checked canAccept. A
 // cached horizon falls to the new request's earliest command, which
 // under FCFS counts only if the request is the head.
-func (c *channel) enqueue(req *mem.Request, loc Location, seq uint64) {
+func (c *channel) enqueue(req *mem.Request, loc Location) {
 	c.queue = append(c.queue, pending{
 		req:   req,
 		loc:   loc,
 		bank:  c.cfg.BankIndex(loc),
 		group: loc.Rank*c.cfg.BankGroups + loc.BankGroup,
 		read:  req.Kind == mem.Read,
-		seq:   seq,
 	})
 	if c.horizonOK && (c.cfg.Policy != FCFS || len(c.queue) == 1) {
 		c.horizon = min(c.horizon, c.earliestProgress(&c.queue[len(c.queue)-1]))

@@ -15,7 +15,6 @@ type Memory struct {
 	cfg      Config
 	channels []*channel
 	mappers  []Mapper // indexed by core
-	seq      uint64
 
 	// moved[core] counts the bytes of core's completed bursts, by class.
 	moved []CoreBytes
@@ -26,10 +25,10 @@ type Memory struct {
 	// channel can change state at now+1.
 	OnEnqueue func(now clock.Global, ch int)
 
-	// OnComplete, if non-nil, is called after a request's Done has run
-	// (burst retired at cycle done). The event-driven kernel uses it to
-	// wake the request's originator — the MMU for page-table reads, the
-	// issuing core for data — on the completion cycle.
+	// OnComplete, if non-nil, is called when a request's burst retires
+	// at cycle done. It is the one completion path: the system hands a
+	// page-table read to the MMU and a data request to its core, then
+	// wakes that consumer on the completion cycle.
 	OnComplete func(done clock.Global, r *mem.Request)
 
 	// OnSlotFreed, if non-nil, is called when TickChannel takes channel
@@ -151,8 +150,8 @@ func (m *Memory) ChargeRefusals(ch int, n int64) { m.channels[ch].stats.QueueFul
 // Enqueue admits r into its channel's controller queue. It returns false
 // (and charges one refusal to the channel) if the queue is full; the
 // caller should retry on a later cycle. A refusal costs one Route; the
-// full Location is decoded only for an admitted request. The request's
-// Done runs when its data burst retires (Memory.complete).
+// full Location is decoded only for an admitted request. OnComplete
+// announces the request when its data burst retires (Memory.complete).
 //
 //lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and complete's OnComplete re-arms the walk or data consumer at the burst's completion cycle
 func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
@@ -162,8 +161,7 @@ func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 		return false
 	}
 	loc := m.mapperFor(r.Core).Locate(r.Addr)
-	m.seq++
-	ch.enqueue(r, loc, m.seq)
+	ch.enqueue(r, loc)
 	if m.obs != nil {
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindDRAMEnqueue, Core: int32(r.Core),
 			Unit: int32(loc.Channel), A: int64(len(ch.queue))})
@@ -176,7 +174,7 @@ func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 
 // complete retires r, whose data burst on channel ch finished at cycle
 // done: it emits the transfer probe, counts the bytes against r's core,
-// runs r's Done and then OnComplete, in that order.
+// then hands r to OnComplete, in that order.
 func (m *Memory) complete(done clock.Global, ch int, r *mem.Request) {
 	if m.obs != nil {
 		m.obs.Emit(obs.Event{Cycle: done, Kind: obs.KindTransfer, Core: int32(r.Core),
@@ -192,7 +190,6 @@ func (m *Memory) complete(done clock.Global, ch int, r *mem.Request) {
 			m.moved[r.Core].Data += int64(r.Size)
 		}
 	}
-	r.Complete(done)
 	if m.OnComplete != nil {
 		m.OnComplete(done, r)
 	}

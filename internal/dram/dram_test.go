@@ -11,8 +11,10 @@ import (
 type testMemory struct {
 	t   *testing.T
 	m   *Memory
-	ids mem.IDAllocator
 	now clock.Global
+	// doneAt maps a request to where its completion hook records the
+	// completion cycle.
+	doneAt map[*mem.Request]*clock.Global
 }
 
 func newTestMemory(t *testing.T, cfg Config) *testMemory {
@@ -21,23 +23,23 @@ func newTestMemory(t *testing.T, cfg Config) *testMemory {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testMemory{t: t, m: m}
+	tm := &testMemory{t: t, m: m, doneAt: map[*mem.Request]*clock.Global{}}
+	m.OnComplete = func(now clock.Global, r *mem.Request) {
+		if at := tm.doneAt[r]; at != nil {
+			*at = now
+		}
+	}
+	return tm
 }
 
-// request builds a block request whose completion records its cycle.
+// request builds a block request whose completion, if doneAt is
+// non-nil, records its cycle there.
 func (tm *testMemory) request(core int, addr uint64, kind mem.Kind, doneAt *clock.Global) *mem.Request {
-	return &mem.Request{
-		ID:   tm.ids.Next(),
-		Core: core,
-		Addr: addr,
-		Size: 64,
-		Kind: kind,
-		Done: func(now clock.Global, _ *mem.Request) {
-			if doneAt != nil {
-				*doneAt = now
-			}
-		},
+	r := &mem.Request{Core: core, Addr: addr, Size: 64, Kind: kind}
+	if doneAt != nil {
+		tm.doneAt[r] = doneAt
 	}
+	return r
 }
 
 // tickAll ticks every channel of m at now, as the event kernel does on
@@ -187,11 +189,9 @@ func TestStreamAchievesNearPeakBandwidth(t *testing.T) {
 	completed := 0
 	issued := 0
 	var lastDone clock.Global
+	tm.m.OnComplete = func(now clock.Global, _ *mem.Request) { completed++; lastDone = now }
 	for tm.now < 100000 && completed < n {
-		for issued < n && tm.m.Enqueue(tm.now, &mem.Request{
-			ID: tm.ids.Next(), Core: 0, Addr: uint64(issued * 64), Size: 64, Kind: mem.Read,
-			Done: func(now clock.Global, _ *mem.Request) { completed++; lastDone = now },
-		}) {
+		for issued < n && tm.m.Enqueue(tm.now, tm.request(0, uint64(issued*64), mem.Read, nil)) {
 			issued++
 		}
 		tm.tick()
@@ -224,17 +224,13 @@ func TestChannelPartitionIsolation(t *testing.T) {
 		var last0 clock.Global
 		done0 := 0
 		issued0, issued1 := 0, 0
+		tm.m.OnComplete = core0Done(&done0, &last0)
 		for tm.now < 100000 && done0 < n {
-			for issued0 < n && tm.m.Enqueue(tm.now, &mem.Request{
-				ID: tm.ids.Next(), Core: 0, Addr: uint64(issued0 * 64), Size: 64, Kind: mem.Read,
-				Done: func(now clock.Global, _ *mem.Request) { done0++; last0 = now },
-			}) {
+			for issued0 < n && tm.m.Enqueue(tm.now, tm.request(0, uint64(issued0*64), mem.Read, nil)) {
 				issued0++
 			}
 			if withCo {
-				for issued1 < 10*n && tm.m.Enqueue(tm.now, &mem.Request{
-					ID: tm.ids.Next(), Core: 1, Addr: uint64(issued1 * 64), Size: 64, Kind: mem.Read,
-				}) {
+				for issued1 < 10*n && tm.m.Enqueue(tm.now, tm.request(1, uint64(issued1*64), mem.Read, nil)) {
 					issued1++
 				}
 			}
@@ -252,6 +248,17 @@ func TestChannelPartitionIsolation(t *testing.T) {
 	}
 }
 
+// core0Done returns a completion hook that counts core 0's completions
+// and records the last one's cycle.
+func core0Done(n *int, last *clock.Global) func(clock.Global, *mem.Request) {
+	return func(now clock.Global, r *mem.Request) {
+		if r.Core == 0 {
+			*n++
+			*last = now
+		}
+	}
+}
+
 func TestSharedChannelContention(t *testing.T) {
 	// Two cores on the same channel must slow each other down.
 	run := func(withCo bool) clock.Global {
@@ -261,20 +268,16 @@ func TestSharedChannelContention(t *testing.T) {
 		var last0 clock.Global
 		done0 := 0
 		issued0, issued1 := 0, 0
+		tm.m.OnComplete = core0Done(&done0, &last0)
 		for tm.now < 200000 && done0 < n {
 			// Co-runner gets first crack at queue space so the
 			// interference is steady.
 			if withCo && issued1 < 4*n {
-				if tm.m.Enqueue(tm.now, &mem.Request{
-					ID: tm.ids.Next(), Core: 1, Addr: uint64(1<<20 + issued1*64), Size: 64, Kind: mem.Read,
-				}) {
+				if tm.m.Enqueue(tm.now, tm.request(1, uint64(1<<20+issued1*64), mem.Read, nil)) {
 					issued1++
 				}
 			}
-			if issued0 < n && tm.m.Enqueue(tm.now, &mem.Request{
-				ID: tm.ids.Next(), Core: 0, Addr: uint64(issued0 * 64), Size: 64, Kind: mem.Read,
-				Done: func(now clock.Global, _ *mem.Request) { done0++; last0 = now },
-			}) {
+			if issued0 < n && tm.m.Enqueue(tm.now, tm.request(0, uint64(issued0*64), mem.Read, nil)) {
 				issued0++
 			}
 			tm.tick()
@@ -482,12 +485,12 @@ func TestFCFSPreservesArrivalOrder(t *testing.T) {
 	cfg.Policy = FCFS
 	tm := newTestMemory(t, cfg)
 	var order []uint64
+	tm.m.OnComplete = func(_ clock.Global, r *mem.Request) { order = append(order, r.VAddr) }
 	for i := 0; i < 8; i++ {
-		id := uint64(i)
 		// Alternate rows to create conflicts FR-FCFS would reorder.
 		addr := uint64(i%2) * uint64(cfg.RowBytes) * 16
 		r := tm.request(0, addr+uint64(i*64), mem.Read, nil)
-		r.Done = func(clock.Global, *mem.Request) { order = append(order, id) }
+		r.VAddr = uint64(i) // DRAM never reads VAddr: a tag
 		tm.m.Enqueue(0, r)
 	}
 	tm.tickUntilIdle(10000)

@@ -165,7 +165,7 @@ func seededChannel(cfg Config, rng *rand.Rand) (*channel, clock.Global) {
 		}
 	}
 	for i := 0; i < 1+rng.Intn(cfg.QueueDepth); i++ {
-		c.enqueue(seededRequest(rng), seededLocation(cfg, rng), uint64(i))
+		c.enqueue(seededRequest(rng), seededLocation(cfg, rng))
 	}
 	c.queue[0].bypass = rng.Intn(cfg.StarvationCap + 2)
 	for i := rng.Intn(4); i > 0; i-- {
@@ -242,7 +242,7 @@ func TestCachedHorizonMatchesRecompute(t *testing.T) {
 						t.Fatalf("seed %d step %d cycle %d: horizon %d, recomputed %d", seed, step, at, got, want)
 					}
 					if len(c.queue) < cfg.QueueDepth {
-						c.enqueue(seededRequest(rng), seededLocation(cfg, rng), uint64(100+step))
+						c.enqueue(seededRequest(rng), seededLocation(cfg, rng))
 					}
 				}
 			}

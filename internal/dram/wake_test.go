@@ -10,13 +10,14 @@ import (
 	"mnpusim/internal/mem"
 )
 
-// completionLog records every burst completion as (cycle, request ID).
+// completionLog records every burst completion as (cycle, request
+// tag), the tag carried in VAddr, which DRAM never reads.
 type completionLog struct {
 	events [][2]int64
 }
 
 func (l *completionLog) done(now clock.Global, r *mem.Request) {
-	l.events = append(l.events, [2]int64{now.Int64(), int64(r.ID)})
+	l.events = append(l.events, [2]int64{now.Int64(), int64(r.VAddr)})
 }
 
 // TestChannelWakeContract is the dram half of the event kernel's wake
@@ -44,12 +45,10 @@ func TestChannelWakeContract(t *testing.T) {
 			}
 
 			var refLog, wakeLog completionLog
-			var refIDs, wakeIDs mem.IDAllocator
-			request := func(ids *mem.IDAllocator, log *completionLog, addr uint64, kind mem.Kind) *mem.Request {
-				return &mem.Request{
-					ID: ids.Next(), Core: 0, Addr: addr, Size: 64, Kind: kind,
-					Done: log.done,
-				}
+			ref.OnComplete, wake.OnComplete = refLog.done, wakeLog.done
+			var tag uint64
+			request := func(addr uint64, kind mem.Kind) *mem.Request {
+				return &mem.Request{Core: 0, VAddr: tag, Addr: addr, Size: 64, Kind: kind}
 			}
 
 			stream := newRequestStream(seed)
@@ -74,8 +73,9 @@ func TestChannelWakeContract(t *testing.T) {
 				// visible to its channel at now+1 — the wake OnEnqueue
 				// arms.
 				for _, sr := range stream.draw(now) {
-					okRef := ref.Enqueue(now, request(&refIDs, &refLog, sr.addr, sr.kind))
-					okWake := wake.Enqueue(now, request(&wakeIDs, &wakeLog, sr.addr, sr.kind))
+					tag++
+					okRef := ref.Enqueue(now, request(sr.addr, sr.kind))
+					okWake := wake.Enqueue(now, request(sr.addr, sr.kind))
 					if okRef != okWake {
 						t.Fatalf("cycle %d: enqueue acceptance diverged (ref=%v wake=%v)", now, okRef, okWake)
 					}
@@ -130,20 +130,19 @@ func (s requestStream) draw(now clock.Global) []streamRequest {
 // stream (seed 1) into a two-channel device driven as the event kernel
 // drives one: a channel ticks only at its horizon, and an admission
 // re-arms its channel at the recomputed horizon (the enqueue seam).
-// Every request shares one Done, so allocations are the device's own
-// plus the requests. One op is the whole stream.
+// Completions go to one no-op hook, so allocations are the device's
+// own plus the requests. One op is the whole stream.
 func BenchmarkDRAMChannelTick(b *testing.B) {
 	b.ReportAllocs()
-	done := func(clock.Global, *mem.Request) {}
 	for range b.N {
 		cfg := HBM2(2)
 		m := MustNew(cfg)
+		m.OnComplete = func(clock.Global, *mem.Request) {}
 		armed := make([]clock.Global, cfg.Channels)
 		m.OnEnqueue = func(now clock.Global, ch int) {
 			armed[ch] = min(armed[ch], m.ChannelNextEventAfter(ch, now))
 		}
 		stream := newRequestStream(1)
-		var ids mem.IDAllocator
 		for now := clock.Global(0); now < streamCycles || busy(m); now++ {
 			for ch := range armed {
 				if armed[ch] <= now {
@@ -152,7 +151,7 @@ func BenchmarkDRAMChannelTick(b *testing.B) {
 				}
 			}
 			for _, sr := range stream.draw(now) {
-				m.Enqueue(now, &mem.Request{ID: ids.Next(), Addr: sr.addr, Size: 64, Kind: sr.kind, Done: done})
+				m.Enqueue(now, &mem.Request{Addr: sr.addr, Size: 64, Kind: sr.kind})
 			}
 		}
 	}

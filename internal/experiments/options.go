@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"mnpusim/internal/obs"
@@ -30,8 +29,8 @@ func WithWorkers(n int) Option {
 // WithObs routes the probe stream of every simulation the runner
 // executes to sink (see sim.Config.Obs). With more than one worker,
 // events from concurrent simulations interleave, so the sink must be
-// safe for concurrent use (wrap with obs.Locked); results are
-// unaffected.
+// safe for concurrent use (serialize its Emit with a mutex); results
+// are unaffected.
 func WithObs(sink obs.Sink) Option {
 	return func(r *Runner) { r.opts.Obs = sink }
 }
@@ -42,18 +41,11 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(r *Runner) { r.opts.Metrics = reg }
 }
 
-// WithLogf sets the runner's progress logger: one call per completed
-// simulation. Calls are serialized by the runner; under the worker pool
-// the completion order (but never the content) may vary between runs.
-func WithLogf(logf func(format string, args ...any)) Option {
-	return func(r *Runner) { r.log = logf }
-}
-
-// WithProgress is WithLogf writing one line per call to w.
+// WithProgress writes one progress line per completed simulation to w.
+// Lines are serialized by the runner; under the worker pool the
+// completion order (but never the content) may vary between runs.
 func WithProgress(w io.Writer) Option {
-	return WithLogf(func(format string, args ...any) {
-		fmt.Fprintf(w, format+"\n", args...)
-	})
+	return func(r *Runner) { r.progress = w }
 }
 
 // WithContext attaches a cancellation context to the runner: ForEach

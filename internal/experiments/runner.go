@@ -11,6 +11,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -59,9 +60,9 @@ type Runner struct {
 	// ctx cancels the runner: ForEach stops scheduling and in-flight
 	// simulations abort at their next skip-window boundary.
 	ctx context.Context
-	// log, if non-nil, receives one progress line per completed
-	// simulation (serialized by logMu).
-	log func(format string, args ...any)
+	// progress, if non-nil, receives one line per completed simulation
+	// (serialized by logMu).
+	progress io.Writer
 
 	// sem bounds concurrent sim.Run calls. It is acquired only inside
 	// run, never while holding it, so experiment fan-outs may nest
@@ -112,12 +113,12 @@ func (r *Runner) Names() []string { return r.names }
 func (r *Runner) Simulations() int { return int(r.runs.Load()) }
 
 func (r *Runner) logf(format string, args ...any) {
-	if r.log == nil {
+	if r.progress == nil {
 		return
 	}
 	r.logMu.Lock()
 	defer r.logMu.Unlock()
-	r.log(format, args...)
+	fmt.Fprintf(r.progress, format+"\n", args...)
 }
 
 // run executes one simulation, counting it. The worker-pool semaphore

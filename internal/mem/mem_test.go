@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-
-	"mnpusim/internal/clock"
 )
 
 func TestKindAndClassStrings(t *testing.T) {
@@ -18,37 +16,10 @@ func TestKindAndClassStrings(t *testing.T) {
 }
 
 func TestRequestString(t *testing.T) {
-	r := &Request{ID: 3, Core: 1, VAddr: 0x1000, Addr: 0x2000, Size: 64, Kind: Write, Class: Data}
-	want := "req{id=3 core=1 DW va=0x1000 pa=0x2000 sz=64}"
+	r := &Request{Core: 1, VAddr: 0x1000, Addr: 0x2000, Size: 64, Kind: Write, Class: Data}
+	want := "req{core=1 DW va=0x1000 pa=0x2000 sz=64}"
 	if got := r.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestCompleteInvokesCallbackOnce(t *testing.T) {
-	n := 0
-	r := &Request{Done: func(now clock.Global, rr *Request) {
-		n++
-		if now != 42 {
-			t.Errorf("callback now = %d, want 42", now)
-		}
-	}}
-	r.Complete(42)
-	if n != 1 {
-		t.Errorf("callback ran %d times, want 1", n)
-	}
-}
-
-func TestCompleteNilCallbackIsSafe(t *testing.T) {
-	(&Request{}).Complete(1) // must not panic
-}
-
-func TestIDAllocatorSequence(t *testing.T) {
-	var a IDAllocator
-	for want := uint64(1); want <= 100; want++ {
-		if got := a.Next(); got != want {
-			t.Fatalf("Next() = %d, want %d", got, want)
-		}
 	}
 }
 
@@ -58,33 +29,31 @@ func TestQueueFIFO(t *testing.T) {
 		t.Fatal("zero queue should be empty")
 	}
 	for i := 0; i < 100; i++ {
-		q.Push(&Request{ID: uint64(i)})
+		q.Push(&Request{VAddr: uint64(i)})
 	}
 	if q.Len() != 100 {
 		t.Fatalf("Len() = %d, want 100", q.Len())
 	}
 	for i := 0; i < 100; i++ {
-		r := q.Pop()
-		if r == nil || r.ID != uint64(i) {
-			t.Fatalf("Pop() = %v, want id %d", r, i)
+		if r := q.RemoveAt(0); r.VAddr != uint64(i) {
+			t.Fatalf("RemoveAt(0) = %v, want va %d", r, i)
 		}
 	}
-	if q.Pop() != nil {
-		t.Error("Pop() on empty queue should return nil")
+	if !q.Empty() {
+		t.Error("queue not empty after removing every request")
 	}
 }
 
+// TestQueuePeekDoesNotRemove: peeking at the head with At(0) leaves
+// the queue as it was, and RemoveAt(0) then takes that same request.
 func TestQueuePeekDoesNotRemove(t *testing.T) {
 	var q Queue
-	q.Push(&Request{ID: 7})
-	if q.Peek().ID != 7 || q.Len() != 1 {
-		t.Error("Peek changed the queue")
+	q.Push(&Request{VAddr: 7})
+	if q.At(0).VAddr != 7 || q.Len() != 1 {
+		t.Error("At(0) changed the queue")
 	}
-	if q.Peek() != q.Pop() {
-		t.Error("Peek and Pop disagree")
-	}
-	if q.Peek() != nil {
-		t.Error("Peek on empty queue should return nil")
+	if q.At(0) != q.RemoveAt(0) || !q.Empty() {
+		t.Error("At(0) and RemoveAt(0) disagree")
 	}
 }
 
@@ -95,20 +64,20 @@ func TestQueueInterleavedPushPop(t *testing.T) {
 	// Exercise ring wraparound with interleaved operations.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 7; i++ {
-			q.Push(&Request{ID: next})
+			q.Push(&Request{VAddr: next})
 			next++
 		}
 		for i := 0; i < 5; i++ {
-			r := q.Pop()
-			if r.ID != expect {
-				t.Fatalf("round %d: got %d, want %d", round, r.ID, expect)
+			r := q.RemoveAt(0)
+			if r.VAddr != expect {
+				t.Fatalf("round %d: got %d, want %d", round, r.VAddr, expect)
 			}
 			expect++
 		}
 	}
 	for q.Len() > 0 {
-		if r := q.Pop(); r.ID != expect {
-			t.Fatalf("drain: got %d, want %d", r.ID, expect)
+		if r := q.RemoveAt(0); r.VAddr != expect {
+			t.Fatalf("drain: got %d, want %d", r.VAddr, expect)
 		} else {
 			expect++
 		}
@@ -121,12 +90,12 @@ func TestQueueInterleavedPushPop(t *testing.T) {
 func TestQueueAt(t *testing.T) {
 	var q Queue
 	for i := 0; i < 10; i++ {
-		q.Push(&Request{ID: uint64(i)})
+		q.Push(&Request{VAddr: uint64(i)})
 	}
-	q.Pop()
-	q.Pop() // head offset 2
+	q.RemoveAt(0)
+	q.RemoveAt(0) // head offset 2
 	for i := 0; i < q.Len(); i++ {
-		if got := q.At(i).ID; got != uint64(i+2) {
+		if got := q.At(i).VAddr; got != uint64(i+2) {
 			t.Errorf("At(%d) = %d, want %d", i, got, i+2)
 		}
 	}
@@ -150,15 +119,15 @@ func TestQueueAtPanicsOutOfRange(t *testing.T) {
 func TestQueueRemoveAtPreservesOrder(t *testing.T) {
 	var q Queue
 	for i := 0; i < 6; i++ {
-		q.Push(&Request{ID: uint64(i)})
+		q.Push(&Request{VAddr: uint64(i)})
 	}
 	r := q.RemoveAt(2)
-	if r.ID != 2 {
-		t.Fatalf("RemoveAt(2) = %d", r.ID)
+	if r.VAddr != 2 {
+		t.Fatalf("RemoveAt(2) = %d", r.VAddr)
 	}
 	want := []uint64{0, 1, 3, 4, 5}
 	for i, w := range want {
-		if got := q.At(i).ID; got != w {
+		if got := q.At(i).VAddr; got != w {
 			t.Errorf("after removal At(%d) = %d, want %d", i, got, w)
 		}
 	}
@@ -167,15 +136,15 @@ func TestQueueRemoveAtPreservesOrder(t *testing.T) {
 func TestQueueRemoveAtHeadAndTail(t *testing.T) {
 	var q Queue
 	for i := 0; i < 4; i++ {
-		q.Push(&Request{ID: uint64(i)})
+		q.Push(&Request{VAddr: uint64(i)})
 	}
-	if q.RemoveAt(0).ID != 0 {
+	if q.RemoveAt(0).VAddr != 0 {
 		t.Error("RemoveAt(0) wrong")
 	}
-	if q.RemoveAt(q.Len()-1).ID != 3 {
+	if q.RemoveAt(q.Len()-1).VAddr != 3 {
 		t.Error("RemoveAt(last) wrong")
 	}
-	if q.Len() != 2 || q.At(0).ID != 1 || q.At(1).ID != 2 {
+	if q.Len() != 2 || q.At(0).VAddr != 1 || q.At(1).VAddr != 2 {
 		t.Error("remaining order wrong")
 	}
 }
@@ -187,17 +156,17 @@ func TestQuickQueueFIFOProperty(t *testing.T) {
 		next, expect := uint64(0), uint64(0)
 		for _, push := range ops {
 			if push {
-				q.Push(&Request{ID: next})
+				q.Push(&Request{VAddr: next})
 				next++
 			} else if q.Len() > 0 {
-				if q.Pop().ID != expect {
+				if q.RemoveAt(0).VAddr != expect {
 					return false
 				}
 				expect++
 			}
 		}
 		for q.Len() > 0 {
-			if q.Pop().ID != expect {
+			if q.RemoveAt(0).VAddr != expect {
 				return false
 			}
 			expect++
@@ -218,14 +187,14 @@ func TestQuickRemoveAt(t *testing.T) {
 		var q Queue
 		next := uint64(0)
 		push := func() {
-			q.Push(&Request{ID: next})
+			q.Push(&Request{VAddr: next})
 			next++
 		}
 		for i := 0; i < n; i++ {
 			push()
 		}
 		for i := 0; i < pops; i++ {
-			q.Pop()
+			q.RemoveAt(0)
 		}
 		// Refill past the ring's end so the queue wraps around it.
 		for i := 0; i < int(refillRaw%20); i++ {
@@ -235,8 +204,8 @@ func TestQuickRemoveAt(t *testing.T) {
 			return true
 		}
 		idx := int(idxRaw) % q.Len()
-		want := q.At(idx).ID
-		got := q.RemoveAt(idx).ID
+		want := q.At(idx).VAddr
+		got := q.RemoveAt(idx).VAddr
 		if got != want {
 			return false
 		}
@@ -244,7 +213,7 @@ func TestQuickRemoveAt(t *testing.T) {
 		// Remaining elements keep relative order.
 		prev := int64(-1)
 		for i := 0; i < q.Len(); i++ {
-			id := int64(q.At(i).ID)
+			id := int64(q.At(i).VAddr)
 			if id <= prev || id == int64(want) {
 				return false
 			}
@@ -259,8 +228,8 @@ func TestQuickRemoveAt(t *testing.T) {
 
 func ExampleQueue() {
 	var q Queue
-	q.Push(&Request{ID: 1})
-	q.Push(&Request{ID: 2})
-	fmt.Println(q.Pop().ID, q.Pop().ID)
+	q.Push(&Request{VAddr: 1})
+	q.Push(&Request{VAddr: 2})
+	fmt.Println(q.RemoveAt(0).VAddr, q.RemoveAt(0).VAddr)
 	// Output: 1 2
 }

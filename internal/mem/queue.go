@@ -23,27 +23,6 @@ func (q *Queue) Push(r *Request) {
 	q.n++
 }
 
-// Pop removes and returns the request at the head of the queue. It
-// returns nil if the queue is empty.
-func (q *Queue) Pop() *Request {
-	if q.n == 0 {
-		return nil
-	}
-	r := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return r
-}
-
-// Peek returns the request at the head without removing it, or nil.
-func (q *Queue) Peek() *Request {
-	if q.n == 0 {
-		return nil
-	}
-	return q.buf[q.head]
-}
-
 // At returns the i-th request from the head without removing it. It
 // panics if i is out of range.
 func (q *Queue) At(i int) *Request {

@@ -5,14 +5,11 @@
 // In an NPU with a virtually addressed scratchpad, every off-chip
 // transaction carries a virtual address and must be translated before it
 // reaches DRAM. A Request therefore travels: DMA engine -> TLB ->
-// (optional page walk) -> DRAM controller -> completion callback.
+// (optional page walk) -> DRAM controller -> completion, which the
+// memory system announces through its one completion hook.
 package mem
 
-import (
-	"fmt"
-
-	"mnpusim/internal/clock"
-)
+import "fmt"
 
 // Kind distinguishes reads from writes.
 type Kind uint8
@@ -50,13 +47,13 @@ func (c Class) String() string {
 }
 
 // Request is a single off-chip memory transaction. Requests are created
-// by the DMA engine (Data) or by page-table walkers (PageTable).
+// by the DMA engine (Data) or by page-table walkers (PageTable). It is
+// plain data: whoever completes it dispatches on Class and Core.
 //
 // Addr holds the physical address once the request has been translated;
 // until then it is zero and VAddr carries the virtual address. Size is
 // the transaction granularity in bytes (one DRAM burst).
 type Request struct {
-	ID    uint64
 	Core  int
 	VAddr uint64
 	Addr  uint64
@@ -70,20 +67,11 @@ type Request struct {
 	// every retry; Addr and Core must not change once it is set.
 	Routed  bool
 	Channel int
-
-	// Tile and Layer identify the software-side origin of a Data
-	// request, for tracing.
-	Layer int
-	Tile  int
-
-	// Done, if non-nil, is invoked exactly once when the request
-	// completes, with the global cycle of completion.
-	Done func(now clock.Global, r *Request)
 }
 
 func (r *Request) String() string {
-	return fmt.Sprintf("req{id=%d core=%d %s%s va=%#x pa=%#x sz=%d}",
-		r.ID, r.Core, r.Class, r.Kind, r.VAddr, r.Addr, r.Size)
+	return fmt.Sprintf("req{core=%d %s%s va=%#x pa=%#x sz=%d}",
+		r.Core, r.Class, r.Kind, r.VAddr, r.Addr, r.Size)
 }
 
 // Admission is a translation port's answer to a submitted request: it
@@ -92,7 +80,8 @@ func (r *Request) String() string {
 type Admission uint8
 
 const (
-	// Admitted: the request was taken and completes through Done.
+	// Admitted: the request was taken; the memory system announces its
+	// completion.
 	Admitted Admission = iota
 	// PortsBusy: the submitting core used up this cycle's TLB ports. A
 	// retry on the next cycle can be taken.
@@ -102,20 +91,3 @@ const (
 	// core's walks can change the answer.
 	MSHRFull
 )
-
-// Complete invokes the completion callback, if any.
-func (r *Request) Complete(now clock.Global) {
-	if r.Done != nil {
-		r.Done(now, r)
-	}
-}
-
-// IDAllocator hands out unique request IDs. The zero value is ready to
-// use.
-type IDAllocator struct{ next uint64 }
-
-// Next returns a fresh ID, starting from 1.
-func (a *IDAllocator) Next() uint64 {
-	a.next++
-	return a.next
-}

@@ -106,24 +106,6 @@ func FairnessFromSpeedups(speedups []float64) float64 {
 	return Fairness(sl)
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64 // fraction of samples <= Value
-}
-
-// CDF returns the empirical cumulative distribution of xs, one point
-// per sample, sorted ascending.
-func CDF(xs []float64) []CDFPoint {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, v := range s {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
 // CDFAt returns the fraction of samples <= v.
 func CDFAt(xs []float64, v float64) float64 {
 	if len(xs) == 0 {

@@ -82,14 +82,7 @@ func TestFairnessFromSpeedups(t *testing.T) {
 }
 
 func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatalf("CDF has %d points", len(pts))
-	}
-	if pts[0].Value != 1 || pts[2].Value != 3 {
-		t.Error("CDF not sorted")
-	}
-	if pts[2].Fraction != 1 {
+	if CDFAt([]float64{3, 1, 2}, 3) != 1 {
 		t.Error("CDF must end at 1")
 	}
 	if CDFAt([]float64{1, 2, 3, 4}, 2.5) != 0.5 {

@@ -18,7 +18,7 @@ type quotaBackend struct {
 	free     []int
 	lies     []bool
 	refused  []int64
-	admitted []uint64 // request IDs, in admission order
+	admitted []uint64 // request tags (VAddr), in admission order
 }
 
 func newQuotaBackend(channels int) *quotaBackend {
@@ -37,7 +37,7 @@ func (b *quotaBackend) Enqueue(_ clock.Global, r *mem.Request) bool {
 		return false
 	}
 	b.free[ch]--
-	b.admitted = append(b.admitted, r.ID)
+	b.admitted = append(b.admitted, r.VAddr)
 	return true
 }
 
@@ -117,13 +117,13 @@ func TestMaskDrainMatchesScanAndTry(t *testing.T) {
 				mask, scan := newTestMMU(t, cfg, maskBack), newTestMMU(t, cfg, scanBack)
 				mask.rrNext = rng.Intn(cores)
 				scan.rrNext = mask.rrNext
-				var id uint64
+				var tag uint64
 				for now := clock.Global(0); now < 8; now++ {
 					// As Tick does before it drains: nothing slept.
 					mask.settled, scan.settled = now+1, now+1
 					for core := 0; core < cores; core++ {
 						for k := rng.Intn(3 * drainWindow / 2); k > 0; k-- {
-							id++
+							tag++
 							// A hot channel 0 fills first, so windows
 							// hold runs of requests on one full channel.
 							ch := rng.Intn(chs)
@@ -131,7 +131,7 @@ func TestMaskDrainMatchesScanAndTry(t *testing.T) {
 								ch = 0
 							}
 							for _, m := range []*MMU{mask, scan} {
-								m.push(now, core, &mem.Request{ID: id, Core: core, Addr: uint64(ch), Size: 64})
+								m.push(now, core, &mem.Request{Core: core, VAddr: tag, Addr: uint64(ch), Size: 64})
 							}
 						}
 					}

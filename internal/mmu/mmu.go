@@ -59,7 +59,6 @@ type mshrEntry struct {
 type MMU struct {
 	cfg     Config
 	backend Backend
-	ids     *mem.IDAllocator
 
 	tlbs   []*TLB // one if shared, else per core
 	tables []*PageTable
@@ -110,7 +109,7 @@ type MMU struct {
 
 // New builds an MMU. tables must hold one page table per core (they
 // embody the cores' address spaces and physical allocators).
-func New(cfg Config, backend Backend, tables []*PageTable, ids *mem.IDAllocator) (*MMU, error) {
+func New(cfg Config, backend Backend, tables []*PageTable) (*MMU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -120,7 +119,6 @@ func New(cfg Config, backend Backend, tables []*PageTable, ids *mem.IDAllocator)
 	m := &MMU{
 		cfg:       cfg,
 		backend:   backend,
-		ids:       ids,
 		tables:    tables,
 		mshr:      make([]map[uint64]*mshrEntry, cfg.Cores),
 		queued:    make([]int, cfg.Cores),
@@ -153,15 +151,6 @@ func New(cfg Config, backend Backend, tables []*PageTable, ids *mem.IDAllocator)
 		}
 	}
 	return m, nil
-}
-
-// MustNew is New, panicking on error.
-func MustNew(cfg Config, backend Backend, tables []*PageTable, ids *mem.IDAllocator) *MMU {
-	m, err := New(cfg, backend, tables, ids)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 func (m *MMU) tlbFor(core int) *TLB {
@@ -416,7 +405,6 @@ func (m *MMU) progressWalks(now clock.Global) {
 			continue
 		}
 		if job.pte == nil {
-			j := job
 			job.pte = &mem.Request{
 				Core:  job.core,
 				Addr:  job.pteAddrs[job.level],
@@ -424,24 +412,29 @@ func (m *MMU) progressWalks(now clock.Global) {
 				Size:  8,
 				Kind:  mem.Read,
 				Class: mem.PageTable,
-				Done: func(clock.Global, *mem.Request) {
-					j.waiting = false
-					j.level++
-				},
 			}
 		}
-		if !m.backend.HasSpace(m.backend.Route(job.pte)) {
-			out = append(out, job)
-			continue
-		}
-		job.pte.ID = m.ids.Next()
-		if m.backend.Enqueue(now, job.pte) {
+		if m.backend.HasSpace(m.backend.Route(job.pte)) && m.backend.Enqueue(now, job.pte) {
 			job.waiting = true
-			job.pte = nil
 		}
 		out = append(out, job)
 	}
 	m.active = out
+}
+
+// ReadDone retires a page-table read the backend completed: the walk
+// that issued it moves on to its next level, whose read the next tick
+// issues. The backend's completion hook calls it, and the kernel then
+// wakes the MMU on the completion cycle.
+func (m *MMU) ReadDone(r *mem.Request) {
+	for _, job := range m.active {
+		if job.pte == r {
+			job.pte = nil
+			job.waiting = false
+			job.level++
+			return
+		}
+	}
 }
 
 func (m *MMU) completeWalk(now clock.Global, job *walkJob) {
@@ -636,19 +629,6 @@ func (m *MMU) canDrain() bool {
 // is keyed to the cycle of the first Submit, and every walk deadline
 // is a cycle.
 func (m *MMU) SkipTo(now clock.Global) { m.settle(now) }
-
-// Busy reports whether the MMU holds any pending work.
-func (m *MMU) Busy() bool {
-	if len(m.walkFIFO) > 0 || len(m.active) > 0 {
-		return true
-	}
-	for i := range m.issueQ {
-		if !m.issueQ[i].Empty() {
-			return true
-		}
-	}
-	return false
-}
 
 // PendingWalks returns the number of distinct outstanding walks for
 // core (queued or active).

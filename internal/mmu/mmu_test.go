@@ -7,9 +7,28 @@ import (
 	"mnpusim/internal/mem"
 )
 
+// completer delivers a fake backend's completions as the simulator's
+// completion hook does: page-table reads to the MMU that issued them
+// (newTestMMU wires it), data requests to onData.
+type completer struct {
+	mmu    *MMU
+	onData func(now clock.Global, r *mem.Request)
+}
+
+func (c *completer) wire(m *MMU) { c.mmu = m }
+
+func (c *completer) complete(now clock.Global, r *mem.Request) {
+	if r.Class == mem.PageTable {
+		c.mmu.ReadDone(r)
+	} else if c.onData != nil {
+		c.onData(now, r)
+	}
+}
+
 // fakeBackend completes every request after a fixed delay, optionally
 // refusing admission to exercise backpressure.
 type fakeBackend struct {
+	completer
 	delay   clock.Global
 	pending []struct {
 		at clock.Global
@@ -40,7 +59,7 @@ func (f *fakeBackend) tick(now clock.Global) {
 	out := f.pending[:0]
 	for _, p := range f.pending {
 		if p.at <= now {
-			p.r.Complete(now)
+			f.complete(now, p.r)
 		} else {
 			out = append(out, p)
 		}
@@ -68,22 +87,42 @@ func newTestMMU(t testing.TB, cfg Config, backend Backend) *MMU {
 	for i := range tables {
 		tables[i] = NewPageTable(cfg.PageSize, 0, NewPhysAllocator(uint64(i)<<32, 1<<30, cfg.PageSize))
 	}
-	m, err := New(cfg, backend, tables, &mem.IDAllocator{})
+	m, err := New(cfg, backend, tables)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if b, ok := backend.(interface{ wire(*MMU) }); ok {
+		b.wire(m)
 	}
 	return m
 }
 
-func dataReq(core int, va uint64, done *clock.Global) *mem.Request {
-	return &mem.Request{
-		Core: core, VAddr: va, Size: 64, Kind: mem.Read, Class: mem.Data,
-		Done: func(now clock.Global, _ *mem.Request) {
-			if done != nil {
-				*done = now
-			}
-		},
+func dataReq(core int, va uint64) *mem.Request {
+	return &mem.Request{Core: core, VAddr: va, Size: 64, Kind: mem.Read, Class: mem.Data}
+}
+
+// doneAt returns a data-completion hook that records the cycle in at.
+func doneAt(at *clock.Global) func(clock.Global, *mem.Request) {
+	return func(now clock.Global, _ *mem.Request) { *at = now }
+}
+
+// count returns a data-completion hook that counts completions in n.
+func count(n *int) func(clock.Global, *mem.Request) {
+	return func(clock.Global, *mem.Request) { *n++ }
+}
+
+// busy reports whether m holds any pending work: a queued or active
+// walk, or a translated request awaiting admission.
+func busy(m *MMU) bool {
+	if len(m.walkFIFO) > 0 || len(m.active) > 0 {
+		return true
 	}
+	for i := range m.issueQ {
+		if !m.issueQ[i].Empty() {
+			return true
+		}
+	}
+	return false
 }
 
 // runMMU drives the MMU and backend until the predicate holds.
@@ -157,7 +196,8 @@ func TestMissWalksThenHits(t *testing.T) {
 	b := &fakeBackend{delay: 5}
 	m := newTestMMU(t, testMMUConfig(1), b)
 	var done clock.Global = -1
-	if m.Submit(0, dataReq(0, 0x1000, &done)) != mem.Admitted {
+	b.onData = doneAt(&done)
+	if m.Submit(0, dataReq(0, 0x1000)) != mem.Admitted {
 		t.Fatal("submit refused")
 	}
 	end := runMMU(t, m, b, 10000, func() bool { return done >= 0 })
@@ -176,7 +216,7 @@ func TestMissWalksThenHits(t *testing.T) {
 
 	// Second access to the same page: TLB hit, no new walk.
 	done = -1
-	if m.Submit(end+1, dataReq(0, 0x1040, &done)) != mem.Admitted {
+	if m.Submit(end+1, dataReq(0, 0x1040)) != mem.Admitted {
 		t.Fatal("second submit refused")
 	}
 	runMMU(t, m, b, 10000, func() bool { return done >= 0 })
@@ -190,10 +230,9 @@ func TestCoalescedMissesShareOneWalk(t *testing.T) {
 	b := &fakeBackend{delay: 3}
 	m := newTestMMU(t, testMMUConfig(1), b)
 	completed := 0
-	count := func(clock.Global, *mem.Request) { completed++ }
+	b.onData = count(&completed)
 	for i := 0; i < 4; i++ {
-		r := &mem.Request{Core: 0, VAddr: uint64(0x2000 + i*64), Size: 64, Kind: mem.Read, Done: count}
-		if m.Submit(0, r) != mem.Admitted {
+		if m.Submit(0, dataReq(0, uint64(0x2000+i*64))) != mem.Admitted {
 			t.Fatalf("submit %d refused", i)
 		}
 	}
@@ -214,7 +253,7 @@ func TestTLBPortLimitPerCycle(t *testing.T) {
 	m := newTestMMU(t, cfg, b)
 	accepted := 0
 	for i := 0; i < 5; i++ {
-		switch a := m.Submit(7, dataReq(0, uint64(i)<<12, nil)); a {
+		switch a := m.Submit(7, dataReq(0, uint64(i)<<12)); a {
 		case mem.Admitted:
 			accepted++
 		case mem.PortsBusy:
@@ -229,7 +268,7 @@ func TestTLBPortLimitPerCycle(t *testing.T) {
 		t.Errorf("port stalls = %d, want 3", m.Stats(0).PortStalls)
 	}
 	// Next cycle: ports refill.
-	if m.Submit(8, dataReq(0, 0x9000, nil)) != mem.Admitted {
+	if m.Submit(8, dataReq(0, 0x9000)) != mem.Admitted {
 		t.Error("ports did not refill on the next cycle")
 	}
 }
@@ -240,9 +279,9 @@ func TestMSHRLimitStallsNewPages(t *testing.T) {
 	cfg.TLBPortsPerCycle = 16
 	b := &fakeBackend{delay: 1}
 	m := newTestMMU(t, cfg, b)
-	ok1 := m.Submit(0, dataReq(0, 0x10000, nil)) == mem.Admitted
-	ok2 := m.Submit(0, dataReq(0, 0x20000, nil)) == mem.Admitted
-	got3 := m.Submit(0, dataReq(0, 0x30000, nil))
+	ok1 := m.Submit(0, dataReq(0, 0x10000)) == mem.Admitted
+	ok2 := m.Submit(0, dataReq(0, 0x20000)) == mem.Admitted
+	got3 := m.Submit(0, dataReq(0, 0x30000))
 	if !ok1 || !ok2 || got3 != mem.MSHRFull {
 		t.Errorf("mshr limit: %v %v %v, want true true MSHRFull", ok1, ok2, got3)
 	}
@@ -253,7 +292,7 @@ func TestMSHRLimitStallsNewPages(t *testing.T) {
 		t.Errorf("mshr stalls = %d", m.Stats(0).MSHRStalls)
 	}
 	// Coalescing to an already-pending page is still allowed.
-	if m.Submit(0, dataReq(0, 0x10040, nil)) != mem.Admitted {
+	if m.Submit(0, dataReq(0, 0x10040)) != mem.Admitted {
 		t.Error("coalesced submit should bypass the MSHR limit")
 	}
 	if m.PendingWalks(0) != 2 {
@@ -279,22 +318,22 @@ func TestMSHRFreedHookAndCharge(t *testing.T) {
 
 	// Core 0 fills its MSHR and is refused a third page; core 1 holds
 	// one walk, below its limit.
-	m.Submit(0, dataReq(0, 0x10000, nil))
-	m.Submit(0, dataReq(0, 0x20000, nil))
-	m.Submit(0, dataReq(1, 0x30000, nil))
-	if got := m.Submit(0, dataReq(0, 0x40000, nil)); got != mem.MSHRFull {
+	m.Submit(0, dataReq(0, 0x10000))
+	m.Submit(0, dataReq(0, 0x20000))
+	m.Submit(0, dataReq(1, 0x30000))
+	if got := m.Submit(0, dataReq(0, 0x40000)); got != mem.MSHRFull {
 		t.Fatalf("third page of core 0: %v, want MSHRFull", got)
 	}
 	if !m.MSHRFull(0) || m.MSHRFull(1) {
 		t.Fatalf("MSHRFull = %v, %v; want true, false", m.MSHRFull(0), m.MSHRFull(1))
 	}
-	missesBefore := m.TLBFor(0).Misses()
+	missesBefore := m.TLBFor(0).misses
 	statsBefore := m.Stats(0)
 	m.ChargeMSHRStalls(0, 5)
 	if got := m.Stats(0).MSHRStalls - statsBefore.MSHRStalls; got != 5 {
 		t.Errorf("charged MSHRStalls = %d, want 5", got)
 	}
-	if got := m.TLBFor(0).Misses() - missesBefore; got != 5 {
+	if got := m.TLBFor(0).misses - missesBefore; got != 5 {
 		t.Errorf("charged TLB misses = %d, want 5", got)
 	}
 	if m.Stats(0).TLBMisses != statsBefore.TLBMisses {
@@ -315,7 +354,8 @@ func TestDisabledModeForwardsImmediately(t *testing.T) {
 	b := &fakeBackend{delay: 2}
 	m := newTestMMU(t, cfg, b)
 	var done clock.Global = -1
-	if m.Submit(0, dataReq(0, 0x5000, &done)) != mem.Admitted {
+	b.onData = doneAt(&done)
+	if m.Submit(0, dataReq(0, 0x5000)) != mem.Admitted {
 		t.Fatal("submit refused")
 	}
 	runMMU(t, m, b, 100, func() bool { return done >= 0 })
@@ -335,10 +375,9 @@ func TestWalkerBandwidthLimitsThroughput(t *testing.T) {
 	b := &fakeBackend{delay: 1}
 	m := newTestMMU(t, cfg, b)
 	completed := 0
+	b.onData = count(&completed)
 	for i := 0; i < 8; i++ {
-		r := dataReq(0, uint64(0x100000+i*4096), nil)
-		r.Done = func(clock.Global, *mem.Request) { completed++ }
-		if m.Submit(0, r) != mem.Admitted {
+		if m.Submit(0, dataReq(0, uint64(0x100000+i*4096))) != mem.Admitted {
 			t.Fatalf("submit %d refused", i)
 		}
 	}
@@ -357,7 +396,8 @@ func TestDRAMBackedWalkIssuesPTEReads(t *testing.T) {
 	b := &fakeBackend{delay: 4}
 	m := newTestMMU(t, cfg, b)
 	var done clock.Global = -1
-	m.Submit(0, dataReq(0, 0x1000, &done))
+	b.onData = doneAt(&done)
+	m.Submit(0, dataReq(0, 0x1000))
 	runMMU(t, m, b, 10000, func() bool { return done >= 0 })
 	ptReads := 0
 	for _, r := range b.accepted {
@@ -379,7 +419,8 @@ func TestDRAMBackedWalkLevelsAreSequential(t *testing.T) {
 	b := &fakeBackend{delay: 7}
 	m := newTestMMU(t, cfg, b)
 	var done clock.Global = -1
-	m.Submit(0, dataReq(0, 0x1000, &done))
+	b.onData = doneAt(&done)
+	m.Submit(0, dataReq(0, 0x1000))
 	end := runMMU(t, m, b, 10000, func() bool { return done >= 0 })
 	// Four dependent reads at >= 7 cycles each.
 	if end < 28 {
@@ -406,7 +447,8 @@ func TestBackpressurePreservesRequests(t *testing.T) {
 	b := &fakeBackend{delay: 1, refuse: true}
 	m := newTestMMU(t, testMMUConfig(1), b)
 	var done clock.Global = -1
-	m.Submit(0, dataReq(0, 0x1000, &done))
+	b.onData = doneAt(&done)
+	m.Submit(0, dataReq(0, 0x1000))
 	for now := clock.Global(0); now < 300; now++ {
 		b.tick(now)
 		m.Tick(now)
@@ -414,7 +456,7 @@ func TestBackpressurePreservesRequests(t *testing.T) {
 	if done >= 0 {
 		t.Fatal("request completed despite refusing backend")
 	}
-	if !m.Busy() {
+	if !busy(m) {
 		t.Fatal("MMU dropped the request under backpressure")
 	}
 	b.refuse = false
@@ -425,9 +467,8 @@ func TestRequestTranslationSetsPhysicalAddr(t *testing.T) {
 	b := &fakeBackend{delay: 1}
 	m := newTestMMU(t, testMMUConfig(1), b)
 	var got *mem.Request
-	r := &mem.Request{Core: 0, VAddr: 0x1234, Size: 64, Kind: mem.Read,
-		Done: func(_ clock.Global, rr *mem.Request) { got = rr }}
-	m.Submit(0, r)
+	b.onData = func(_ clock.Global, r *mem.Request) { got = r }
+	m.Submit(0, dataReq(0, 0x1234))
 	runMMU(t, m, b, 10000, func() bool { return got != nil })
 	if got.Addr&0xFFF != 0x234 {
 		t.Errorf("page offset not preserved: pa=%#x", got.Addr)
@@ -437,8 +478,8 @@ func TestRequestTranslationSetsPhysicalAddr(t *testing.T) {
 func TestPerCoreStatsAreSeparate(t *testing.T) {
 	b := &fakeBackend{delay: 1}
 	m := newTestMMU(t, testMMUConfig(2), b)
-	m.Submit(0, dataReq(0, 0x1000, nil))
-	m.Submit(0, dataReq(1, 0x1000, nil))
+	m.Submit(0, dataReq(0, 0x1000))
+	m.Submit(0, dataReq(1, 0x1000))
 	done := false
 	runMMU(t, m, b, 10000, func() bool {
 		done = m.Stats(0).Walks == 1 && m.Stats(1).Walks == 1
@@ -460,10 +501,9 @@ func TestDWSStealingEndToEnd(t *testing.T) {
 		b := &fakeBackend{delay: 1}
 		m := newTestMMU(t, cfg, b)
 		completed := 0
+		b.onData = count(&completed)
 		for i := 0; i < 8; i++ {
-			r := dataReq(0, uint64(0x100000+i*4096), nil)
-			r.Done = func(clock.Global, *mem.Request) { completed++ }
-			if m.Submit(0, r) != mem.Admitted {
+			if m.Submit(0, dataReq(0, uint64(0x100000+i*4096))) != mem.Admitted {
 				t.Fatalf("submit %d refused", i)
 			}
 		}
@@ -486,12 +526,10 @@ func TestDWSStealingProtectsOwnerBursts(t *testing.T) {
 	b := &fakeBackend{delay: 1}
 	m := newTestMMU(t, cfg, b)
 	done := [2]int{}
+	b.onData = func(_ clock.Global, r *mem.Request) { done[r.Core]++ }
 	for core := 0; core < 2; core++ {
 		for i := 0; i < 6; i++ {
-			c := core
-			r := dataReq(core, uint64(0x100000+i*4096), nil)
-			r.Done = func(clock.Global, *mem.Request) { done[c]++ }
-			if m.Submit(0, r) != mem.Admitted {
+			if m.Submit(0, dataReq(core, uint64(0x100000+i*4096))) != mem.Admitted {
 				t.Fatalf("submit refused")
 			}
 		}
@@ -539,8 +577,8 @@ func TestDrainIsGrantFairUnderPeriodicSlots(t *testing.T) {
 	b := &slotBackend{period: 2, lastAt: -10}
 	m := newTestMMU(t, cfg, b)
 	for i := 0; i < 200; i++ {
-		m.Submit(0, dataReq(0, uint64(i*64), nil))
-		m.Submit(0, dataReq(1, uint64(i*64), nil))
+		m.Submit(0, dataReq(0, uint64(i*64)))
+		m.Submit(0, dataReq(1, uint64(i*64)))
 	}
 	for now := clock.Global(0); now < 400; now++ {
 		m.Tick(now)

@@ -7,8 +7,6 @@ import "fmt"
 // page-table frames grow downward from the region top, so walk traffic
 // and data traffic land in distinct rows.
 type PhysAllocator struct {
-	base     uint64
-	limit    uint64
 	nextData uint64
 	nextNode uint64
 	pageSize uint64
@@ -21,8 +19,6 @@ func NewPhysAllocator(base, size uint64, pageSize PageSize) *PhysAllocator {
 		panic("mmu: zero-size physical region")
 	}
 	return &PhysAllocator{
-		base:     base,
-		limit:    base + size,
 		nextData: base,
 		nextNode: base + size,
 		pageSize: uint64(pageSize),
@@ -51,9 +47,6 @@ func (a *PhysAllocator) AllocNode(bytes uint64) uint64 {
 	return a.nextNode
 }
 
-// Used returns the number of data bytes allocated.
-func (a *PhysAllocator) Used() uint64 { return a.nextData - a.base }
-
 // ptNode is one radix-tree node.
 type ptNode struct {
 	pa       uint64
@@ -71,7 +64,6 @@ type PageTable struct {
 	bitsPerLv uint
 	root      *ptNode
 	alloc     *PhysAllocator
-	mapped    int64
 }
 
 // NewPageTable creates an empty table whose node frames come from
@@ -104,9 +96,6 @@ func (t *PageTable) newNode() *ptNode {
 
 // Levels returns the number of levels in a full walk.
 func (t *PageTable) Levels() int { return t.levels }
-
-// MappedPages returns the number of pages currently mapped.
-func (t *PageTable) MappedPages() int64 { return t.mapped }
 
 // indexAt extracts the radix index of vpn at the given level, where
 // level 0 is the root.
@@ -141,7 +130,6 @@ func (t *PageTable) Walk(vpn uint64) (ppn uint64, pteAddrs []uint64) {
 	if !ok {
 		ppn = t.alloc.AllocPage()
 		node.leaves[idx] = ppn
-		t.mapped++
 	}
 	return ppn, pteAddrs
 }

@@ -52,8 +52,8 @@ func TestPhysAllocatorPagesDisjoint(t *testing.T) {
 		}
 		seen[pa] = true
 	}
-	if a.Used() != 100*uint64(Page4K) {
-		t.Errorf("Used() = %d", a.Used())
+	if a.nextData != 100*uint64(Page4K) {
+		t.Errorf("data bytes allocated = %d", a.nextData)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestWalkDeterministic(t *testing.T) {
 			t.Errorf("level %d address changed", i)
 		}
 	}
-	if pt.MappedPages() != 1 {
-		t.Errorf("MappedPages() = %d, want 1", pt.MappedPages())
+	if got := pt.alloc.nextData / uint64(Page4K); got != 1 {
+		t.Errorf("pages mapped = %d, want 1", got)
 	}
 }
 
@@ -125,8 +125,8 @@ func TestWalkDistinctVPNsGetDistinctPages(t *testing.T) {
 		}
 		seen[ppn] = true
 	}
-	if pt.MappedPages() != 200 {
-		t.Errorf("MappedPages() = %d", pt.MappedPages())
+	if got := pt.alloc.nextData / uint64(Page4K); got != 200 {
+		t.Errorf("pages mapped = %d", got)
 	}
 }
 

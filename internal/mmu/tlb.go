@@ -15,7 +15,6 @@ type tlbEntry struct {
 // private TLB simply always passes the same ASID.
 type TLB struct {
 	sets   [][]tlbEntry
-	assoc  int
 	clock  int64
 	hits   int64
 	misses int64
@@ -34,14 +33,11 @@ func NewTLB(entries, assoc int) *TLB {
 	for i := range sets {
 		sets[i], backing = backing[:assoc], backing[assoc:]
 	}
-	return &TLB{sets: sets, assoc: assoc}
+	return &TLB{sets: sets}
 }
 
 // Sets returns the number of sets.
 func (t *TLB) Sets() int { return len(t.sets) }
-
-// Assoc returns the associativity.
-func (t *TLB) Assoc() int { return t.assoc }
 
 func (t *TLB) setIndex(asid int, vpn uint64) int {
 	// As in hardware, the set index comes from the address bits alone
@@ -104,12 +100,6 @@ func (t *TLB) Flush(asid int) {
 		}
 	}
 }
-
-// Hits returns the number of lookup hits so far.
-func (t *TLB) Hits() int64 { return t.hits }
-
-// Misses returns the number of lookup misses so far.
-func (t *TLB) Misses() int64 { return t.misses }
 
 // HitRate returns hits/(hits+misses), or 0 with no lookups.
 func (t *TLB) HitRate() float64 {

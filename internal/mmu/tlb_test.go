@@ -20,8 +20,8 @@ func TestNewTLBRejectsBadGeometry(t *testing.T) {
 
 func TestTLBGeometry(t *testing.T) {
 	tlb := NewTLB(32, 8)
-	if tlb.Sets() != 4 || tlb.Assoc() != 8 {
-		t.Errorf("geometry: sets=%d assoc=%d", tlb.Sets(), tlb.Assoc())
+	if tlb.Sets() != 4 || len(tlb.sets[0]) != 8 {
+		t.Errorf("geometry: sets=%d assoc=%d", tlb.Sets(), len(tlb.sets[0]))
 	}
 }
 
@@ -35,8 +35,8 @@ func TestTLBHitAfterInsert(t *testing.T) {
 	if !ok || ppn != 0xAA000 {
 		t.Fatalf("lookup after insert: %#x %v", ppn, ok)
 	}
-	if tlb.Hits() != 1 || tlb.Misses() != 1 {
-		t.Errorf("hits=%d misses=%d", tlb.Hits(), tlb.Misses())
+	if tlb.hits != 1 || tlb.misses != 1 {
+		t.Errorf("hits=%d misses=%d", tlb.hits, tlb.misses)
 	}
 	if tlb.HitRate() != 0.5 {
 		t.Errorf("hit rate = %v", tlb.HitRate())

@@ -56,7 +56,7 @@ func TestMMUWakeContract(t *testing.T) {
 			armed := clock.Global(0)
 
 			const cycles = 30_000
-			for now := clock.Global(0); now < cycles || ref.Busy() || wake.Busy(); now++ {
+			for now := clock.Global(0); now < cycles || busy(ref) || busy(wake); now++ {
 				ref.Tick(now)
 				if armed <= now {
 					wake.Tick(now)
@@ -110,6 +110,7 @@ func TestMMUWakeContract(t *testing.T) {
 // request completes refusingLatency cycles later. It is a DRAM controller whose
 // queues fill, reduced to what the MMU can observe.
 type refusingBackend struct {
+	completer
 	capacity int
 	queues   [][]*mem.Request // per channel: admitted, slot still held
 	inflight []pendingDone
@@ -167,16 +168,16 @@ func (b *refusingBackend) free(now clock.Global, ch int) (wasFull bool) {
 	return wasFull
 }
 
-// complete retires the requests due at now and reports whether one was
+// retire completes the requests due at now and reports whether one was
 // a page-table read: the "burst completion → MMU" seam.
-func (b *refusingBackend) complete(now clock.Global) (ptRead bool) {
+func (b *refusingBackend) retire(now clock.Global) (ptRead bool) {
 	out := b.inflight[:0]
 	for _, p := range b.inflight {
 		if p.at > now {
 			out = append(out, p)
 			continue
 		}
-		p.r.Complete(now)
+		b.complete(now, p.r)
 		ptRead = ptRead || p.r.Class == mem.PageTable
 	}
 	b.inflight = out
@@ -225,7 +226,7 @@ func TestMMUWakeContractRefusingBackend(t *testing.T) {
 				sleeps := 0
 
 				var now clock.Global
-				for ; now < refusingCycles || ref.Busy() || wake.Busy() || refBack.busy(); now++ {
+				for ; now < refusingCycles || busy(ref) || busy(wake) || refBack.busy(); now++ {
 					// The backend moves first, as DRAM channels tick
 					// before the MMU in the simulator.
 					if ch := stim.free(); ch >= 0 {
@@ -234,8 +235,8 @@ func TestMMUWakeContractRefusingBackend(t *testing.T) {
 							armed = min(armed, now)
 						}
 					}
-					refBack.complete(now)
-					if wakeBack.complete(now) {
+					refBack.retire(now)
+					if wakeBack.retire(now) {
 						armed = min(armed, now)
 					}
 					ref.Tick(now)
@@ -351,11 +352,11 @@ func BenchmarkMMUTick(b *testing.B) {
 		stim := newRefusingStimulus(5, cores, channels)
 		back := newRefusingBackend(channels, capacity)
 		m := newTestMMU(b, testMMUConfig(cores), back)
-		for now := clock.Global(0); now < refusingCycles || m.Busy() || back.busy(); now++ {
+		for now := clock.Global(0); now < refusingCycles || busy(m) || back.busy(); now++ {
 			if ch := stim.free(); ch >= 0 {
 				back.free(now, ch)
 			}
-			back.complete(now)
+			back.retire(now)
 			m.Tick(now)
 			for _, sub := range stim.submits(now) {
 				m.Submit(now, sub.request())

@@ -20,8 +20,9 @@ type walkJob struct {
 	startedAt clock.Global
 	// readyAt is the completion cycle under FixedWalkLatency.
 	readyAt clock.Global
-	// pte is the next PTE read (DRAM-backed mode), built once per level
-	// and kept while its channel is full; nil while one is in flight.
+	// pte is the level's PTE read (DRAM-backed mode), built once per
+	// level and kept while its channel is full and while it is in
+	// flight (waiting), so ReadDone can find its walk.
 	pte *mem.Request
 	// owner is the home core of the walker servicing this job (equals
 	// core except under DWS stealing).

@@ -65,7 +65,6 @@ type Core struct {
 	sched *tile.Schedule
 	dom   clock.Domain
 	mmu   Submitter
-	ids   *mem.IDAllocator
 
 	localDone clock.Local
 
@@ -94,15 +93,7 @@ type Core struct {
 
 	inflight int
 
-	// done is the Done of every request the core builds: one method
-	// value for the core's lifetime, not a closure per request.
-	done func(clock.Global, *mem.Request)
-
 	finishedFirst bool
-
-	// OnIssue, if non-nil, observes every request the DMA issues
-	// (before translation), on the global clock.
-	OnIssue func(now clock.Global, r *mem.Request)
 
 	// Obs, if non-nil, receives structured probe events (tile start and
 	// finish, SPM double-buffer swaps, DMA issue/complete, iteration
@@ -111,8 +102,8 @@ type Core struct {
 
 	// StartCycle is the global cycle at which a delayed core starts
 	// executing. The main loop ticks such a core with now-StartCycle, so
-	// everything the core hands outside itself (MMU submissions, issue
-	// hooks, probe timestamps) adds it back onto the true timeline.
+	// everything the core hands outside itself (MMU submissions and
+	// probe timestamps) adds it back onto the true timeline.
 	StartCycle clock.Global
 
 	stats Stats
@@ -120,7 +111,7 @@ type Core struct {
 
 // NewCore builds a core executing sched. The clock domain must map the
 // core's frequency to the global clock; submitter is the MMU port.
-func NewCore(id int, arch ArchConfig, sched *tile.Schedule, dom clock.Domain, submitter Submitter, ids *mem.IDAllocator) (*Core, error) {
+func NewCore(id int, arch ArchConfig, sched *tile.Schedule, dom clock.Domain, submitter Submitter) (*Core, error) {
 	if err := arch.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,12 +124,10 @@ func NewCore(id int, arch ArchConfig, sched *tile.Schedule, dom clock.Domain, su
 		sched:         sched,
 		dom:           dom,
 		mmu:           submitter,
-		ids:           ids,
 		loadedThrough: -1,
 	}
 	c.stats.LayerEndCycles = make(map[int]int64)
 	c.loadEmit = newEmitter(sched.Tasks[0].Loads, arch.BlockBytes)
-	c.done = c.complete
 	return c, nil
 }
 
@@ -266,15 +255,12 @@ func (c *Core) issueDMA(now clock.Global, elapsed clock.Local) {
 			c.stats.BytesStored += int64(r.Size)
 		}
 		if c.Obs != nil {
-			var wr int64
+			var wr int32
 			if r.Kind == mem.Write {
 				wr = 1
 			}
 			c.Obs.Emit(obs.Event{Cycle: now + c.StartCycle, Kind: obs.KindDMAIssue,
-				Core: int32(c.id), A: int64(c.inflight), B: wr})
-		}
-		if c.OnIssue != nil {
-			c.OnIssue(now+c.StartCycle, r)
+				Core: int32(c.id), Unit: wr, A: int64(c.inflight), B: int64(r.VAddr)})
 		}
 		allow--
 		c.advanceLoadWindow(now)
@@ -296,40 +282,27 @@ func (c *Core) loadWindow() int {
 func (c *Core) nextRequest() *mem.Request {
 	if c.loadTile < len(c.sched.Tasks) && c.loadTile <= c.loadWindow() {
 		if addr, ok := c.loadEmit.emit(); ok {
-			return c.buildRequest(addr, mem.Read, c.loadTile)
+			return c.buildRequest(addr, mem.Read)
 		}
 	}
 	for len(c.storeQueue) > 0 {
 		if addr, ok := c.storeQueue[0].emit(); ok {
-			return c.buildRequest(addr, mem.Write, -1)
+			return c.buildRequest(addr, mem.Write)
 		}
 		c.storeQueue = c.storeQueue[1:]
 	}
 	return nil
 }
 
-func (c *Core) buildRequest(addr uint64, kind mem.Kind, tileIdx int) *mem.Request {
-	r := &mem.Request{
-		ID:    c.ids.Next(),
-		Core:  c.id,
-		VAddr: addr,
-		Size:  uint32(c.arch.BlockBytes),
-		Kind:  kind,
-		Class: mem.Data,
-		Tile:  tileIdx,
-		Done:  c.done,
-	}
-	if tileIdx >= 0 {
-		r.Layer = c.sched.Tasks[tileIdx].Layer
-	}
-	return r
+func (c *Core) buildRequest(addr uint64, kind mem.Kind) *mem.Request {
+	return &mem.Request{Core: c.id, VAddr: addr, Size: uint32(c.arch.BlockBytes), Kind: kind, Class: mem.Data}
 }
 
-// complete retires one of the core's requests whose burst finished at
+// Complete retires one of the core's requests whose burst finished at
 // global cycle done.
 //
-//lint:allow wakecontract audited stimulus seam: only a request's Done calls it, from dram.Memory's burst retirement, which then calls Memory.OnComplete; the kernel wires that to re-arm this core at the completion cycle
-func (c *Core) complete(done clock.Global, r *mem.Request) {
+//lint:allow wakecontract audited stimulus seam: only dram.Memory.OnComplete calls it, at a burst's retirement; the kernel's hook then re-arms this core at the completion cycle
+func (c *Core) Complete(done clock.Global, r *mem.Request) {
 	c.inflight--
 	if r.Kind == mem.Read {
 		c.loadInflight--

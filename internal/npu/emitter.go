@@ -47,19 +47,3 @@ func (e *emitter) emit() (addr uint64, ok bool) {
 	}
 	return addr, true
 }
-
-// countBlocks returns the total number of block requests the slices
-// expand to, for accounting without emitting.
-func countBlocks(slices []tile.Slice, blockBytes int) int64 {
-	blk := uint64(blockBytes)
-	var n int64
-	for _, s := range slices {
-		if s.Bytes <= 0 {
-			continue
-		}
-		lo := s.Addr &^ (blk - 1)
-		hi := (s.Addr + uint64(s.Bytes) + blk - 1) &^ (blk - 1)
-		n += int64((hi - lo) / blk)
-	}
-	return n
-}

@@ -85,6 +85,22 @@ func TestEmitterSkipsEmptySlices(t *testing.T) {
 	}
 }
 
+// countBlocks returns the total number of block requests the slices
+// expand to, counted without emitting.
+func countBlocks(slices []tile.Slice, blockBytes int) int64 {
+	blk := uint64(blockBytes)
+	var n int64
+	for _, s := range slices {
+		if s.Bytes <= 0 {
+			continue
+		}
+		lo := s.Addr &^ (blk - 1)
+		hi := (s.Addr + uint64(s.Bytes) + blk - 1) &^ (blk - 1)
+		n += int64((hi - lo) / blk)
+	}
+	return n
+}
+
 // Property: emit() yields exactly countBlocks addresses, all aligned,
 // and together they cover every byte of every slice.
 func TestQuickEmitterCoverage(t *testing.T) {
@@ -131,12 +147,43 @@ type noMSHR struct{}
 func (noMSHR) MSHRFull(int) bool           { return false }
 func (noMSHR) ChargeMSHRStalls(int, int64) {}
 
+// completer delivers a fake submitter's completions as the
+// simulator's completion hook does: to the core (mustCore wires it),
+// then to arm, the wake-driven twin's re-arm, if set.
+type completer struct {
+	core *Core
+	arm  func(at clock.Global)
+}
+
+func (c *completer) wire(core *Core) { c.core = core }
+
+func (c *completer) deliver(now clock.Global, r *mem.Request) {
+	c.core.Complete(now, r)
+	if c.arm != nil {
+		c.arm(now)
+	}
+}
+
+// mustCore builds core 0 on sub and wires sub's completions to it.
+func mustCore(t *testing.T, arch ArchConfig, sched *tile.Schedule, dom clock.Domain, sub Submitter) *Core {
+	t.Helper()
+	c, err := NewCore(0, arch, sched, dom, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, ok := sub.(interface{ wire(*Core) }); ok {
+		w.wire(c)
+	}
+	return c
+}
+
 // recordingSubmitter accepts requests and completes them after a fixed
 // delay when ticked; it records issue times for overlap checks. While
 // refuse is set it refuses every request as if the core's TLB ports
 // were busy.
 type recordingSubmitter struct {
 	noMSHR
+	completer
 	delay   clock.Global
 	pending []struct {
 		at clock.Global
@@ -168,7 +215,7 @@ func (s *recordingSubmitter) tick(now clock.Global) {
 	out := s.pending[:0]
 	for _, p := range s.pending {
 		if p.at <= now {
-			p.r.Complete(now)
+			s.deliver(now, p.r)
 		} else {
 			out = append(out, p)
 		}
@@ -202,11 +249,7 @@ func newTestCore(t *testing.T, sub Submitter) (*Core, ArchConfig) {
 	arch := TinyCore()
 	sched := buildSchedule(t, arch, multiTileNet())
 	dom := clock.NewDomain(arch.FreqHz, clock.GHz)
-	c, err := NewCore(0, arch, sched, dom, sub, &mem.IDAllocator{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, arch
+	return mustCore(t, arch, sched, dom, sub), arch
 }
 
 // runCore drives a core and its submitter until the first iteration
@@ -277,10 +320,7 @@ func TestDoubleBufferingOverlapsLoadAndCompute(t *testing.T) {
 		arch.NoDoubleBuffer = noOverlap
 		sched := buildSchedule(t, arch, multiTileNet())
 		dom := clock.NewDomain(arch.FreqHz, clock.GHz)
-		c, err := NewCore(0, arch, sched, dom, s, &mem.IDAllocator{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := mustCore(t, arch, sched, dom, s)
 		runCore(t, c, s, 10_000_000)
 		return c.Stats().FirstIterCycles
 	}
@@ -351,7 +391,7 @@ func TestCoreNextEventAfterComputePhase(t *testing.T) {
 func TestNewCoreRejectsEmptySchedule(t *testing.T) {
 	arch := TinyCore()
 	dom := clock.NewDomain(arch.FreqHz, clock.GHz)
-	if _, err := NewCore(0, arch, &tile.Schedule{}, dom, &recordingSubmitter{}, &mem.IDAllocator{}); err == nil {
+	if _, err := NewCore(0, arch, &tile.Schedule{}, dom, &recordingSubmitter{}); err == nil {
 		t.Error("empty schedule accepted")
 	}
 }
@@ -364,10 +404,7 @@ func TestSlowCoreClockStretchesLatency(t *testing.T) {
 		arch := TinyCore()
 		arch.FreqHz = freq
 		sched := buildSchedule(t, arch, multiTileNet())
-		c, err := NewCore(0, arch, sched, clock.NewDomain(freq, clock.GHz), s, &mem.IDAllocator{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := mustCore(t, arch, sched, clock.NewDomain(freq, clock.GHz), s)
 		for now := clock.Global(0); now < 10_000_000; now++ {
 			s.tick(now)
 			c.Tick(now)

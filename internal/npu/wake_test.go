@@ -13,26 +13,6 @@ import (
 	"mnpusim/internal/obs"
 )
 
-// wakingSubmitter wraps a recordingSubmitter so that delivering a
-// completion at cycle done also arms the core's wake entry for that
-// cycle — the test-side analogue of dram.Memory.OnComplete.
-type wakingSubmitter struct {
-	*recordingSubmitter
-	arm func(at clock.Global)
-}
-
-func (s *wakingSubmitter) Submit(now clock.Global, r *mem.Request) mem.Admission {
-	inner := r.Done
-	arm := s.arm
-	r.Done = func(done clock.Global, rr *mem.Request) {
-		if inner != nil {
-			inner(done, rr)
-		}
-		arm(done)
-	}
-	return s.recordingSubmitter.Submit(now, r)
-}
-
 // TestCoreWakeContract is the npu half of the event kernel's wake
 // contract: after Tick(now), a core's observable state must not change
 // before its reported NextEventAfter(now) unless a memory completion
@@ -61,25 +41,16 @@ func TestCoreWakeContract(t *testing.T) {
 			dom := clock.NewDomain(arch.FreqHz, clock.GHz)
 
 			refSub := &recordingSubmitter{delay: tc.delay}
-			ref, err := NewCore(0, arch, sched, dom, refSub, &mem.IDAllocator{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := mustCore(t, arch, sched, dom, refSub)
 
 			const far = clock.Global(clock.FarFuture)
 			armed, last := clock.Global(0), clock.Global(-1)
-			wakeSub := &wakingSubmitter{
-				recordingSubmitter: &recordingSubmitter{delay: tc.delay},
-				arm: func(at clock.Global) {
-					if at < armed {
-						armed = at
-					}
-				},
-			}
-			wake, err := NewCore(0, arch, sched, dom, wakeSub, &mem.IDAllocator{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			wakeSub := &recordingSubmitter{delay: tc.delay, completer: completer{arm: func(at clock.Global) {
+				if at < armed {
+					armed = at
+				}
+			}}}
+			wake := mustCore(t, arch, sched, dom, wakeSub)
 
 			const limit = 2_000_000
 			refFinish, wakeFinish := clock.Global(-1), clock.Global(-1)
@@ -145,22 +116,16 @@ func TestCoreWakeContractRandomizedDelay(t *testing.T) {
 				return func() clock.Global { return 1 + clock.Global(rng.Intn(96)) }
 			}
 			refSub := &variableSubmitter{next: mkDelays()}
-			ref, err := NewCore(0, arch, sched, dom, refSub, &mem.IDAllocator{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := mustCore(t, arch, sched, dom, refSub)
 
 			const far = clock.Global(clock.FarFuture)
 			armed, last := clock.Global(0), clock.Global(-1)
-			wakeSub := &variableSubmitter{next: mkDelays(), arm: func(at clock.Global) {
+			wakeSub := &variableSubmitter{next: mkDelays(), completer: completer{arm: func(at clock.Global) {
 				if at < armed {
 					armed = at
 				}
-			}}
-			wake, err := NewCore(0, arch, sched, dom, wakeSub, &mem.IDAllocator{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			}}}
+			wake := mustCore(t, arch, sched, dom, wakeSub)
 
 			const limit = 2_000_000
 			refFinish, wakeFinish := clock.Global(-1), clock.Global(-1)
@@ -210,6 +175,7 @@ func TestCoreWakeContractRandomizedDelay(t *testing.T) {
 // instances deliver identical completion schedules.
 type variableSubmitter struct {
 	noMSHR
+	completer
 	next    func() clock.Global
 	pending []struct {
 		at clock.Global
@@ -219,7 +185,6 @@ type variableSubmitter struct {
 		at   clock.Global
 		kind mem.Kind
 	}
-	arm func(at clock.Global)
 }
 
 func (s *variableSubmitter) Submit(now clock.Global, r *mem.Request) mem.Admission {
@@ -228,16 +193,6 @@ func (s *variableSubmitter) Submit(now clock.Global, r *mem.Request) mem.Admissi
 		kind mem.Kind
 	}{now, r.Kind})
 	at := now + s.next()
-	if s.arm != nil {
-		inner := r.Done
-		arm := s.arm
-		r.Done = func(done clock.Global, rr *mem.Request) {
-			if inner != nil {
-				inner(done, rr)
-			}
-			arm(done)
-		}
-	}
 	s.pending = append(s.pending, struct {
 		at clock.Global
 		r  *mem.Request
@@ -249,7 +204,7 @@ func (s *variableSubmitter) tick(now clock.Global) {
 	out := s.pending[:0]
 	for _, p := range s.pending {
 		if p.at <= now {
-			p.r.Complete(now)
+			s.deliver(now, p.r)
 		} else {
 			out = append(out, p)
 		}
@@ -279,10 +234,10 @@ type capSubmitter struct {
 	issues                      []capIssue
 	stalls, portStalls, charged int64
 
-	// wake, if non-nil, re-arms the wake-driven twin: at a completion,
-	// and when a translation frees a slot of a full MSHR (the MMU's
-	// OnMSHRFreed seam).
-	wake func(at clock.Global)
+	// completer's arm, if set, re-arms the wake-driven twin: at a
+	// completion, and when a translation frees a slot of a full MSHR
+	// (the MMU's OnMSHRFreed seam).
+	completer
 }
 
 type pageWait struct {
@@ -354,8 +309,8 @@ func (s *capSubmitter) tick(now clock.Global) {
 		for _, r := range w.reqs {
 			s.complete(now, r)
 		}
-		if full && s.wake != nil {
-			s.wake(now)
+		if full && s.arm != nil {
+			s.arm(now)
 		}
 	}
 	out := s.inflight[:0]
@@ -364,10 +319,7 @@ func (s *capSubmitter) tick(now clock.Global) {
 			out = append(out, p)
 			continue
 		}
-		p.r.Complete(now)
-		if s.wake != nil {
-			s.wake(now)
-		}
+		s.deliver(now, p.r)
 	}
 	s.inflight = out
 }
@@ -423,18 +375,12 @@ func TestCoreSleepsOnFullMSHR(t *testing.T) {
 			}
 
 			refSub := newSub()
-			ref, err := NewCore(0, arch, sched, dom, refSub, &mem.IDAllocator{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := mustCore(t, arch, sched, dom, refSub)
 			const far = clock.Global(clock.FarFuture)
 			armed, last := clock.Global(0), clock.Global(-1)
 			wakeSub := newSub()
-			wakeSub.wake = func(at clock.Global) { armed = min(armed, at) }
-			wake, err := NewCore(0, arch, sched, dom, wakeSub, &mem.IDAllocator{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			wakeSub.arm = func(at clock.Global) { armed = min(armed, at) }
+			wake := mustCore(t, arch, sched, dom, wakeSub)
 			var refEv, wakeEv []obs.Event
 			ref.Obs = obs.Func(func(e obs.Event) { refEv = append(refEv, e) })
 			wake.Obs = obs.Func(func(e obs.Event) { wakeEv = append(wakeEv, e) })

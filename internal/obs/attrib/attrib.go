@@ -45,8 +45,8 @@
 // and walk coalescing on another core's walk, which have no dedicated
 // probes); idle means no DMA request was in flight at all.
 //
-// The engine is not safe for concurrent use; wrap it with obs.Locked
-// if events may arrive from more than one goroutine.
+// The engine is not safe for concurrent use: feed it from one
+// simulation at a time.
 package attrib
 
 import (

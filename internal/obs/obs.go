@@ -23,11 +23,7 @@
 // tracks share one timeline.
 package obs
 
-import (
-	"sync"
-
-	"mnpusim/internal/clock"
-)
+import "mnpusim/internal/clock"
 
 // Kind is the type of a probe event. The payload fields A and B are
 // kind-specific; see the comment on each constant.
@@ -57,8 +53,9 @@ const (
 	// KindSPMSwap marks a scratchpad double-buffer swap: the prefetched
 	// half becomes the compute half. Core set, A = tile now resident.
 	KindSPMSwap
-	// KindDMAIssue marks a DMA request accepted by the MMU.
-	// Core set, A = requests in flight after issue, B = 0 read / 1 write.
+	// KindDMAIssue marks a DMA request accepted by the MMU. Core set,
+	// Unit = 0 read / 1 write, A = requests in flight after issue,
+	// B = the request's virtual address.
 	KindDMAIssue
 	// KindDMAComplete marks a DMA request's data burst completing.
 	// Core set, A = requests in flight after completion.
@@ -171,7 +168,7 @@ type Event struct {
 
 // Sink consumes probe events. Implementations must not mutate simulator
 // state from Emit; sinks used from a parallel experiment runner must be
-// safe for concurrent use (wrap with Locked if not).
+// safe for concurrent use.
 type Sink interface {
 	Emit(e Event)
 }
@@ -202,28 +199,6 @@ func Tee(sinks ...Sink) Sink {
 		return live[0]
 	}
 	return &tee{sinks: live}
-}
-
-// locked serializes Emit calls with a mutex.
-type locked struct {
-	mu sync.Mutex
-	s  Sink
-}
-
-func (l *locked) Emit(e Event) {
-	l.mu.Lock()
-	l.s.Emit(e)
-	l.mu.Unlock()
-}
-
-// Locked wraps a sink so concurrent simulations can share it. Events
-// from different simulations interleave; use it for accumulating sinks
-// (counters, recorders), not for timeline export.
-func Locked(s Sink) Sink {
-	if s == nil {
-		return nil
-	}
-	return &locked{s: s}
 }
 
 // Func adapts a function to the Sink interface.

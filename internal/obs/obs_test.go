@@ -45,26 +45,3 @@ func TestTeeFansOut(t *testing.T) {
 		t.Errorf("fan-out counts = %d, %d", a, b)
 	}
 }
-
-func TestLocked(t *testing.T) {
-	if Locked(nil) != nil {
-		t.Error("Locked(nil) should be nil")
-	}
-	var n int
-	s := Locked(Func(func(Event) { n++ }))
-	done := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		go func() {
-			for j := 0; j < 100; j++ {
-				s.Emit(Event{})
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if n != 400 {
-		t.Errorf("locked emit count = %d, want 400", n)
-	}
-}

@@ -152,17 +152,6 @@ func (r *Recorder) Dropped() int64 {
 	return total
 }
 
-// Recorded returns the number of events currently held.
-func (r *Recorder) Recorded() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	total := 0
-	for i := range r.rings {
-		total += r.rings[i].n
-	}
-	return total
-}
-
 // DumpBytes serializes the recorder's current window with the given
 // anomaly reason. Safe to call while the simulation is still emitting.
 func (r *Recorder) DumpBytes(reason string) []byte {

@@ -86,9 +86,6 @@ func NewModel(beta []float64) (Model, error) {
 	return Model{beta: append([]float64(nil), beta...)}, nil
 }
 
-// Coefficients returns a copy of the fitted coefficients.
-func (m Model) Coefficients() []float64 { return append([]float64(nil), m.beta...) }
-
 // PredictSlowdown estimates the slowdown (>= 1) of a with co-runner b.
 func (m Model) PredictSlowdown(a, b Profile) float64 {
 	s := stats.Predict(m.beta, Features(a, b))

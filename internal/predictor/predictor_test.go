@@ -43,7 +43,7 @@ func TestNewModelRejectsWrongArity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Coefficients()) != NumFeatures {
+	if len(m.beta) != NumFeatures {
 		t.Error("coefficients lost")
 	}
 }

@@ -6,14 +6,12 @@ package report
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
 
 	"mnpusim/internal/experiments"
 	"mnpusim/internal/obs/attrib"
-	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
 
@@ -120,52 +118,6 @@ func PerWorkloadCSV(w io.Writer, columns []string, rows map[string][]float64) er
 		rec := []string{n}
 		for _, v := range rows[n] {
 			rec = append(rec, fmtF(v))
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// CoreResultCSV writes the per-core outputs of one simulation — the
-// fields the original simulator's result files carry. An optional
-// attribution report appends one attr_<bucket> column per stall-cycle
-// bucket after the stable base columns; the report must cover exactly
-// the result's cores.
-func CoreResultCSV(w io.Writer, res sim.Result, attr ...attrib.Report) error {
-	var breakdowns []attrib.CoreBreakdown
-	if len(attr) > 0 {
-		if len(attr) > 1 {
-			return fmt.Errorf("report: at most one attribution report, got %d", len(attr))
-		}
-		breakdowns = attr[0].Cores
-		if len(breakdowns) != len(res.Cores) {
-			return fmt.Errorf("report: attribution covers %d cores, result has %d", len(breakdowns), len(res.Cores))
-		}
-	}
-	cw := csv.NewWriter(w)
-	header := []string{"core", "net", "avg_cycle", "utilization", "footprint_bytes", "traffic_bytes", "tlb_hit_rate", "walks"}
-	if breakdowns != nil {
-		for _, b := range attrib.BucketNames() {
-			header = append(header, "attr_"+b)
-		}
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for i, c := range res.Cores {
-		rec := []string{
-			strconv.Itoa(i), c.Net, strconv.FormatInt(c.Cycles, 10),
-			fmtF(c.Utilization), strconv.FormatInt(c.FootprintBytes, 10),
-			strconv.FormatInt(c.TrafficBytes, 10), fmtF(c.TLBHitRate),
-			strconv.FormatInt(c.MMU.Walks, 10),
-		}
-		if breakdowns != nil {
-			for _, v := range breakdowns[i].Buckets() {
-				rec = append(rec, strconv.FormatInt(v, 10))
-			}
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"mnpusim/internal/experiments"
-	"mnpusim/internal/mmu"
-	"mnpusim/internal/npu"
 	"mnpusim/internal/obs/attrib"
 	"mnpusim/internal/sim"
 )
@@ -93,61 +91,6 @@ func TestPerWorkloadCSVTable1Order(t *testing.T) {
 		if recs[i+1][0] != w {
 			t.Fatalf("order: %v", recs)
 		}
-	}
-}
-
-func TestCoreResultCSV(t *testing.T) {
-	res := sim.Result{Cores: []sim.CoreResult{{
-		Net: "ncf", Cycles: 1234, Utilization: 0.5,
-		FootprintBytes: 4096, TrafficBytes: 2048, TLBHitRate: 0.25,
-		MMU: mmu.CoreStats{Walks: 7}, NPU: npu.Stats{},
-	}}}
-	var sb strings.Builder
-	if err := CoreResultCSV(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, sb.String())
-	if rows[1][1] != "ncf" || rows[1][2] != "1234" || rows[1][7] != "7" {
-		t.Errorf("row: %v", rows[1])
-	}
-	if len(rows[0]) != 8 || len(rows[1]) != 8 {
-		t.Errorf("base columns changed: %v", rows[0])
-	}
-}
-
-func TestCoreResultCSVWithAttribution(t *testing.T) {
-	res := sim.Result{Cores: []sim.CoreResult{{
-		Net: "ncf", Cycles: 100, MMU: mmu.CoreStats{Walks: 7},
-	}}}
-	rep := attrib.Report{Cores: []attrib.CoreBreakdown{{
-		Core: 0, Net: "ncf", TotalCycles: 100, Compute: 60, DRAMQueue: 25, Walk: 10, Idle: 5,
-	}}}
-	var sb strings.Builder
-	if err := CoreResultCSV(&sb, res, rep); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, sb.String())
-	// The base column order stays stable; attribution columns append.
-	base := []string{"core", "net", "avg_cycle", "utilization", "footprint_bytes", "traffic_bytes", "tlb_hit_rate", "walks"}
-	for i, h := range base {
-		if rows[0][i] != h {
-			t.Fatalf("base header moved: %v", rows[0])
-		}
-	}
-	wantAttr := []string{"attr_compute", "attr_dram_queue", "attr_row_conflict", "attr_transfer", "attr_ptw_queue", "attr_walk", "attr_idle"}
-	for i, h := range wantAttr {
-		if rows[0][8+i] != h {
-			t.Fatalf("attr header: %v", rows[0])
-		}
-	}
-	if rows[1][2] != "100" || rows[1][8] != "60" || rows[1][9] != "25" || rows[1][13] != "10" || rows[1][14] != "5" {
-		t.Errorf("row: %v", rows[1])
-	}
-
-	// A mismatched report is refused rather than silently misaligned.
-	bad := attrib.Report{}
-	if err := CoreResultCSV(&sb, res, bad); err == nil {
-		t.Error("core-count mismatch not rejected")
 	}
 }
 

@@ -170,13 +170,6 @@ func (c *Client) JobResult(ctx context.Context, id string) ([]byte, error) {
 	return io.ReadAll(resp.Body)
 }
 
-// CancelJob cancels a queued or running job.
-func (c *Client) CancelJob(ctx context.Context, id string) (api.JobView, error) {
-	var v api.JobView
-	err := c.getJSON(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, &v)
-	return v, err
-}
-
 // WaitJob polls a job until it reaches a terminal state, at the given
 // interval (0 = 50ms), and returns its final view.
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (api.JobView, error) {
@@ -197,29 +190,6 @@ func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (ap
 		case <-time.After(poll):
 		}
 	}
-}
-
-// JobDump fetches a job's flight-recorder window (binary MNPUFR1) and
-// the capture reason from the X-Dump-Reason header.
-func (c *Client) JobDump(ctx context.Context, id string) (data []byte, reason string, err error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/dump", nil)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return b, resp.Header.Get("X-Dump-Reason"), err
-}
-
-// JobProfile fetches the CPU profile captured when a job's watchdog
-// fired.
-func (c *Client) JobProfile(ctx context.Context, id string) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/profile", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
 }
 
 // SubmitSweep posts a sweep spec; the returned view carries the sweep

@@ -114,9 +114,6 @@ type Config struct {
 	// WatchdogProfile is the CPU-profile capture duration on watchdog
 	// fire. Zero means 250ms.
 	WatchdogProfile time.Duration
-	// RecorderRingCap sizes each per-job flight-recorder ring, in
-	// events. Zero means recorder.DefaultRingCap.
-	RecorderRingCap int
 
 	// DisableTracing turns the distributed-tracing layer off entirely:
 	// no spans are recorded and GET /v1/traces answers 404 for every
@@ -124,9 +121,6 @@ type Config struct {
 	// only); the switch exists for that proof and for memory-austere
 	// deployments.
 	DisableTracing bool
-	// TraceMaxTraces bounds the in-memory span store's retained traces;
-	// zero means dtrace.DefaultMaxTraces.
-	TraceMaxTraces int
 	// TraceMaxSpans bounds the spans kept per trace; zero means
 	// dtrace.DefaultMaxSpans.
 	TraceMaxSpans int
@@ -245,7 +239,7 @@ func New(cfg Config) (*Server, error) {
 		},
 	}
 	if !cfg.DisableTracing {
-		s.spans = dtrace.NewStore(cfg.TraceMaxTraces, cfg.TraceMaxSpans)
+		s.spans = dtrace.NewStore(dtrace.DefaultMaxTraces, cfg.TraceMaxSpans)
 		s.tracer = dtrace.NewTracer("mnpuserved", s.spans)
 	}
 	cache.onDiskHit = func() { s.diskCacheHits.Inc() }
@@ -416,7 +410,7 @@ func (s *Server) runJob(job *Job) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = s.reg
 	}
-	rec := recorder.New(cfg.Cores(), cfg.DRAM.Channels, s.cfg.RecorderRingCap)
+	rec := recorder.New(cfg.Cores(), cfg.DRAM.Channels, recorder.DefaultRingCap)
 	job.setRecorder(rec)
 	attr := sim.NewAttribution(cfg)
 	cfg.Obs = obs.Tee(cfg.Obs, attr, &job.progress, rec)

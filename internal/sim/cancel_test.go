@@ -9,8 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"mnpusim/internal/clock"
-	"mnpusim/internal/mem"
+	"mnpusim/internal/obs"
 	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
@@ -36,8 +35,9 @@ func TestRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestRunContextMidRunCancel cancels from inside the OnIssue hook, so
-// the cancellation deterministically lands mid-simulation. The run must
+// TestRunContextMidRunCancel cancels from the first DMA issue's probe
+// event, so the cancellation deterministically lands mid-simulation.
+// The run must
 // abort at its next cancellation poll — a processed-cycle budget under
 // the event kernel and the tick reference alike — with an error
 // wrapping context.Canceled, rather than run to completion.
@@ -48,7 +48,7 @@ func TestRunContextMidRunCancel(t *testing.T) {
 			defer cancel()
 			cfg := tinyDual(t)
 			var once sync.Once
-			cfg.OnIssue = func(now clock.Global, r *mem.Request) { once.Do(cancel) }
+			cfg.Obs = cancelAtFirstIssue(&once, cancel)
 
 			start := time.Now()
 			_, err := l.Run(ctx, cfg)
@@ -65,6 +65,16 @@ func TestRunContextMidRunCancel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cancelAtFirstIssue is a probe sink that cancels on the run's first DMA
+// issue.
+func cancelAtFirstIssue(once *sync.Once, cancel context.CancelFunc) obs.Sink {
+	return obs.Func(func(e obs.Event) {
+		if e.Kind == obs.KindDMAIssue {
+			once.Do(cancel)
+		}
+	})
 }
 
 func TestRunContextDeadline(t *testing.T) {
@@ -86,7 +96,7 @@ func TestRunContextNoGoroutineLeak(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := tinyDual(t)
 		var once sync.Once
-		cfg.OnIssue = func(now clock.Global, r *mem.Request) { once.Do(cancel) }
+		cfg.Obs = cancelAtFirstIssue(&once, cancel)
 		if _, err := sim.RunContext(ctx, cfg); !errors.Is(err, context.Canceled) {
 			t.Fatalf("run %d: %v", i, err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"mnpusim/internal/clock"
 	"mnpusim/internal/dram"
-	"mnpusim/internal/mem"
 	"mnpusim/internal/mmu"
 	"mnpusim/internal/model"
 	"mnpusim/internal/npu"
@@ -75,9 +74,9 @@ type Config struct {
 	// behavior, the DRAM command stream, and main-loop skip windows.
 	// Observation never alters execution: Result is byte-identical with
 	// Obs set or nil. Sinks shared across concurrent runs must be safe
-	// for concurrent use (obs.Locked).
+	// for concurrent use.
 	//
-	// Hooks (Obs through OnIssue) are process-local and excluded
+	// Hooks (Obs through HostProf) are process-local and excluded
 	// from JSON: a Config crosses the wire (internal/serve) as data
 	// only, and the content fingerprint ignores them for the same
 	// reason.
@@ -98,12 +97,6 @@ type Config struct {
 	// to run — which is why they appear only on explicit opt-in rather
 	// than whenever Metrics is set.
 	HostProf *hostprof.Profiler `json:"-"`
-
-	// OnIssue, if non-nil, observes every DMA request issue with its
-	// virtual address, which no probe event carries (the request log
-	// of `mnputrace -mode log`). Completed bursts are observed as
-	// obs.KindTransfer events.
-	OnIssue func(now clock.Global, r *mem.Request) `json:"-"`
 }
 
 // Cores returns the number of cores.
@@ -242,6 +235,5 @@ func IdealFor(cfg Config, i int) Config {
 	out.StartCycles = nil
 	out.Obs = nil
 	out.Metrics = nil
-	out.OnIssue = nil
 	return out
 }

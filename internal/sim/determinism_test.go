@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"mnpusim/internal/report"
 	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
@@ -25,7 +24,7 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serialize := func(l sim.Loop) ([]byte, []byte) {
+	serialize := func(l sim.Loop) []byte {
 		t.Helper()
 		res, err := l.Run(context.Background(), base)
 		if err != nil {
@@ -35,32 +34,20 @@ func TestRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var csv bytes.Buffer
-		if err := report.CoreResultCSV(&csv, res); err != nil {
-			t.Fatal(err)
-		}
-		return js, csv.Bytes()
+		return js
 	}
 
-	outputs := map[string][2][]byte{}
+	outputs := map[string][]byte{}
 	for _, l := range sim.Loops {
 		t.Run(l.Name, func(t *testing.T) {
-			js1, csv1 := serialize(l)
-			js2, csv2 := serialize(l)
+			js1, js2 := serialize(l), serialize(l)
 			if !bytes.Equal(js1, js2) {
 				t.Errorf("JSON output differs between identical runs:\nfirst:  %s\nsecond: %s", js1, js2)
 			}
-			if !bytes.Equal(csv1, csv2) {
-				t.Errorf("CSV output differs between identical runs:\nfirst:\n%s\nsecond:\n%s", csv1, csv2)
-			}
-			outputs[l.Name] = [2][]byte{js1, csv1}
+			outputs[l.Name] = js1
 		})
 	}
-	tick, event := outputs["tick"], outputs["event"]
-	if !bytes.Equal(tick[0], event[0]) {
-		t.Errorf("JSON output differs across kernels:\ntick:  %s\nevent: %s", tick[0], event[0])
-	}
-	if !bytes.Equal(tick[1], event[1]) {
-		t.Errorf("CSV output differs across kernels:\ntick:\n%s\nevent:\n%s", tick[1], event[1])
+	if tick, event := outputs["tick"], outputs["event"]; !bytes.Equal(tick, event) {
+		t.Errorf("JSON output differs across kernels:\ntick:  %s\nevent: %s", tick, event)
 	}
 }

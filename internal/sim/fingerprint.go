@@ -14,7 +14,7 @@ import (
 )
 
 // canonicalConfig mirrors the Config fields that determine the Result.
-// Observation hooks (Obs, Metrics, HostProf, OnIssue) are excluded
+// Observation hooks (Obs, Metrics, HostProf) are excluded
 // because observation never alters execution — two configs differing
 // only in those fields share one cache slot. Field order is fixed:
 // encoding/json emits struct fields in declaration order, so the

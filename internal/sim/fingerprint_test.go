@@ -3,8 +3,6 @@ package sim_test
 import (
 	"testing"
 
-	"mnpusim/internal/clock"
-	"mnpusim/internal/mem"
 	"mnpusim/internal/obs"
 	"mnpusim/internal/obs/hostprof"
 	"mnpusim/internal/sim"
@@ -51,7 +49,7 @@ func TestFingerprintStableAndDiscriminating(t *testing.T) {
 	hooked := tinyDual(t)
 	hooked.Metrics = obs.NewRegistry()
 	hooked.HostProf = hostprof.New()
-	hooked.OnIssue = func(clock.Global, *mem.Request) {}
+	hooked.Obs = obs.Func(func(obs.Event) {})
 	got, err := hooked.Fingerprint()
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 
 	"mnpusim/internal/clock"
 	"mnpusim/internal/dram"
-	"mnpusim/internal/mem"
 	"mnpusim/internal/model"
 	"mnpusim/internal/npu"
 	"mnpusim/internal/obs"
@@ -251,19 +250,21 @@ func TestWalkerPartitionBoundsApply(t *testing.T) {
 }
 
 // TestTransferAndIssueHooks observes completed bursts as KindTransfer
-// probe events and DMA issues through OnIssue, and checks the probe
-// stream's bytes match the Result's per-core accounting.
+// probe events and DMA issues as KindDMAIssue events, and checks the
+// probe stream's bytes match the Result's per-core accounting.
 func TestTransferAndIssueHooks(t *testing.T) {
 	cfg := NewConfig(workloads.ScaleTiny, ShareDWT, smallNet("a"))
 	var transfers, issues int
 	var moved int64
 	cfg.Obs = obs.Func(func(e obs.Event) {
-		if e.Kind == obs.KindTransfer {
+		switch e.Kind {
+		case obs.KindTransfer:
 			transfers++
 			moved += e.A
+		case obs.KindDMAIssue:
+			issues++
 		}
 	})
-	cfg.OnIssue = func(now clock.Global, r *mem.Request) { issues++ }
 	r := mustRun(t, cfg)
 	if transfers == 0 || issues == 0 {
 		t.Errorf("hooks not invoked: transfers=%d issues=%d", transfers, issues)

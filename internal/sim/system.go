@@ -145,10 +145,13 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	return s.run(ctx, s.runEvent)
 }
 
-// newSystem validates cfg and builds its hardware and software. With
-// event set it also creates the event kernel and wires its stimulus
-// seams; without, the system carries no wake hooks at all (the form
-// the tests' tick-everything reference loop drives).
+// newSystem validates cfg and builds its hardware and software. Both
+// loops share the one completion path: the memory's OnComplete hands a
+// page-table read to the MMU (ReadDone) and a data burst to its core
+// (Complete). With event set it also creates the event kernel and wires
+// its stimulus seams, the completion hook's wake among them; without,
+// the system carries no wake hooks at all (the form the tests'
+// tick-everything reference loop drives).
 func newSystem(cfg Config, event bool) (*system, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -166,13 +169,12 @@ func newSystem(cfg Config, event bool) (*system, error) {
 		}
 	}
 
-	ids := &mem.IDAllocator{}
 	tables := make([]*mmu.PageTable, n)
 	for i := 0; i < n; i++ {
 		alloc := mmu.NewPhysAllocator(uint64(i)*cfg.PhysBytesPerCore, cfg.PhysBytesPerCore, cfg.PageSize)
 		tables[i] = mmu.NewPageTable(cfg.PageSize, cfg.WalkLevels, alloc)
 	}
-	unit, err := mmu.New(cfg.mmuConfig(), memory, tables, ids)
+	unit, err := mmu.New(cfg.mmuConfig(), memory, tables)
 	if err != nil {
 		return nil, err
 	}
@@ -195,15 +197,32 @@ func newSystem(cfg Config, event bool) (*system, error) {
 		starts = make([]clock.Global, n)
 	}
 
+	// A retired burst goes to its consumer, which the event kernel, if
+	// any, then wakes on the completion cycle: the MMU for a page-table
+	// read, the issuing core for data.
+	chs := memory.Channels()
+	cores := make([]*npu.Core, n)
+	var ek *eventKernel
+	memory.OnComplete = func(done clock.Global, r *mem.Request) {
+		id := chs
+		if r.Class == mem.PageTable {
+			unit.ReadDone(r)
+		} else {
+			cores[r.Core].Complete(done, r)
+			id += 1 + r.Core
+		}
+		if ek != nil {
+			ek.wake(id, done)
+		}
+	}
+
 	// The event kernel is created before the cores so its wake function
 	// can be wired into the stimulus seams: DRAM enqueues, burst
 	// completions and freed queue slots (memory hooks), freed MSHR
 	// slots (an MMU hook) and DMA submissions (the per-core Submitter
 	// wrapper). Component ids fix the within-cycle order: channels,
 	// MMU, cores.
-	var ek *eventKernel
 	if event {
-		chs := memory.Channels()
 		ek = newEventKernel(chs + 1 + n)
 		// An enqueue re-arms the landing channel at the channel's own
 		// recomputed horizon, not blindly now+1: the fresh request's
@@ -213,13 +232,6 @@ func newSystem(cfg Config, event bool) (*system, error) {
 		// More work can only move the horizon earlier, so wake()'s
 		// earlier-only rule applies cleanly.
 		memory.OnEnqueue = func(now clock.Global, ch int) { ek.wake(ch, memory.ChannelNextEventAfter(ch, now)) }
-		memory.OnComplete = func(done clock.Global, r *mem.Request) {
-			if r.Class == mem.PageTable {
-				ek.wake(chs, done)
-			} else if r.Core >= 0 && r.Core < n {
-				ek.wake(chs+1+r.Core, done)
-			}
-		}
 		// A slot freed in a full channel wakes the MMU in the same cycle
 		// (channels tick before it): the MMU sleeps while every request it
 		// could admit waits on a full channel.
@@ -233,7 +245,6 @@ func newSystem(cfg Config, event bool) (*system, error) {
 	}
 
 	// Compile the software and build the cores.
-	cores := make([]*npu.Core, n)
 	scheds := make([]*tile.Schedule, n)
 	for i := 0; i < n; i++ {
 		a := cfg.Arch[i]
@@ -251,14 +262,11 @@ func newSystem(cfg Config, event bool) (*system, error) {
 		dom := clock.NewDomain(a.FreqHz, clock.Hz(cfg.DRAM.FreqHz))
 		submitter := npu.Submitter(unit)
 		if ek != nil {
-			submitter = &wakeSubmitter{MMU: unit, ek: ek, mmuID: memory.Channels()}
+			submitter = &wakeSubmitter{MMU: unit, ek: ek, mmuID: chs}
 		}
-		core, err := npu.NewCore(i, a, sched, dom, submitter, ids)
+		core, err := npu.NewCore(i, a, sched, dom, submitter)
 		if err != nil {
 			return nil, err
-		}
-		if cfg.OnIssue != nil {
-			core.OnIssue = cfg.OnIssue
 		}
 		core.Obs = sink
 		core.StartCycle = starts[i]

@@ -1,11 +1,11 @@
 // Package trace provides the instrumentation the original simulator
 // emits as log files: per-window memory-request rates (the burstiness
 // plot of Fig. 2b), per-window DRAM bandwidth utilization (the timeline
-// of Fig. 12), and request logs for TLB/PTW/DRAM events.
+// of Fig. 12), and the artifact's request log of DMA issues.
 //
-// The recorders are thin consumers of the internal/obs probe stream:
-// both implement obs.Sink, so sim.Config.Obs is the one instrumentation
-// path and the recorders are just backends over it.
+// The recorders and the log are thin consumers of the internal/obs
+// probe stream: each implements obs.Sink, so sim.Config.Obs is the one
+// instrumentation path and they are just backends over it.
 package trace
 
 import (
@@ -141,21 +141,35 @@ func (b *BandwidthRecorder) Utilization(core int, peakBytesPerCycle float64) []f
 	return out
 }
 
-// RequestLog writes request records in the artifact's log format:
-// cycle, address, NPU index, and class.
+// RequestLog writes the artifact's request log, one record per DMA
+// request issue: cycle, virtual address, NPU index, and class+kind
+// ("DR" or "DW"). It is an obs.Sink over the KindDMAIssue probe
+// events and stops after limit records.
 type RequestLog struct {
 	w     io.Writer
+	limit int64
 	lines int64
 }
 
-// NewRequestLog creates a log writing to w.
-func NewRequestLog(w io.Writer) *RequestLog { return &RequestLog{w: w} }
+// NewRequestLog creates a log writing at most limit records to w.
+// Write errors are left to w: a bufio.Writer keeps the first and
+// reports it on Flush.
+func NewRequestLog(w io.Writer, limit int64) *RequestLog {
+	return &RequestLog{w: w, limit: limit}
+}
 
-// Log writes one record.
-func (l *RequestLog) Log(now int64, r *mem.Request) error {
+// Emit implements obs.Sink: it writes one record per DMA issue until
+// the limit. All other event kinds are ignored.
+func (l *RequestLog) Emit(e obs.Event) {
+	if e.Kind != obs.KindDMAIssue || l.lines >= l.limit {
+		return
+	}
 	l.lines++
-	_, err := fmt.Fprintf(l.w, "%d %#x %d %s%s\n", now, r.VAddr, r.Core, r.Class, r.Kind)
-	return err
+	kind := mem.Read
+	if e.Unit == 1 {
+		kind = mem.Write
+	}
+	fmt.Fprintf(l.w, "%d %#x %d %s%s\n", e.Cycle, uint64(e.B), e.Core, mem.Data, kind)
 }
 
 // Lines returns the number of records written.

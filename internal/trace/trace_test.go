@@ -133,18 +133,39 @@ func TestRecordersConsumeProbeStream(t *testing.T) {
 	}
 }
 
+// TestRequestLogFormat drives the log as a probe sink: one record per
+// DMA issue, in the artifact's format, with the direction from Unit.
 func TestRequestLogFormat(t *testing.T) {
 	var sb strings.Builder
-	l := NewRequestLog(&sb)
-	r := &mem.Request{Core: 2, VAddr: 0x1000, Kind: mem.Write, Class: mem.PageTable}
-	if err := l.Log(42, r); err != nil {
-		t.Fatal(err)
-	}
-	want := "42 0x1000 2 PTW\n"
+	l := NewRequestLog(&sb, 10)
+	l.Emit(obs.Event{Cycle: 42, Kind: obs.KindDMAIssue, Core: 2, A: 1, B: 0x1000})
+	l.Emit(obs.Event{Cycle: 43, Kind: obs.KindDMAIssue, Core: 0, Unit: 1, A: 2, B: 0xfffff040})
+	want := "42 0x1000 2 DR\n43 0xfffff040 0 DW\n"
 	if sb.String() != want {
-		t.Errorf("log line = %q, want %q", sb.String(), want)
+		t.Errorf("log = %q, want %q", sb.String(), want)
 	}
-	if l.Lines() != 1 {
+	if l.Lines() != 2 {
 		t.Errorf("lines = %d", l.Lines())
+	}
+}
+
+// TestRequestLogSink checks that the log ignores every other event
+// kind and writes nothing past its limit.
+func TestRequestLogSink(t *testing.T) {
+	var sb strings.Builder
+	l := NewRequestLog(&sb, 2)
+	for k := obs.Kind(0); k.String() != "unknown"; k++ {
+		if k != obs.KindDMAIssue {
+			l.Emit(obs.Event{Cycle: 1, Kind: k, Core: 0, Unit: 1, A: 1, B: 0x40})
+		}
+	}
+	if sb.Len() != 0 || l.Lines() != 0 {
+		t.Fatalf("other kinds wrote %d records: %q", l.Lines(), sb.String())
+	}
+	for i := range 5 {
+		l.Emit(obs.Event{Cycle: clock.Global(i), Kind: obs.KindDMAIssue, B: int64(i) * 64})
+	}
+	if want := "0 0x0 0 DR\n1 0x40 0 DR\n"; sb.String() != want || l.Lines() != 2 {
+		t.Errorf("log = %q (%d lines), want %q: the limit is 2", sb.String(), l.Lines(), want)
 	}
 }
