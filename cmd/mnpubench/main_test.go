@@ -48,8 +48,9 @@ func TestRunRejectsBadArgs(t *testing.T) {
 }
 
 // TestRunPrintsAndWritesCSV drives the harness end to end on its cheap
-// entries: each prints its section header and rows, and the figures
-// with a CSV write a parseable one into the -csv directory.
+// entries: each prints its section header and rows (Figs 11 and 15
+// digit for digit), and the figures with a CSV write a parseable one
+// into the -csv directory.
 func TestRunPrintsAndWritesCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulations")
@@ -63,10 +64,32 @@ func TestRunPrintsAndWritesCSV(t *testing.T) {
 	}
 	for _, want := range []string{
 		"=== fig2b: memory-request burstiness of NCF (single core) ===\nburstiness ncf: ",
-		"=== fig11: speedup vs DRAM bandwidth (single core) ===\nspeedup vs DRAM bandwidth",
 		"=== fig12: bandwidth-utilization timeline of ds2 and gpt2 ===\nbandwidth timeline ds2/gpt2: ",
-		"=== fig15: page-size speedup, single core ===\npage-size speedup over ",
 		"=== energy: off-chip energy per bit of sfrnn+gpt2, Static vs +DWT ===\nsfrnn+gpt2 pJ/bit: static=",
+		// Figs 11 and 15 in full: each workload against its own lowest
+		// bandwidth point or base page, at tiny scale.
+		`=== fig11: speedup vs DRAM bandwidth (single core) ===
+speedup vs DRAM bandwidth (single-core, normalized to lowest):
+  res    x1=1.00 x2=1.95 x4=3.69 x8=5.72
+  yt     x1=1.00 x2=1.98 x4=3.86 x8=5.83
+  alex   x1=1.00 x2=1.98 x4=3.83 x8=6.94
+  sfrnn  x1=1.00 x2=1.97 x4=3.89 x8=7.37
+  ds2    x1=1.00 x2=1.99 x4=3.94 x8=7.58
+  dlrm   x1=1.00 x2=1.97 x4=3.73 x8=6.34
+  ncf    x1=1.00 x2=1.99 x4=3.89 x8=5.72
+  gpt2   x1=1.00 x2=1.76 x4=2.20 x8=2.23
+`,
+		`=== fig15: page-size speedup, single core ===
+page-size speedup over 2KB (single-core):
+  res    32KB=1.026 512KB=1.078
+  yt     32KB=1.002 512KB=1.006
+  alex   32KB=2.463 512KB=2.466
+  sfrnn  32KB=1.024 512KB=1.036
+  ds2    32KB=1.021 512KB=1.027
+  dlrm   32KB=6.014 512KB=8.488
+  ncf    32KB=2.837 512KB=2.918
+  gpt2   32KB=1.012 512KB=1.012
+`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q", want)

@@ -28,11 +28,10 @@ func main() {
 		var cycles []int64
 		var walks []int64
 		for i, page := range pages {
-			base, err := sim.NewWorkloadConfig(workloads.ScaleTiny, sim.Static, w, w)
+			cfg, err := sim.NewIdealConfig(workloads.ScaleTiny, w)
 			if err != nil {
 				log.Fatal(err)
 			}
-			cfg := sim.IdealFor(base, 0)
 			cfg.PageSize = page
 			cfg.WalkLevels = 4 - i
 			res, err := sim.Run(cfg)

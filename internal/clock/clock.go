@@ -57,10 +57,9 @@ const FarFuture = 1 << 62
 // Domain converts cycle counts between a local clock and the global
 // (DRAM) clock. The zero value is unusable; use NewDomain.
 type Domain struct {
-	local  Hz
-	global Hz
-	// lr and gr are the GCD-reduced ratio terms, kept small so cycle
-	// conversions cannot overflow for any realistic cycle count.
+	// lr and gr are the GCD-reduced local and global frequencies, kept
+	// small so cycle conversions cannot overflow for any realistic
+	// cycle count.
 	lr, gr int64
 }
 
@@ -72,7 +71,7 @@ func NewDomain(local, global Hz) Domain {
 		panic(fmt.Sprintf("clock: non-positive frequency local=%d global=%d", local, global))
 	}
 	g := gcd(int64(local), int64(global))
-	return Domain{local: local, global: global, lr: int64(local) / g, gr: int64(global) / g}
+	return Domain{lr: int64(local) / g, gr: int64(global) / g}
 }
 
 func gcd(a, b int64) int64 {
@@ -81,12 +80,6 @@ func gcd(a, b int64) int64 {
 	}
 	return a
 }
-
-// Local returns the local frequency.
-func (d Domain) Local() Hz { return d.local }
-
-// Global returns the global frequency.
-func (d Domain) Global() Hz { return d.global }
 
 // ToGlobal converts a local cycle count to global cycles, rounding up so
 // a request never appears at the shared resource before it was issued.

@@ -59,18 +59,6 @@ func New(cfg Config) (*Memory, error) {
 	return m, nil
 }
 
-// MustNew is New, panicking on error; for tests and presets known valid.
-func MustNew(cfg Config) *Memory {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Config returns the device configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
 // SetObs attaches a probe-event sink to the device and every channel
 // controller; nil detaches it.
 func (m *Memory) SetObs(s obs.Sink) {

@@ -541,17 +541,23 @@ func TestStatsBytesMoved(t *testing.T) {
 	}
 }
 
-func TestMustNewPanicsOnInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustNew did not panic")
-		}
-	}()
-	MustNew(Config{})
+// mustNew is New for configurations a test knows valid.
+func mustNew(cfg Config) *Memory {
+	m, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+func TestNewRejectsInvalid(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Error("New accepted the zero Config")
+	}
 }
 
 func TestStringDescribesDevice(t *testing.T) {
-	m := MustNew(HBM2(8))
+	m := mustNew(HBM2(8))
 	if s := m.String(); s == "" {
 		t.Error("empty String()")
 	}

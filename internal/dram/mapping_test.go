@@ -21,7 +21,7 @@ func TestMapperBadChannelSet(t *testing.T) {
 			NewMapper(cfg, set)
 		}()
 	}
-	m := MustNew(cfg)
+	m := mustNew(cfg)
 	for _, set := range [][]int{{-1}, {4}} {
 		if err := m.SetCoreChannels(0, set); err == nil {
 			t.Errorf("SetCoreChannels(0, %v): no error", set)

@@ -139,7 +139,7 @@ func pickConfigs() map[string]Config {
 // the returned cycle, and a queue of admitted requests with a bypassed
 // head. The same seed builds the same channel.
 func seededChannel(cfg Config, rng *rand.Rand) (*channel, clock.Global) {
-	c := MustNew(cfg).channels[0]
+	c := mustNew(cfg).channels[0]
 	now := clock.Global(5000 + rng.Intn(100))
 	near := func() clock.Global { return now + clock.Global(rng.Intn(7)-3) }
 	for i := range c.banks {

@@ -33,8 +33,8 @@ func TestChannelWakeContract(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg := HBM2(2)
-			ref := MustNew(cfg)
-			wake := MustNew(cfg)
+			ref := mustNew(cfg)
+			wake := mustNew(cfg)
 
 			const far = clock.Global(clock.FarFuture)
 			armed := make([]clock.Global, cfg.Channels)
@@ -136,7 +136,7 @@ func BenchmarkDRAMChannelTick(b *testing.B) {
 	b.ReportAllocs()
 	for range b.N {
 		cfg := HBM2(2)
-		m := MustNew(cfg)
+		m := mustNew(cfg)
 		m.OnComplete = func(clock.Global, *mem.Request) {}
 		armed := make([]clock.Global, cfg.Channels)
 		m.OnEnqueue = func(now clock.Global, ch int) {

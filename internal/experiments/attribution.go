@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mnpusim/internal/obs"
@@ -48,63 +49,44 @@ func (r AttributionResult) String() string {
 
 // DualAttribution runs one dual-core mix under every sharing level plus
 // the two solo Ideal baselines, each with a stall-cycle attribution
-// engine attached, and assembles the breakdowns. The level and baseline
-// runs fan out onto the worker pool; attribution is per-run state, so
-// these simulations bypass the Runner's memo.
+// engine attached, and assembles the breakdowns. It is a one-mix
+// SharingGrid whose units bypass the Runner's memo: attribution is
+// per-run state.
 func DualAttribution(r *Runner, a, b string) (AttributionResult, error) {
-	out := AttributionResult{
-		Workloads: []string{a, b},
-		Levels:    sim.Levels(),
-		Ideal:     make([]attrib.CoreBreakdown, 2),
-		ByLevel:   map[sim.Sharing][]attrib.CoreBreakdown{},
-	}
-	base, err := sim.NewWorkloadConfig(r.opts.Scale, sim.Static, a, b)
-	if err != nil {
-		return AttributionResult{}, err
-	}
-	attributed := func(cfg sim.Config) (attrib.Report, error) {
+	g := SharingGrid{Cores: 2, Levels: sim.Levels(), Mixes: [][]string{{a, b}}}
+	reports := make([][]attrib.CoreBreakdown, g.Units())
+	_, err := g.Each(r, func(i int, cfg sim.Config) ([]int64, error) {
 		eng := sim.NewAttribution(cfg)
 		cfg.Obs = obs.Tee(cfg.Obs, eng)
-		if _, err := r.run(cfg); err != nil {
-			return attrib.Report{}, err
+		res, err := r.run(cfg)
+		if err == nil {
+			rep := eng.Report()
+			reports[i], err = rep.Cores, rep.Validate()
 		}
-		rep := eng.Report()
-		if err := rep.Validate(); err != nil {
-			return attrib.Report{}, err
-		}
-		return rep, nil
-	}
-	nl := len(out.Levels)
-	shared := make([][]attrib.CoreBreakdown, nl)
-	// Slots 0-1 are the Ideal baselines; the rest one sharing level each.
-	err = r.ForEach(2+nl, func(i int) error {
-		if i < 2 {
-			rep, err := attributed(sim.IdealFor(base, i))
-			if err != nil {
-				return fmt.Errorf("experiments: attribution ideal %s: %w", out.Workloads[i], err)
+		if err != nil {
+			mix, lv, baseline := g.Unit(i)
+			if baseline {
+				return nil, fmt.Errorf("experiments: attribution ideal %s: %w", mix[0], err)
 			}
-			out.Ideal[i] = rep.Cores[0]
-			out.Ideal[i].Core = i
-			return nil
+			return nil, fmt.Errorf("experiments: attribution %s %s: %w", strings.Join(mix, "+"), lv, err)
 		}
-		lv := out.Levels[i-2]
-		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, lv, a, b)
-		if err != nil {
-			return err
-		}
-		rep, err := attributed(cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: attribution %s+%s %s: %w", a, b, lv, err)
-		}
-		shared[i-2] = rep.Cores
-		r.logf("attr %s+%s %s done", a, b, lv)
-		return nil
+		return coreCycles(res), nil
 	})
 	if err != nil {
 		return AttributionResult{}, err
 	}
-	for i, lv := range out.Levels {
-		out.ByLevel[lv] = shared[i]
+	out := AttributionResult{
+		Workloads: []string{a, b},
+		Levels:    g.Levels,
+		Ideal:     make([]attrib.CoreBreakdown, 2),
+		ByLevel:   map[sim.Sharing][]attrib.CoreBreakdown{},
+	}
+	for i, lv := range g.Levels {
+		out.ByLevel[lv] = reports[i]
+	}
+	for k, w := range out.Workloads {
+		out.Ideal[k] = reports[g.Len()+slices.Index(g.Ideals(), w)][0]
+		out.Ideal[k].Core = k
 	}
 	return out, nil
 }

@@ -207,40 +207,23 @@ func BandwidthSweep(r *Runner) (BWSweepResult, error) {
 		{4, 2, p.BL2},
 		{8, 4, p.BL2},
 	}
-	out := BWSweepResult{Speedup: map[string][]float64{}}
+	var factors []int
 	for _, pt := range points {
-		out.Factors = append(out.Factors, pt.factor)
+		factors = append(factors, pt.factor)
 	}
-	names := r.Names()
-	np := len(points)
-	cycles := make([]int64, len(names)*np)
-	err := r.ForEach(len(cycles), func(i int) error {
-		w, pt := names[i/np], points[i%np]
-		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.Ideal, w)
+	res, err := soloGrid(r, factors, func(mix []string, point int) (sim.Config, error) {
+		cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.Ideal, mix...)
 		if err != nil {
-			return err
+			return sim.Config{}, err
 		}
 		cfg.NoTranslation = true
-		cfg.DRAM = dram.HBM2Scaled(pt.channels, pt.bl2)
-		res, err := r.result(cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: sweep %s x%d: %w", w, pt.factor, err)
-		}
-		cycles[i] = res.Cores[0].Cycles
-		return nil
-	})
+		cfg.DRAM = dram.HBM2Scaled(points[point].channels, points[point].bl2)
+		return cfg, nil
+	}).Run(r)
 	if err != nil {
 		return BWSweepResult{}, err
 	}
-	for wi, w := range names {
-		sp := make([]float64, np)
-		for i := 0; i < np; i++ {
-			sp[i] = float64(cycles[wi*np]) / float64(cycles[wi*np+i])
-		}
-		out.Speedup[w] = sp
-		r.logf("sweep %s done", w)
-	}
-	return out, nil
+	return BWSweepResult{Factors: factors, Speedup: res.soloSpeedups()}, nil
 }
 
 // BWTimelineResult reproduces Fig 12: DRAM bandwidth utilization over
@@ -279,7 +262,7 @@ func BandwidthTimeline(r *Runner, a, b string) (BWTimelineResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg, err := r.idealConfig(w)
+		cfg, err := sim.NewIdealConfig(r.opts.Scale, w)
 		if err != nil {
 			return nil, err
 		}

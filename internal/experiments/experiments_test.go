@@ -83,21 +83,6 @@ func TestQuadMixesSampling(t *testing.T) {
 	}
 }
 
-func TestSpeedupUsesIdealBaseline(t *testing.T) {
-	r := tinyRunner()
-	ib, err := r.Ideal("ncf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := r.Speedup("ncf", ib.Cycles*2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 0.5 {
-		t.Errorf("speedup = %v, want 0.5", s)
-	}
-}
-
 func TestBurstinessExperiment(t *testing.T) {
 	r := tinyRunner()
 	res, err := Burstiness(r, "ncf")

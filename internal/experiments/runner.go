@@ -2,10 +2,12 @@
 // (Figs 2b and 4-18) plus the ablations discussed in the text, as
 // callable experiment functions. Each experiment returns a typed result
 // with the same rows or series the paper reports; cmd/mnpubench, the
-// one harness, prints them. Every mix x setting study runs through one
-// executor (Grid.Run) and is scored by one type (Scores), and every
-// simulation that only yields a result goes through the Runner's memo,
-// keyed by the configuration's fingerprint.
+// one harness, prints them. Every mix x setting study — the sharing and
+// partitioning grids, the bandwidth and page-size sweeps, attribution,
+// the ablations, and the serving daemon's sweeps — runs through one
+// executor (Grid.Each) and is scored by one type (Scores). Grid.Run is
+// Each over the Runner's memo, through which every simulation that
+// only yields a result goes, keyed by the configuration's fingerprint.
 package experiments
 
 import (
@@ -17,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mnpusim/internal/metrics"
 	"mnpusim/internal/obs"
 	"mnpusim/internal/obs/hostprof"
 	"mnpusim/internal/sim"
@@ -288,20 +289,10 @@ func (r *Runner) result(cfg sim.Config) (sim.Result, error) {
 	return cell.res, cell.err
 }
 
-// idealConfig is workload name's Ideal (solo, full-resource) system,
-// derived from the dual-core system per §4.1.3.
-func (r *Runner) idealConfig(name string) (sim.Config, error) {
-	cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.Static, name, name)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	return sim.IdealFor(cfg, 0), nil
-}
-
 // Ideal returns workload name's Ideal result, simulating it on first
 // use.
 func (r *Runner) Ideal(name string) (sim.CoreResult, error) {
-	cfg, err := r.idealConfig(name)
+	cfg, err := sim.NewIdealConfig(r.opts.Scale, name)
 	if err != nil {
 		return sim.CoreResult{}, err
 	}
@@ -320,14 +311,4 @@ func (r *Runner) Dual(a, b string, level sim.Sharing) (sim.Result, error) {
 		return sim.Result{}, err
 	}
 	return r.result(cfg)
-}
-
-// Speedup returns workload name's speedup given its measured cycles,
-// against its Ideal.
-func (r *Runner) Speedup(name string, cycles int64) (float64, error) {
-	ib, err := r.Ideal(name)
-	if err != nil {
-		return 0, err
-	}
-	return metrics.Speedup(ib.Cycles, cycles), nil
 }

@@ -119,11 +119,12 @@ func newMixScore(names []string, speedups []float64) MixScore {
 }
 
 // Grid is a mix x level study as data: every mix run at every level,
-// each core's cycles divided by its workload's baseline cycles. It is
+// each core's cycles divided by its workload's baseline cycles. Each is
 // the one executor of the paper's grids (the sharing study of §4.2, the
-// bandwidth and walker partitioning of Figs 9-10 and 13-14, and the
-// ablations), and the serving layer's sweeps expand a SharingGrid into
-// jobs and score the jobs' results with it.
+// bandwidth and walker partitioning of Figs 9-10 and 13-14, the
+// bandwidth and page-size sweeps of Figs 11, 15 and 16, attribution,
+// and the ablations), and the serving layer's sweeps run a SharingGrid
+// through it with jobs as units.
 type Grid[K comparable] struct {
 	Cores  int
 	Levels []K
@@ -165,6 +166,86 @@ func (g Grid[K]) Ideals() []string {
 	return out
 }
 
+// Units returns the number of simulations the grid runs: its cells,
+// then one baseline per workload in Ideals order.
+func (g Grid[K]) Units() int { return g.Len() + len(g.Ideals()) }
+
+// Unit names unit i: cell i's mix and level while i < Len(), then one
+// workload's baseline (that workload alone, the zero level, and
+// baseline true).
+func (g Grid[K]) Unit(i int) (mix []string, level K, baseline bool) {
+	if i < g.Len() {
+		mix, level = g.Cell(i)
+		return mix, level, false
+	}
+	return []string{g.Ideals()[i-g.Len()]}, level, true
+}
+
+// UnitConfig builds unit i's system at r's scale: a cell with Config,
+// or as the standard system at its sharing level; a baseline with
+// Baseline, or as the workload's Ideal.
+func (g Grid[K]) UnitConfig(r *Runner, i int) (sim.Config, error) {
+	mix, lv, baseline := g.Unit(i)
+	switch {
+	case baseline && g.Baseline != nil:
+		return g.Baseline(mix[0])
+	case baseline:
+		return sim.NewIdealConfig(r.opts.Scale, mix[0])
+	case g.Config != nil:
+		return g.Config(mix, i%len(g.Levels))
+	}
+	level, ok := any(lv).(sim.Sharing)
+	if !ok {
+		return sim.Config{}, fmt.Errorf("experiments: a grid of %T levels needs a Config", lv)
+	}
+	return sim.NewWorkloadConfig(r.opts.Scale, level, mix...)
+}
+
+// Each runs fn on every unit's config on r's worker pool and scores the
+// per-core cycles fn returns for each unit. fn decides how a unit runs:
+// through r's memo (Run), with an attribution engine attached
+// (DualAttribution), or as a job on the serving daemon's queue. The
+// scores are identical at any worker count.
+func (g Grid[K]) Each(r *Runner, fn func(i int, cfg sim.Config) ([]int64, error)) (Scores[K], error) {
+	units := make([][]int64, g.Units())
+	err := r.ForEach(len(units), func(i int) error {
+		cfg, err := g.UnitConfig(r, i)
+		if err != nil {
+			return err
+		}
+		units[i], err = fn(i, cfg)
+		return err
+	})
+	if err != nil {
+		return Scores[K]{}, err
+	}
+	n := g.Len()
+	ideal := make(map[string]int64)
+	for k, w := range g.Ideals() {
+		if cycles := units[n+k]; len(cycles) > 0 {
+			ideal[w] = cycles[0]
+		}
+	}
+	return g.Score(units[:n], ideal)
+}
+
+// Run simulates the grid's units through r's memo and scores them.
+func (g Grid[K]) Run(r *Runner) (Scores[K], error) {
+	return g.Each(r, func(_ int, cfg sim.Config) ([]int64, error) {
+		res, err := r.result(cfg)
+		return coreCycles(res), err
+	})
+}
+
+// coreCycles lists a result's per-core cycles.
+func coreCycles(res sim.Result) []int64 {
+	out := make([]int64, len(res.Cores))
+	for k, c := range res.Cores {
+		out[k] = c.Cycles
+	}
+	return out
+}
+
 // Score turns measured cycles into Scores: cells[i] holds cell i's
 // per-core cycles and ideal each workload's baseline cycles.
 func (g Grid[K]) Score(cells [][]int64, ideal map[string]int64) (Scores[K], error) {
@@ -191,66 +272,29 @@ func (g Grid[K]) Score(cells [][]int64, ideal map[string]int64) (Scores[K], erro
 	return out, nil
 }
 
-// Run simulates the grid's cells and baselines through r's memo on its
-// worker pool, then scores them. Units are laid out as a served sweep
-// lays out its jobs: cell i first, then one baseline per workload in
-// Ideals order. The result is identical at any worker count.
-func (g Grid[K]) Run(r *Runner) (Scores[K], error) {
-	ideals := g.Ideals()
-	n := g.Len()
-	cycles := make([][]int64, n+len(ideals))
-	err := r.ForEach(len(cycles), func(i int) error {
-		var cfg sim.Config
-		var err error
-		if i < n {
-			cfg, err = g.cellConfig(r, i)
-		} else {
-			cfg, err = g.baselineConfig(r, ideals[i-n])
-		}
-		if err != nil {
-			return err
-		}
-		res, err := r.result(cfg)
-		if err != nil {
-			return err
-		}
-		cycles[i] = make([]int64, len(res.Cores))
-		for k, c := range res.Cores {
-			cycles[i][k] = c.Cycles
-		}
-		return nil
-	})
-	if err != nil {
-		return Scores[K]{}, err
+// soloGrid is the grid of each workload alone at every level, whose
+// baseline is the workload at the first level (Figs 11 and 15).
+func soloGrid[K comparable](r *Runner, levels []K, config func(mix []string, level int) (sim.Config, error)) Grid[K] {
+	mixes := make([][]string, len(r.Names()))
+	for i, w := range r.Names() {
+		mixes[i] = []string{w}
 	}
-	ideal := make(map[string]int64, len(ideals))
-	for k, w := range ideals {
-		ideal[w] = cycles[n+k][0]
+	return Grid[K]{
+		Cores: 1, Levels: levels, Mixes: mixes, Config: config,
+		Baseline: func(w string) (sim.Config, error) { return config([]string{w}, 0) },
 	}
-	return g.Score(cycles[:n], ideal)
 }
 
-// cellConfig builds cell i's system with Config, or as the standard
-// system at its sharing level.
-func (g Grid[K]) cellConfig(r *Runner, i int) (sim.Config, error) {
-	mix, lv := g.Cell(i)
-	if g.Config != nil {
-		return g.Config(mix, i%len(g.Levels))
+// soloSpeedups reads a soloGrid's scores as each workload's speedups,
+// one per level.
+func (s Scores[K]) soloSpeedups() map[string][]float64 {
+	out := map[string][]float64{}
+	for _, lv := range s.Levels {
+		for _, m := range s.Mixes[lv] {
+			out[m.Workloads[0]] = append(out[m.Workloads[0]], m.Speedups[0])
+		}
 	}
-	level, ok := any(lv).(sim.Sharing)
-	if !ok {
-		return sim.Config{}, fmt.Errorf("experiments: a grid of %T levels needs a Config", lv)
-	}
-	return sim.NewWorkloadConfig(r.opts.Scale, level, mix...)
-}
-
-// baselineConfig builds workload w's baseline with Baseline, or as its
-// Ideal.
-func (g Grid[K]) baselineConfig(r *Runner, w string) (sim.Config, error) {
-	if g.Baseline != nil {
-		return g.Baseline(w)
-	}
-	return r.idealConfig(w)
+	return out
 }
 
 // DualCoreSharing runs Fig 4 (performance) and Fig 6 (fairness): all 36

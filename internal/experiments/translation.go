@@ -113,36 +113,24 @@ func pageConfig(cfg *sim.Config, scale workloads.Scale, rung int) {
 // under the three page sizes.
 func PageSizeSingle(r *Runner) (PageSizeSingleResult, error) {
 	p := sim.ParamsFor(r.opts.Scale)
-	out := PageSizeSingleResult{Pages: p.PageLadder[:], Speedup: map[string][]float64{}}
-	names := r.Names()
-	np := len(out.Pages)
-	cycles := make([]int64, len(names)*np)
-	err := r.ForEach(len(cycles), func(i int) error {
-		w, pi := names[i/np], i%np
-		cfg, err := r.idealConfig(w)
-		if err != nil {
-			return err
-		}
-		pageConfig(&cfg, r.opts.Scale, pi)
-		res, err := r.result(cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: page %s %s: %w", w, out.Pages[pi], err)
-		}
-		cycles[i] = res.Cores[0].Cycles
-		return nil
-	})
+	pages := p.PageLadder[:]
+	res, err := soloGrid(r, pages, func(mix []string, rung int) (sim.Config, error) {
+		return pageIdeal(r, mix[0], rung)
+	}).Run(r)
 	if err != nil {
 		return PageSizeSingleResult{}, err
 	}
-	for wi, w := range names {
-		sp := make([]float64, np)
-		for i := 0; i < np; i++ {
-			sp[i] = float64(cycles[wi*np]) / float64(cycles[wi*np+i])
-		}
-		out.Speedup[w] = sp
-		r.logf("page single %s done", w)
+	return PageSizeSingleResult{Pages: pages, Speedup: res.soloSpeedups()}, nil
+}
+
+// pageIdeal is workload w's Ideal at rung of the page ladder.
+func pageIdeal(r *Runner, w string, rung int) (sim.Config, error) {
+	cfg, err := sim.NewIdealConfig(r.opts.Scale, w)
+	if err != nil {
+		return sim.Config{}, err
 	}
-	return out, nil
+	pageConfig(&cfg, r.opts.Scale, rung)
+	return cfg, nil
 }
 
 // PageSizeMultiResult reproduces Fig 16: geomean performance
@@ -173,11 +161,14 @@ func (r PageSizeMultiResult) String() string {
 }
 
 // PageSizeMulti runs Fig 16 over the dual mixes and (sampled) quad
-// mixes.
+// mixes: one +DWT grid per page size, scored against the Ideals at that
+// page size, whose cell cycles also give each mix's speedup over the
+// base page.
 func PageSizeMulti(r *Runner) (PageSizeMultiResult, error) {
 	p := sim.ParamsFor(r.opts.Scale)
+	pages := p.PageLadder[:]
 	out := PageSizeMultiResult{
-		Pages:    p.PageLadder[:],
+		Pages:    pages,
 		Perf:     map[int][]float64{},
 		Fairness: map[int][]float64{},
 	}
@@ -190,85 +181,43 @@ func PageSizeMulti(r *Runner) (PageSizeMultiResult, error) {
 			}
 			mixes = QuadMixes(r.Names(), sample)
 		}
-		// Ideal baselines per page size per workload, fanned out together.
-		names := r.Names()
-		np, nw := len(out.Pages), len(names)
-		idealCycles := make([]int64, np*nw)
-		err := r.ForEach(len(idealCycles), func(i int) error {
-			pi, w := i/nw, names[i%nw]
-			cfg, err := r.idealConfig(w)
-			if err != nil {
-				return err
+		cells := make([][][]int64, len(pages)) // [page][mix] per-core cycles
+		for rung := range pages {
+			g := SharingGrid{
+				Cores: cores, Levels: []sim.Sharing{sim.ShareDWT}, Mixes: mixes,
+				Config: func(mix []string, _ int) (sim.Config, error) {
+					cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.ShareDWT, mix...)
+					if err != nil {
+						return sim.Config{}, err
+					}
+					pageConfig(&cfg, r.opts.Scale, rung)
+					return cfg, nil
+				},
+				Baseline: func(w string) (sim.Config, error) { return pageIdeal(r, w, rung) },
 			}
-			pageConfig(&cfg, r.opts.Scale, pi)
-			res, err := r.result(cfg)
-			if err != nil {
-				return err
-			}
-			idealCycles[i] = res.Cores[0].Cycles
-			return nil
-		})
-		if err != nil {
-			return PageSizeMultiResult{}, err
-		}
-		ideals := make([]map[string]int64, np)
-		for pi := range ideals {
-			ideals[pi] = map[string]int64{}
-			for wi, w := range names {
-				ideals[pi][w] = idealCycles[pi*nw+wi]
-			}
-		}
-
-		// All (mix, page) cells fan out; the page-0 baseline each mix
-		// normalizes against is read back from the same slice afterwards.
-		mixCycles := make([][]int64, len(mixes)*np)
-		err = r.ForEach(len(mixCycles), func(i int) error {
-			mix, pi := mixes[i/np], i%np
-			cfg, err := sim.NewWorkloadConfig(r.opts.Scale, sim.ShareDWT, mix...)
-			if err != nil {
-				return err
-			}
-			pageConfig(&cfg, r.opts.Scale, pi)
-			res, err := r.result(cfg)
-			if err != nil {
-				return fmt.Errorf("experiments: page multi %v %s: %w", mix, out.Pages[pi], err)
-			}
-			r.logf("page multi %d-core %v %s done", cores, mix, out.Pages[pi])
-			cyc := make([]int64, len(res.Cores))
-			for k, c := range res.Cores {
-				cyc[k] = c.Cycles
-			}
-			mixCycles[i] = cyc
-			return nil
-		})
-		if err != nil {
-			return PageSizeMultiResult{}, err
-		}
-
-		perfGeo := make([][]float64, np) // per-mix geomean of raw cycles ratio vs page0
-		fairVals := make([][]float64, np)
-		for mi, mix := range mixes {
-			base := mixCycles[mi*np] // page-0 cycles per workload
-			for pi := 0; pi < np; pi++ {
-				cyc := mixCycles[mi*np+pi]
-				ratios := make([]float64, len(mix))
-				speedups := make([]float64, len(mix))
-				for k := range mix {
-					ratios[k] = float64(base[k]) / float64(cyc[k])
-					speedups[k] = metrics.Speedup(ideals[pi][mix[k]], cyc[k])
+			cells[rung] = make([][]int64, g.Len())
+			res, err := g.Each(r, func(i int, cfg sim.Config) ([]int64, error) {
+				res, err := r.result(cfg)
+				cycles := coreCycles(res)
+				if i < g.Len() {
+					cells[rung][i] = cycles
 				}
-				perfGeo[pi] = append(perfGeo[pi], metrics.MustGeomean(ratios))
-				fairVals[pi] = append(fairVals[pi], metrics.FairnessFromSpeedups(speedups))
+				return cycles, err
+			})
+			if err != nil {
+				return PageSizeMultiResult{}, err
 			}
+			perMix := make([]float64, len(mixes)) // geomean of page-0 over page cycles
+			for mi, mix := range mixes {
+				ratios := make([]float64, len(mix))
+				for k := range mix {
+					ratios[k] = float64(cells[0][mi][k]) / float64(cells[rung][mi][k])
+				}
+				perMix[mi] = metrics.MustGeomean(ratios)
+			}
+			out.Perf[cores] = append(out.Perf[cores], metrics.MustGeomean(perMix))
+			out.Fairness[cores] = append(out.Fairness[cores], res.OverallFairness(sim.ShareDWT))
 		}
-		perf := make([]float64, len(out.Pages))
-		fair := make([]float64, len(out.Pages))
-		for i := range out.Pages {
-			perf[i] = metrics.MustGeomean(perfGeo[i])
-			fair[i] = metrics.Mean(fairVals[i])
-		}
-		out.Perf[cores] = perf
-		out.Fairness[cores] = fair
 	}
 	return out, nil
 }

@@ -131,12 +131,6 @@ func NewCore(id int, arch ArchConfig, sched *tile.Schedule, dom clock.Domain, su
 	return c, nil
 }
 
-// ID returns the core index.
-func (c *Core) ID() int { return c.id }
-
-// Arch returns the core's configuration.
-func (c *Core) Arch() ArchConfig { return c.arch }
-
 // Schedule returns the tile schedule the core executes.
 func (c *Core) Schedule() *tile.Schedule { return c.sched }
 

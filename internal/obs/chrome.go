@@ -79,9 +79,6 @@ func NewChromeTrace(w io.Writer) *ChromeTrace {
 	return t
 }
 
-// Err returns the first write error, if any.
-func (t *ChromeTrace) Err() error { return t.err }
-
 // Close terminates the JSON document and flushes. The trace is invalid
 // until Close returns.
 func (t *ChromeTrace) Close() error {

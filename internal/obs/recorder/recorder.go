@@ -203,12 +203,6 @@ func (r *Recorder) DumpBytes(reason string) []byte {
 	return buf
 }
 
-// Dump writes DumpBytes to w.
-func (r *Recorder) Dump(w io.Writer, reason string) error {
-	_, err := w.Write(r.DumpBytes(reason))
-	return err
-}
-
 // RingDump is one source's decoded window.
 type RingDump struct {
 	// Dropped counts events evicted from this ring before the dump.

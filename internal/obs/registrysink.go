@@ -35,9 +35,6 @@ func NewRegistrySink(reg *Registry) *RegistrySink {
 	}
 }
 
-// Registry returns the backing registry.
-func (s *RegistrySink) Registry() *Registry { return s.reg }
-
 func (s *RegistrySink) counter(k metricKey, name func() string) *Counter {
 	s.mu.RLock()
 	c, ok := s.counters[k]

@@ -71,8 +71,9 @@ type JobSpec struct {
 	Config *sim.Config `json:"config,omitempty"`
 
 	// TimeoutMS bounds the simulation's run time in wall-clock
-	// milliseconds; 0 uses the server default. The timeout starts when
-	// a worker picks the job up, not while it queues.
+	// milliseconds; 0 uses the server default, and a negative value is
+	// rejected with 400. The timeout starts when a worker picks the job
+	// up, not while it queues.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -106,14 +107,10 @@ func (s JobSpec) BuildConfig() (sim.Config, error) {
 		if s.Sharing != "" {
 			return sim.Config{}, fmt.Errorf("serve: an ideal baseline has no sharing level (got %q)", s.Sharing)
 		}
-		// The Ideal baseline is derived from the dual-core system the
-		// same way experiments.Runner.Ideal does (§4.1.3): a (w, w)
-		// static config reduced to core 0 with the whole resource pool.
-		cfg, err := sim.NewWorkloadConfig(scale, sim.Static, s.Workloads[0], s.Workloads[0])
+		cfg, err := sim.NewIdealConfig(scale, s.Workloads[0])
 		if err != nil {
 			return sim.Config{}, err
 		}
-		cfg = sim.IdealFor(cfg, 0)
 		cfg.NoTranslation = s.NoTranslation
 		return cfg, nil
 	}
@@ -198,7 +195,8 @@ type SweepSpec struct {
 	// sampling. The same (grid, sample, seed) always expands to the
 	// same jobs.
 	Seed int64 `json:"seed,omitempty"`
-	// TimeoutMS bounds each expanded job's simulation wall-clock time.
+	// TimeoutMS bounds each unit's job as JobSpec.TimeoutMS does; a
+	// negative value is rejected with 400.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 

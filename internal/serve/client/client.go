@@ -264,13 +264,6 @@ func (c *Client) WaitSweep(ctx context.Context, id string, poll time.Duration) (
 	}
 }
 
-// Workloads fetches the preset discovery payload.
-func (c *Client) Workloads(ctx context.Context) (api.Workloads, error) {
-	var v api.Workloads
-	err := c.getJSON(ctx, http.MethodGet, "/v1/workloads", nil, &v)
-	return v, err
-}
-
 // Healthz fetches liveness and queue occupancy. A draining daemon
 // answers 503 with the same payload; that case is returned as stats,
 // not an error.

@@ -32,7 +32,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 	defer ts.Close()
 
 	// Occupy the worker and fill the queue so submits start bouncing.
-	j1, err := s.Submit(ncfSpec())
+	j1, err := s.submit(ncfSpec())
 	if err != nil {
 		t.Fatalf("occupy worker: %v", err)
 	}
@@ -44,7 +44,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 	}
 	spec2 := ncfSpec()
 	spec2.Workloads = []string{"gpt2", "ncf"}
-	if _, err := s.Submit(spec2); err != nil {
+	if _, err := s.submit(spec2); err != nil {
 		t.Fatalf("fill queue: %v", err)
 	}
 
@@ -61,6 +61,7 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"job unknown field", "POST", "/v1/jobs", `{"bogus":1}`, 400, api.ErrInvalidRequest, false},
 		{"job kernel field", "POST", "/v1/jobs", `{"workloads":["ncf","gpt2"],"kernel":"tick"}`, 400, api.ErrInvalidRequest, false},
 		{"job bad workload", "POST", "/v1/jobs", `{"workloads":["nope","nope"]}`, 400, api.ErrInvalidRequest, false},
+		{"job negative timeout", "POST", "/v1/jobs", `{"workloads":["ncf","gpt2"],"timeout_ms":-1}`, 400, api.ErrInvalidRequest, false},
 		{"job queue full", "POST", "/v1/jobs", `{"workloads":["alex","alex"]}`, 503, api.ErrUnavailable, true},
 		{"job missing", "GET", "/v1/jobs/j999", "", 404, api.ErrNotFound, false},
 		{"job list bad status", "GET", "/v1/jobs?status=bogus", "", 400, api.ErrInvalidRequest, false},
@@ -79,6 +80,9 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"sweep bad workload", "POST", "/v1/sweeps", `{"workloads":["nope"]}`, 400, api.ErrInvalidRequest, false},
 		{"sweep duplicate workload", "POST", "/v1/sweeps", `{"workloads":["ncf","ncf"]}`, 400, api.ErrInvalidRequest, false},
 		{"sweep bad sharing", "POST", "/v1/sweeps", `{"sharing":["bogus"]}`, 400, api.ErrInvalidRequest, false},
+		{"sweep bad scale", "POST", "/v1/sweeps", `{"scale":"huge"}`, 400, api.ErrInvalidRequest, false},
+		{"sweep negative sample", "POST", "/v1/sweeps", `{"sample":-1}`, 400, api.ErrInvalidRequest, false},
+		{"sweep negative timeout", "POST", "/v1/sweeps", `{"timeout_ms":-1}`, 400, api.ErrInvalidRequest, false},
 		{"sweep list bad status", "GET", "/v1/sweeps?status=bogus", "", 400, api.ErrInvalidRequest, false},
 		{"sweep list bad cursor", "GET", "/v1/sweeps?cursor=s999", "", 400, api.ErrInvalidRequest, false},
 		{"sweep list bad limit", "GET", "/v1/sweeps?limit=x", "", 400, api.ErrInvalidRequest, false},

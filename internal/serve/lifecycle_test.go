@@ -57,7 +57,7 @@ func TestRetention(t *testing.T) {
 		get := func(id string) error { _, err := cl.Job(ctx, id); return err }
 		submit := func(wl ...string) *Job {
 			t.Helper()
-			job, err := s.Submit(JobSpec{Workloads: wl, Scale: "tiny", Sharing: "+dwt"})
+			job, err := s.submit(JobSpec{Workloads: wl, Scale: "tiny", Sharing: "+dwt"})
 			if err != nil {
 				t.Fatalf("Submit %v: %v", wl, err)
 			}

@@ -259,19 +259,12 @@ func serveLatencyBounds() []int64 {
 	return []int64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000, 10_000_000_000}
 }
 
-// Submit validates the spec, consults the result cache, and either
-// finishes the job instantly from cache or enqueues it. The returned
-// job is registered and visible to GET immediately.
-func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	cfg, key, err := resolveSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return s.submitPrepared(context.Background(), cfg, key, spec.TimeoutMS)
-}
-
-// resolveSpec builds and fingerprints a spec's configuration.
+// resolveSpec validates a spec, and builds and fingerprints its
+// configuration.
 func resolveSpec(spec JobSpec) (sim.Config, string, error) {
+	if spec.TimeoutMS < 0 {
+		return sim.Config{}, "", errf(http.StatusBadRequest, "timeout_ms must be >= 0, got %d", spec.TimeoutMS)
+	}
 	cfg, err := spec.BuildConfig()
 	if err != nil {
 		return sim.Config{}, "", errf(http.StatusBadRequest, "%v", err)

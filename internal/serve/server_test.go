@@ -52,6 +52,16 @@ func newStubServer(t *testing.T, cfg Config, stub func(ctx context.Context, c si
 	return s
 }
 
+// submit resolves and submits a spec the way POST /v1/jobs does,
+// without HTTP: the job is registered and visible to GET immediately.
+func (s *Server) submit(spec JobSpec) (*Job, error) {
+	cfg, key, err := resolveSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return s.submitPrepared(context.Background(), cfg, key, spec.TimeoutMS)
+}
+
 func postJob(t *testing.T, ts *httptest.Server, spec JobSpec) (JobView, int) {
 	t.Helper()
 	body, err := json.Marshal(spec)

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mnpusim/internal/config"
@@ -23,35 +22,34 @@ import (
 // SweepSpec is the POST /v1/sweeps request body.
 type SweepSpec = api.SweepSpec
 
-// sweepUnit is one expanded job of a sweep: a (mix, level) cell of the
-// grid, or one workload's Ideal baseline. The unit list is the sweep's
-// unit of accounting — each unit resolves to exactly one terminal
-// status. A unit keeps its spec and key, not the built sim.Config: the
-// config is built again when the unit is submitted, so a sweep of
-// thousands of units does not hold thousands of configs for its whole
-// life. BuildConfig is deterministic, so key still names that config.
+// sweepUnit is the state of one grid unit (experiments.Grid.Unit): a
+// (mix, level) cell, or one workload's Ideal baseline. The unit list is
+// the sweep's unit of accounting — each unit resolves to exactly one
+// terminal status. A unit keeps only its key: Grid.Each builds its
+// config again when the unit runs (UnitConfig is deterministic, so the
+// key still names it), and a finished unit keeps no result bytes, so a
+// sweep of thousands of units holds neither configs nor results.
 type sweepUnit struct {
-	spec JobSpec
-	key  string
+	key string
 
 	// Written under the owning sweep's mu.
 	status Status
 	jobID  string
 	cached bool
 	errMsg string
-	result []byte
 }
 
-// Sweep is one experiment-grid resource: an experiments.SharingGrid
-// expanded into jobs, run on the daemon's worker pool, and scored by
-// the grid into its SharingResult.
+// Sweep is one experiment-grid resource: an experiments.SharingGrid run
+// by Grid.Each with each unit a job on the daemon's queue, and scored
+// by the grid into its SharingResult.
 type Sweep struct {
 	lifecycle
 
-	spec SweepSpec
-	grid experiments.SharingGrid
-	// units lists the grid's cells first — unit i is grid.Cell(i) —
-	// then one Ideal baseline per workload, in grid.Ideals() order.
+	spec  SweepSpec
+	scale workloads.Scale
+	grid  experiments.SharingGrid
+	// units[i] is grid unit i: the cells first, then one Ideal
+	// baseline per workload in grid.Ideals() order.
 	units []*sweepUnit
 
 	// span is the sweep-coordination span (nil when the submission was
@@ -112,8 +110,9 @@ func (sw *Sweep) View(withJobs bool) api.SweepView {
 	if withJobs {
 		v.Jobs = make([]api.SweepJobView, len(sw.units))
 		for i, u := range sw.units {
+			mix, sharing := sw.unitName(i)
 			v.Jobs[i] = api.SweepJobView{
-				Workloads: u.spec.Workloads, Sharing: u.spec.Sharing, Ideal: u.spec.Ideal,
+				Workloads: mix, Sharing: sharing, Ideal: sharing == "",
 				Key: u.key, JobID: u.jobID,
 				Status: u.status, Cached: u.cached, Error: u.errMsg,
 			}
@@ -122,10 +121,28 @@ func (sw *Sweep) View(withJobs bool) api.SweepView {
 	return v
 }
 
-// expandSweep validates a spec and expands its SharingGrid into
-// fingerprinted units: the cells in the grid's enumeration order, then
-// the grid's Ideal baselines.
+// unitName names unit i from the grid: its mix and sharing level, or
+// its workload and "" for an Ideal baseline.
+func (sw *Sweep) unitName(i int) (mix []string, sharing string) {
+	mix, lv, baseline := sw.grid.Unit(i)
+	if baseline {
+		return mix, ""
+	}
+	return mix, lv.String()
+}
+
+// expandSweep validates a spec and fingerprints its SharingGrid's
+// units: the cells in the grid's enumeration order, then the grid's
+// Ideal baselines.
 func expandSweep(spec SweepSpec) (*Sweep, error) {
+	scaleName := spec.Scale
+	if scaleName == "" {
+		scaleName = "tiny"
+	}
+	scale, err := config.ParseScale(scaleName)
+	if err != nil {
+		return nil, errf(http.StatusBadRequest, "%v", err)
+	}
 	cores := spec.Cores
 	if cores == 0 {
 		cores = 2
@@ -165,31 +182,26 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 	if spec.Sample < 0 {
 		return nil, errf(http.StatusBadRequest, "sweep sample must be >= 0, got %d", spec.Sample)
 	}
+	if spec.TimeoutMS < 0 {
+		return nil, errf(http.StatusBadRequest, "sweep timeout_ms must be >= 0, got %d", spec.TimeoutMS)
+	}
 
-	sw := &Sweep{spec: spec, grid: experiments.SharingGrid{
+	sw := &Sweep{spec: spec, scale: scale, grid: experiments.SharingGrid{
 		Cores: cores, Levels: levels,
 		Mixes: experiments.Mixes(names, cores, spec.Sample, spec.Seed),
 	}}
-	addUnit := func(js JobSpec) error {
-		_, key, err := resolveSpec(js)
+	r := experiments.NewRunner(experiments.WithScale(scale))
+	sw.units = make([]*sweepUnit, sw.grid.Units())
+	for i := range sw.units {
+		cfg, err := sw.grid.UnitConfig(r, i)
 		if err != nil {
-			return err
+			return nil, errf(http.StatusBadRequest, "%v", err)
 		}
-		sw.units = append(sw.units, &sweepUnit{spec: js, key: key, status: StatusQueued})
-		return nil
-	}
-	for i := range sw.grid.Len() {
-		mix, lv := sw.grid.Cell(i)
-		js := JobSpec{Workloads: mix, Scale: spec.Scale, Sharing: lv.String(), TimeoutMS: spec.TimeoutMS}
-		if err := addUnit(js); err != nil {
-			return nil, err
+		key, err := cfg.Fingerprint()
+		if err != nil {
+			return nil, errf(http.StatusBadRequest, "%v", err)
 		}
-	}
-	for _, w := range sw.grid.Ideals() {
-		js := JobSpec{Workloads: []string{w}, Scale: spec.Scale, Ideal: true, TimeoutMS: spec.TimeoutMS}
-		if err := addUnit(js); err != nil {
-			return nil, err
-		}
+		sw.units[i] = &sweepUnit{key: key, status: StatusQueued}
 	}
 	return sw, nil
 }
@@ -227,29 +239,21 @@ func (s *Server) StartSweep(ctx context.Context, spec SweepSpec) (*Sweep, error)
 	return sw, nil
 }
 
-// runSweep is the coordinator goroutine: it runs the units with
-// 2x Workers in flight, waits for every unit to resolve, and
-// aggregates.
+// runSweep is the coordinator goroutine: Grid.Each runs the units on a
+// Runner bound to the sweep's context and scale, 2x Workers in flight,
+// each unit a job on the daemon's queue. Units it never started resolve
+// as cancelled once it returns; then the sweep is classified.
 func (s *Server) runSweep(sw *Sweep) {
 	defer s.sweepWG.Done()
-	sem := make(chan struct{}, 2*s.cfg.Workers)
-	var wg sync.WaitGroup
+	r := experiments.NewRunner(experiments.WithContext(sw.ctx), experiments.WithScale(sw.scale),
+		experiments.WithWorkers(2*s.cfg.Workers))
+	res, err := sw.grid.Each(r, func(i int, cfg sim.Config) ([]int64, error) {
+		return s.runSweepUnit(sw, i, cfg)
+	})
 	for _, u := range sw.units {
-		wg.Add(1)
-		go func(u *sweepUnit) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-sw.ctx.Done():
-				sw.setUnit(u, StatusCancelled, "sweep cancelled")
-				return
-			}
-			s.runSweepUnit(sw, u)
-		}(u)
+		sw.setUnit(u, StatusCancelled, "sweep cancelled")
 	}
-	wg.Wait()
-	s.finishSweep(sw)
+	s.finishSweep(sw, res, err)
 }
 
 // setUnit moves a unit to a status under the sweep lock.
@@ -276,26 +280,29 @@ func (sw *Sweep) settle(u *sweepUnit, v JobView) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if !u.status.Terminal() {
-		u.status, u.cached, u.errMsg, u.result = v.Status, v.Cached, v.Error, []byte(v.Result)
+		u.status, u.cached, u.errMsg = v.Status, v.Cached, v.Error
 	}
 }
 
-// runSweepUnit resolves one unit on this daemon's worker pool,
-// retrying queue-full rejections. The per-unit span parents the unit's
-// job spans through the context handed to submitPrepared.
-func (s *Server) runSweepUnit(sw *Sweep, u *sweepUnit) {
-	if sw.ctx.Err() != nil {
+// runSweepUnit runs unit i as a job on this daemon's queue, retrying
+// queue-full rejections, and returns the job's per-core cycles. The
+// per-unit span parents the unit's job spans through the context
+// handed to submitPrepared.
+func (s *Server) runSweepUnit(sw *Sweep, i int, cfg sim.Config) ([]int64, error) {
+	u := sw.units[i]
+	if err := sw.ctx.Err(); err != nil {
 		sw.setUnit(u, StatusCancelled, "sweep cancelled")
-		return
+		return nil, err
 	}
 	ctx := sw.ctx
-	if ua := s.tracer.StartChild(sw.traceSC, "unit "+strings.Join(u.spec.Workloads, "+")); ua != nil {
+	mix, sharing := sw.unitName(i)
+	if ua := s.tracer.StartChild(sw.traceSC, "unit "+strings.Join(mix, "+")); ua != nil {
 		ua.SetAttr("sweep", sw.ID)
 		ua.SetAttr("key", u.key)
-		if u.spec.Ideal {
+		if sharing == "" {
 			ua.SetAttr("ideal", "true")
 		} else {
-			ua.SetAttr("sharing", u.spec.Sharing)
+			ua.SetAttr("sharing", sharing)
 		}
 		ctx = dtrace.With(sw.ctx, ua.Context())
 		defer func() {
@@ -305,11 +312,6 @@ func (s *Server) runSweepUnit(sw *Sweep, u *sweepUnit) {
 			ua.SetAttr("status", string(st))
 			ua.End()
 		}()
-	}
-	cfg, err := u.spec.BuildConfig()
-	if err != nil {
-		sw.setUnit(u, StatusFailed, err.Error())
-		return
 	}
 	var job *Job
 	for {
@@ -321,13 +323,13 @@ func (s *Server) runSweepUnit(sw *Sweep, u *sweepUnit) {
 		var ae *apiError
 		if !errors.As(err, &ae) || ae.code != http.StatusServiceUnavailable || s.Draining() {
 			sw.setUnit(u, statusForSubmitErr(ae, s.Draining()), err.Error())
-			return
+			return nil, err
 		}
 		select {
 		case <-time.After(50 * time.Millisecond):
 		case <-sw.ctx.Done():
 			sw.setUnit(u, StatusCancelled, "sweep cancelled")
-			return
+			return nil, sw.ctx.Err()
 		}
 	}
 
@@ -338,7 +340,22 @@ func (s *Server) runSweepUnit(sw *Sweep, u *sweepUnit) {
 		s.cancelJob(job)
 		<-job.Done()
 	}
-	sw.settle(u, job.View(true))
+	v := job.View(true)
+	var res struct{ Cores []struct{ Cycles int64 } } // a sim.Result's cycles
+	if v.Status == StatusDone {
+		if err := json.Unmarshal(v.Result, &res); err != nil {
+			v.Status, v.Error = StatusFailed, fmt.Sprintf("decoding result: %v", err)
+		}
+	}
+	sw.settle(u, v)
+	if v.Status != StatusDone {
+		return nil, fmt.Errorf("serve: sweep unit %s: %s", v.Status, v.Error)
+	}
+	cycles := make([]int64, len(res.Cores))
+	for k, c := range res.Cores {
+		cycles[k] = c.Cycles
+	}
+	return cycles, nil
 }
 
 // statusForSubmitErr classifies a terminal submit rejection: draining
@@ -351,9 +368,9 @@ func statusForSubmitErr(ae *apiError, draining bool) Status {
 	return StatusFailed
 }
 
-// finishSweep classifies the finished unit set and aggregates the
-// all-done case into the experiments.SharingResult.
-func (s *Server) finishSweep(sw *Sweep) {
+// finishSweep classifies the resolved unit set, and stores the grid's
+// scores when every unit is done.
+func (s *Server) finishSweep(sw *Sweep, res experiments.SharingResult, runErr error) {
 	p := sw.Progress()
 	var (
 		st     Status
@@ -364,17 +381,20 @@ func (s *Server) finishSweep(sw *Sweep) {
 	case p.Failed > 0:
 		st = StatusFailed
 		sw.mu.Lock()
-		for _, u := range sw.units {
+		for i, u := range sw.units {
 			if u.status == StatusFailed {
-				msg = fmt.Sprintf("unit %v %s: %s", u.spec.Workloads, u.spec.Sharing, u.errMsg)
+				mix, sharing := sw.unitName(i)
+				msg = fmt.Sprintf("unit %v %s: %s", mix, sharing, u.errMsg)
 				break
 			}
 		}
 		sw.mu.Unlock()
 	case p.Cancelled > 0:
 		st, msg = StatusCancelled, "sweep cancelled"
+	case runErr != nil:
+		st, msg = StatusFailed, fmt.Sprintf("aggregating: %v", runErr)
 	default:
-		b, err := scoreSweep(sw.grid, sw.units)
+		b, err := json.Marshal(res)
 		if err != nil {
 			st, msg = StatusFailed, fmt.Sprintf("aggregating: %v", err)
 		} else {
@@ -392,34 +412,6 @@ func (s *Server) finishSweep(sw *Sweep) {
 	s.log.Info("sweep finished", "sweep", sw.ID, "status", sw.Status(),
 		"done", p.Done, "failed", p.Failed, "cancelled", p.Cancelled,
 		"cache_hits", p.CacheHits)
-}
-
-// scoreSweep reads each unit's per-core cycles out of its result bytes
-// and scores them with the grid, so the sweep's result is byte-identical
-// to a local run of the same grid.
-func scoreSweep(g experiments.SharingGrid, units []*sweepUnit) ([]byte, error) {
-	cells := make([][]int64, g.Len())
-	ideal := make(map[string]int64)
-	for i, u := range units {
-		var res struct{ Cores []struct{ Cycles int64 } } // a sim.Result's cycles
-		if err := json.Unmarshal(u.result, &res); err != nil {
-			return nil, fmt.Errorf("unit %v %s: %w", u.spec.Workloads, u.spec.Sharing, err)
-		}
-		cycles := make([]int64, len(res.Cores))
-		for k, c := range res.Cores {
-			cycles[k] = c.Cycles
-		}
-		if i < len(cells) {
-			cells[i] = cycles
-		} else if len(cycles) > 0 {
-			ideal[u.spec.Workloads[0]] = cycles[0]
-		}
-	}
-	res, err := g.Score(cells, ideal)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(res)
 }
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {

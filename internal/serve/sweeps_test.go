@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -62,9 +63,10 @@ func TestSweepExpansionCounts(t *testing.T) {
 				t.Errorf("units = %d, want %d", len(sw.units), tc.jobs)
 			}
 			seen := map[string]bool{}
-			for _, u := range sw.units {
+			for i, u := range sw.units {
 				if seen[u.key] {
-					t.Fatalf("duplicate unit key %s (%v %s ideal=%v)", u.key, u.spec.Workloads, u.spec.Sharing, u.spec.Ideal)
+					mix, sharing := sw.unitName(i)
+					t.Fatalf("duplicate unit key %s (%v %q)", u.key, mix, sharing)
 				}
 				seen[u.key] = true
 			}
@@ -74,9 +76,9 @@ func TestSweepExpansionCounts(t *testing.T) {
 
 // TestSweepExpansionRetainsLittleHeap expands the full quad grid (1328
 // units) and checks the units hold little memory once expanded: each
-// keeps its spec and key, and its sim.Config is built only when the
-// unit is submitted. It must not run in parallel with other tests,
-// which would allocate between the two heap readings.
+// keeps its key, and its sim.Config is built again only when the unit
+// runs. It must not run in parallel with other tests, which would
+// allocate between the two heap readings.
 func TestSweepExpansionRetainsLittleHeap(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -113,8 +115,10 @@ func TestSweepStrideSamplingMatchesQuadMixes(t *testing.T) {
 }
 
 // TestSweepLifecycleStubbed runs a small sweep on a stubbed simulator
-// and checks the rollup, the per-unit views, and that resubmitting the
-// same sweep is answered entirely from the result cache.
+// and checks the rollup, the per-unit views, that a served Ideal job
+// and the sweep's baseline unit for the same workload share one key
+// and one cache entry, and that resubmitting the same sweep is answered
+// entirely from the result cache.
 func TestSweepLifecycleStubbed(t *testing.T) {
 	s := newStubServer(t, Config{Workers: 2}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
 		return dualResult(100, 200), nil
@@ -147,6 +151,21 @@ func TestSweepLifecycleStubbed(t *testing.T) {
 	if res.Cores != 2 || len(res.Levels) != 4 || len(res.Mixes[sim.Static]) != 3 {
 		t.Errorf("aggregate shape: cores=%d levels=%d static mixes=%d",
 			res.Cores, len(res.Levels), len(res.Mixes[sim.Static]))
+	}
+
+	// Unit 12 is the first baseline: ncf's Ideal, after the 3x4 cells.
+	if u := v.Jobs[12]; !u.Ideal || strings.Join(u.Workloads, "+") != "ncf" || u.Sharing != "" {
+		t.Fatalf("unit 12 = %+v, want ncf's Ideal baseline", u)
+	}
+	cached := s.cache.len()
+	job, err := s.submit(JobSpec{Workloads: []string{"ncf"}, Ideal: true})
+	if err != nil {
+		t.Fatalf("submit ncf Ideal: %v", err)
+	}
+	<-job.Done()
+	if jv := job.View(false); jv.Key != v.Jobs[12].Key || !jv.Cached || s.cache.len() != cached {
+		t.Errorf("served ncf Ideal: key %s cached=%v, cache %d -> %d entries; want the baseline unit's key %s, a hit, and no new entry",
+			jv.Key, jv.Cached, cached, s.cache.len(), v.Jobs[12].Key)
 	}
 
 	// Same grid again: every unit's config is already cached.
@@ -195,6 +214,54 @@ func TestSweepCancellation(t *testing.T) {
 	}
 	if final.Status != StatusCancelled {
 		t.Fatalf("status = %s, want cancelled", final.Status)
+	}
+	if final.Queued != 0 || final.Running != 0 || final.Cancelled+final.Done != final.Total {
+		t.Errorf("ended sweep rollup queued=%d running=%d cancelled=%d done=%d total=%d; want every unit done or cancelled",
+			final.Queued, final.Running, final.Cancelled, final.Done, final.Total)
+	}
+}
+
+// TestSweepUnitsRunTheirKeys runs a small-scale sweep on a stubbed
+// simulator that fingerprints every config it receives: the sweep must
+// simulate exactly its units' keys. A run-time config built at another
+// scale than the keys would cache its result under a key it does not
+// name.
+func TestSweepUnitsRunTheirKeys(t *testing.T) {
+	var mu sync.Mutex
+	ran := map[string]bool{}
+	s := newStubServer(t, Config{Workers: 2}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+		key, err := c.Fingerprint()
+		if err != nil {
+			return sim.Result{}, err
+		}
+		mu.Lock()
+		ran[key] = true
+		mu.Unlock()
+		return dualResult(100, 200), nil
+	})
+	sw, err := s.StartSweep(context.Background(), SweepSpec{
+		Cores: 2, Workloads: []string{"ncf", "gpt2"}, Scale: "small", Sharing: []string{"+dwt"},
+	})
+	if err != nil {
+		t.Fatalf("StartSweep: %v", err)
+	}
+	waitSweep(t, sw)
+	if st := sw.Status(); st != StatusDone {
+		t.Fatalf("sweep %s", st)
+	}
+	want := map[string]bool{}
+	for _, u := range sw.units {
+		want[u.key] = true
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != len(want) {
+		t.Errorf("simulated %d distinct configs for %d unit keys", len(ran), len(want))
+	}
+	for key := range ran {
+		if !want[key] {
+			t.Errorf("simulated config %.12s is no unit's key", key)
+		}
 	}
 }
 
@@ -292,18 +359,23 @@ func TestSweepMatchesExperiments(t *testing.T) {
 			}
 
 			// The oracle: every mix at every level, in enumeration order,
-			// each core's cycles over its workload's Ideal cycles.
-			cores := func(u *sweepUnit) []sim.CoreResult {
+			// each core's cycles over its workload's Ideal cycles, read
+			// from each unit's result bytes in the cache.
+			cores := func(i int) []sim.CoreResult {
+				cached, ok := s.cache.get(sw.units[i].key)
+				if !ok {
+					t.Fatalf("unit %d: no cached result", i)
+				}
 				var res sim.Result
-				if err := json.Unmarshal(u.result, &res); err != nil {
-					t.Fatalf("unit %v: %v", u.spec.Workloads, err)
+				if err := json.Unmarshal(cached.result, &res); err != nil {
+					t.Fatalf("unit %d: %v", i, err)
 				}
 				return res.Cores
 			}
 			ideal := map[string]int64{}
-			for _, u := range sw.units {
-				if u.spec.Ideal {
-					ideal[u.spec.Workloads[0]] = cores(u)[0].Cycles
+			for i := range sw.units {
+				if mix, sharing := sw.unitName(i); sharing == "" {
+					ideal[mix[0]] = cores(i)[0].Cycles
 				}
 			}
 			want := experiments.SharingResult{
@@ -314,12 +386,11 @@ func TestSweepMatchesExperiments(t *testing.T) {
 			mixes := experiments.Mixes(names, tc.cores, 0, 0)
 			for i := 0; i < len(mixes)*len(tc.levels); i++ {
 				mix, lv := mixes[i/len(tc.levels)], tc.levels[i%len(tc.levels)]
-				u := sw.units[i]
-				if strings.Join(u.spec.Workloads, "+") != strings.Join(mix, "+") || u.spec.Sharing != lv.String() {
-					t.Fatalf("unit %d is %v %s, want %v %s", i, u.spec.Workloads, u.spec.Sharing, mix, lv)
+				if got, sharing := sw.unitName(i); strings.Join(got, "+") != strings.Join(mix, "+") || sharing != lv.String() {
+					t.Fatalf("unit %d is %v %s, want %v %s", i, got, sharing, mix, lv)
 				}
 				sp := make([]float64, len(mix))
-				for k, c := range cores(u)[:len(mix)] {
+				for k, c := range cores(i)[:len(mix)] {
 					sp[k] = metrics.Speedup(ideal[mix[k]], c.Cycles)
 				}
 				want.Mixes[lv] = append(want.Mixes[lv], experiments.MixScore{

@@ -150,3 +150,14 @@ func NewWorkloadConfig(scale workloads.Scale, sharing Sharing, names ...string) 
 	}
 	return NewConfig(scale, sharing, nets...), nil
 }
+
+// NewIdealConfig builds workload w's standard Ideal, the baseline every
+// speedup in the paper is normalized to (§4.1.3): the (w, w) static
+// dual-core system reduced to core 0 with the whole resource pool.
+func NewIdealConfig(scale workloads.Scale, w string) (Config, error) {
+	cfg, err := NewWorkloadConfig(scale, Static, w, w)
+	if err != nil {
+		return Config{}, err
+	}
+	return IdealFor(cfg, 0), nil
+}

@@ -72,11 +72,11 @@ func skipConfigs(t *testing.T) map[string]Config {
 // the number of loop iterations, observed here via the local-cycle
 // bookkeeping staying exact across a long compute stretch).
 func TestSkipShortensWallClockWork(t *testing.T) {
-	cfg, err := NewWorkloadConfig(workloads.ScaleTiny, Static, "res", "res")
+	cfg, err := NewIdealConfig(workloads.ScaleTiny, "res")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(IdealFor(cfg, 0))
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@
 # error envelope and the X-Request-Id/Server-Timing response headers,
 # runs a sampled quad sweep under a fixed traceparent (15 units and an
 # aggregated result, a trace that `mnputrace -mode spans` accepts with
-# its sweep-coordination span) and repeats it (all cache hits, no new
+# its sweep-coordination span, and a first unit that is a done job
+# under the unit's key) and repeats it (all cache hits, no new
 # simulation), cancels an in-flight heavier job, and finally SIGTERMs
 # the daemon and requires a clean drain (exit 0).
 #
@@ -169,6 +170,21 @@ grep -q '"name":"sweep coordinate"' "$TMP/trace.json" ||
 "$TMP/mnputrace" -mode spans -in "$TMP/trace.json" -obs "$TMP/spans.json" \
 	>"$TMP/spans.txt" || fail "mnputrace -mode spans rejected the trace"
 sed 's/^/  /' "$TMP/spans.txt"
+
+echo "serve-smoke: checking a sweep unit is a job under the unit's key"
+# One JSON object per line: the first line naming a job_id is unit 0.
+curl -fsS "$BASE/v1/sweeps/$SW1?jobs=true" | tr '{' '\n' |
+	grep '"job_id"' | head -n 1 >"$TMP/unit0.json"
+UJOB=$(jfield "$TMP/unit0.json" job_id)
+UKEY=$(jfield "$TMP/unit0.json" key)
+[ -n "$UJOB" ] && [ -n "$UKEY" ] || fail "sweep unit 0 names no job_id or key: $(cat "$TMP/unit0.json")"
+# The job view's own fields come before its inlined result's first '{'.
+curl -fsS "$BASE/v1/jobs/$UJOB" | tr '{' '\n' | sed -n 2p >"$TMP/unit0_job.json" ||
+	fail "GET /v1/jobs/$UJOB failed"
+[ "$(jfield "$TMP/unit0_job.json" status)" = done ] ||
+	fail "unit 0's job $UJOB is not done: $(cat "$TMP/unit0_job.json")"
+[ "$(jfield "$TMP/unit0_job.json" key)" = "$UKEY" ] ||
+	fail "unit 0's job $UJOB has another key than the unit's $UKEY"
 
 echo "serve-smoke: repeating the sweep — must be all cache hits"
 SIMS=$(metric serve_simulations)
