@@ -43,6 +43,10 @@ type channel struct {
 
 	queue       []pending
 	completions []completion
+	// ptQueued counts the page-table reads in queue. With none queued,
+	// PTPriority cannot change pick's choice, so its scan stops at the
+	// first row hit as it does without the priority.
+	ptQueued int
 
 	// Data-bus and CAS-spacing state.
 	busFreeAt   clock.Global
@@ -158,6 +162,9 @@ func (c *channel) enqueue(req *mem.Request, loc Location) {
 		group: loc.Rank*c.cfg.BankGroups + loc.BankGroup,
 		read:  req.Kind == mem.Read,
 	})
+	if req.Class == mem.PageTable {
+		c.ptQueued++
+	}
 	if c.horizonOK && (c.cfg.Policy != FCFS || len(c.queue) == 1) {
 		c.horizon = min(c.horizon, c.earliestProgress(&c.queue[len(c.queue)-1]))
 	}
@@ -297,6 +304,8 @@ func (c *channel) handleRefresh(now clock.Global) bool {
 // head whose bank is mid-precharge/activate does not freeze the
 // channel: other banks keep issuing, which cannot delay the head's own
 // bank preparation. Under FCFS only the head request is considered.
+// The pass stops at the first row hit unless a page-table read is
+// queued behind it that PTPriority could prefer.
 func (c *channel) pick(now clock.Global) int {
 	if c.cfg.Policy == FCFS {
 		return 0
@@ -304,8 +313,18 @@ func (c *channel) pick(now clock.Global) int {
 	for r := range c.due {
 		c.due[r] = c.refreshDue(now, r)
 	}
+	if invariant.Enabled {
+		n := 0
+		for i := range c.queue {
+			if c.queue[i].req.Class == mem.PageTable {
+				n++
+			}
+		}
+		invariant.Check(n == c.ptQueued,
+			"dram: channel %d queues %d page-table reads, counted %d", c.id, n, c.ptQueued)
+	}
 	starved := c.cfg.StarvationCap > 0 && c.queue[0].bypass >= c.cfg.StarvationCap
-	ptFirst := c.cfg.PTPriority
+	ptFirst := c.cfg.PTPriority && c.ptQueued > 0
 	hit, ready := -1, -1
 	for i := range c.queue {
 		p := &c.queue[i]
@@ -436,6 +455,9 @@ func (c *channel) issue(now clock.Global, idx int) {
 		c.stats.BusBusyCycles += int64(t.BL2)
 		isWrite := !p.read
 		core := int32(p.req.Core)
+		if p.req.Class == mem.PageTable {
+			c.ptQueued--
+		}
 		c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
 		if c.obs != nil {
 			var wr int64

@@ -28,7 +28,8 @@ type Memory struct {
 	// OnComplete, if non-nil, is called when a request's burst retires
 	// at cycle done. It is the one completion path: the system hands a
 	// page-table read to the MMU and a data request to its core, then
-	// wakes that consumer on the completion cycle.
+	// re-arms that consumer: the MMU on the completion cycle, the core
+	// at its post-completion horizon.
 	OnComplete func(done clock.Global, r *mem.Request)
 
 	// OnSlotFreed, if non-nil, is called when TickChannel takes channel
@@ -93,8 +94,8 @@ func (m *Memory) SetCoreChannels(core int, channels []int) error {
 	return nil
 }
 
-// mapperFor returns core's mapper, by pointer: a Mapper embeds the
-// whole device Config.
+// mapperFor returns core's mapper, by pointer: a Mapper carries a
+// divisor per address field.
 func (m *Memory) mapperFor(core int) *Mapper {
 	if core >= 0 && core < len(m.mappers) && len(m.mappers[core].channels) > 0 {
 		return &m.mappers[core]
@@ -141,7 +142,7 @@ func (m *Memory) ChargeRefusals(ch int, n int64) { m.channels[ch].stats.QueueFul
 // full Location is decoded only for an admitted request. OnComplete
 // announces the request when its data burst retires (Memory.complete).
 //
-//lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and complete's OnComplete re-arms the walk or data consumer at the burst's completion cycle
+//lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and complete's OnComplete re-arms the walk consumer at the burst's completion cycle and the data consumer at its post-completion horizon
 func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 	ch := m.channels[m.Route(r)]
 	if !ch.canAccept() {

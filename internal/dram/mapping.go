@@ -1,6 +1,10 @@
 package dram
 
-import "mnpusim/internal/invariant"
+import (
+	"math/bits"
+
+	"mnpusim/internal/invariant"
+)
 
 // Location identifies where a physical block lives inside the device.
 type Location struct {
@@ -40,10 +44,43 @@ func (c *Config) BankIndex(l Location) int {
 //
 // Using a division-based split (rather than dedicated channel bits) lets
 // a channel set of any size — including the 7-channel side of a 1:7
-// partition — interleave evenly.
+// partition — interleave evenly. Each divisor is fixed when the Mapper
+// is built, and one that is a power of two (every divisor of the HBM2
+// presets on a 1-, 2-, 4- or 8-channel set) divides by shift and mask.
 type Mapper struct {
-	cfg      Config
 	channels []int
+
+	block, ch, col, bg, bank, rank radix
+}
+
+// radix divides by a fixed positive divisor: by shift and mask when it
+// is a power of two, by division otherwise.
+type radix struct {
+	d     uint64
+	shift uint8
+	pow2  bool
+}
+
+func newRadix(d int) radix {
+	u := uint64(d)
+	if u&(u-1) == 0 {
+		return radix{d: u, shift: uint8(bits.TrailingZeros64(u)), pow2: true}
+	}
+	return radix{d: u}
+}
+
+func (r radix) div(x uint64) uint64 {
+	if r.pow2 {
+		return x >> r.shift
+	}
+	return x / r.d
+}
+
+func (r radix) mod(x uint64) uint64 {
+	if r.pow2 {
+		return x & (r.d - 1)
+	}
+	return x % r.d
 }
 
 // NewMapper returns a Mapper for the given channel set. The set must be
@@ -59,7 +96,15 @@ func NewMapper(cfg Config, channels []int) Mapper {
 	}
 	cp := make([]int, len(channels))
 	copy(cp, channels)
-	return Mapper{cfg: cfg, channels: cp}
+	return Mapper{
+		channels: cp,
+		block:    newRadix(cfg.BlockBytes),
+		ch:       newRadix(len(channels)),
+		col:      newRadix(cfg.RowBytes / cfg.BlockBytes),
+		bg:       newRadix(cfg.BankGroups),
+		bank:     newRadix(cfg.BanksPerGroup),
+		rank:     newRadix(cfg.Ranks),
+	}
 }
 
 // Channels returns the channel set this mapper interleaves across.
@@ -76,39 +121,46 @@ func (m *Mapper) Channels() []int { return m.channels }
 // stays collision-free and sequential streams still spread perfectly
 // evenly.
 func (m *Mapper) split(addr uint64) (ch int, local uint64) {
-	block := addr / uint64(m.cfg.BlockBytes)
-	n := uint64(len(m.channels))
-	local = block / n
-	return m.channels[(block+rowMix(local))%n], local
+	block := m.block.div(addr)
+	local = m.ch.div(block)
+	return m.channels[m.ch.mod(block+rowMix(local))], local
 }
 
 // Locate decodes addr. Addresses are block-aligned by construction of
 // the request generator; sub-block bits are ignored.
 func (m *Mapper) Locate(addr uint64) Location {
-	c := &m.cfg
 	ch, local := m.split(addr)
 
-	blocksPerRow := uint64(c.RowBytes / c.BlockBytes)
-	col := int(local % blocksPerRow)
-	t := local / blocksPerRow
-	bg := int(t % uint64(c.BankGroups))
-	t /= uint64(c.BankGroups)
-	bank := int(t % uint64(c.BanksPerGroup))
-	t /= uint64(c.BanksPerGroup)
-	rank := int(t % uint64(c.Ranks))
-	row := int64(t / uint64(c.Ranks))
+	col := int(m.col.mod(local))
+	t := m.col.div(local)
+	bg := m.bg.mod(t)
+	t = m.bg.div(t)
+	bank := m.bank.mod(t)
+	t = m.bank.div(t)
+	rank := int(m.rank.mod(t))
+	row := int64(m.rank.div(t))
 
 	// Bank permutation (XOR-hash on the row bits, as in real
 	// controllers): without it, two cores streaming from
 	// region-aligned bases walk the banks in lockstep and ping-pong
 	// the same bank's rows — a pathological conflict pattern that
 	// vanishes with any stagger. The permutation is bijective for a
-	// fixed row, so injectivity of the mapping is preserved.
+	// fixed row, so injectivity of the mapping is preserved. Both
+	// addends are below the modulus, so one conditional subtraction
+	// reduces their sum.
 	mix := rowMix(uint64(row))
-	bg = (bg + int(mix%uint64(c.BankGroups))) % c.BankGroups
-	bank = (bank + int((mix/uint64(c.BankGroups))%uint64(c.BanksPerGroup))) % c.BanksPerGroup
+	bg = wrap(bg+m.bg.mod(mix), m.bg.d)
+	bank = wrap(bank+m.bank.mod(m.bg.div(mix)), m.bank.d)
 
-	return Location{Channel: ch, Rank: rank, BankGroup: bg, Bank: bank, Row: row, ColBlock: col}
+	return Location{Channel: ch, Rank: rank, BankGroup: int(bg), Bank: int(bank), Row: row, ColBlock: col}
+}
+
+// wrap reduces x, which is below 2n, modulo n.
+func wrap(x, n uint64) uint64 {
+	if x >= n {
+		return x - n
+	}
+	return x
 }
 
 // rowMix folds the row bits into a small avalanche hash for the bank

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -180,5 +181,84 @@ func TestAlignedStreamsDoNotShareBankPhase(t *testing.T) {
 	}
 	if same > rows/2 {
 		t.Errorf("aligned streams share bank phase in %d of %d rows", same, rows)
+	}
+}
+
+// divMapper is the division form of Mapper's decode, the reference the
+// shift-and-mask form is checked against.
+type divMapper struct {
+	cfg      Config
+	channels []int
+}
+
+func (m divMapper) split(addr uint64) (ch int, local uint64) {
+	block := addr / uint64(m.cfg.BlockBytes)
+	n := uint64(len(m.channels))
+	local = block / n
+	return m.channels[(block+rowMix(local))%n], local
+}
+
+func (m divMapper) locate(addr uint64) Location {
+	c := &m.cfg
+	ch, local := m.split(addr)
+	blocksPerRow := uint64(c.RowBytes / c.BlockBytes)
+	col := int(local % blocksPerRow)
+	t := local / blocksPerRow
+	bg := int(t % uint64(c.BankGroups))
+	t /= uint64(c.BankGroups)
+	bank := int(t % uint64(c.BanksPerGroup))
+	t /= uint64(c.BanksPerGroup)
+	rank := int(t % uint64(c.Ranks))
+	row := int64(t / uint64(c.Ranks))
+	mix := rowMix(uint64(row))
+	bg = (bg + int(mix%uint64(c.BankGroups))) % c.BankGroups
+	bank = (bank + int((mix/uint64(c.BankGroups))%uint64(c.BanksPerGroup))) % c.BanksPerGroup
+	return Location{Channel: ch, Rank: rank, BankGroup: bg, Bank: bank, Row: row, ColBlock: col}
+}
+
+// TestLocateMatchesDivision checks split and Locate against their
+// division form over seeded addresses, on the HBM2 geometry (every
+// divisor a power of two), on 7- and 3-channel sets, and on a geometry
+// whose ranks, banks per group and blocks per row are not powers of
+// two.
+func TestLocateMatchesDivision(t *testing.T) {
+	odd := HBM2(4)
+	odd.Ranks = 3
+	odd.BanksPerGroup = 3
+	odd.RowBytes = 24 * odd.BlockBytes
+	setups := []struct {
+		name     string
+		cfg      Config
+		channels []int
+		pow2     bool // every divisor decodes by shift and mask
+	}{
+		{"hbm2-8ch", HBM2(8), []int{0, 1, 2, 3, 4, 5, 6, 7}, true},
+		{"7-channel-set", HBM2(8), []int{1, 2, 3, 4, 5, 6, 7}, false},
+		{"3-channel-set", HBM2(4), []int{0, 1, 3}, false},
+		{"odd-geometry", odd, []int{0, 2}, false},
+	}
+	for i, s := range setups {
+		t.Run(s.name, func(t *testing.T) {
+			if err := s.cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			m := NewMapper(s.cfg, s.channels)
+			if got := m.block.pow2 && m.ch.pow2 && m.col.pow2 && m.bg.pow2 && m.bank.pow2 && m.rank.pow2; got != s.pow2 {
+				t.Fatalf("every divisor a power of two: %v, want %v", got, s.pow2)
+			}
+			ref := divMapper{cfg: s.cfg, channels: s.channels}
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			for n := 0; n < 20000; n++ {
+				addr := rng.Uint64() >> (16 + rng.Intn(32)) // 48 bits and below
+				gotCh, gotLocal := m.split(addr)
+				wantCh, wantLocal := ref.split(addr)
+				if gotCh != wantCh || gotLocal != wantLocal {
+					t.Fatalf("split(%#x) = (%d, %d), division form (%d, %d)", addr, gotCh, gotLocal, wantCh, wantLocal)
+				}
+				if got, want := m.Locate(addr), ref.locate(addr); got != want {
+					t.Fatalf("Locate(%#x) = %+v, division form %+v", addr, got, want)
+				}
+			}
+		})
 	}
 }

@@ -202,9 +202,11 @@ func TestSinglePassPickMatchesScans(t *testing.T) {
 	for name, cfg := range pickConfigs() {
 		t.Run(name, func(t *testing.T) {
 			picked := map[int]bool{}
+			ptQueued := map[bool]bool{} // whether a page-table read was queued
 			for seed := int64(1); seed <= 2000; seed++ {
 				c, now := seededChannel(cfg, rand.New(rand.NewSource(seed)))
 				ref, _ := seededChannel(cfg, rand.New(rand.NewSource(seed)))
+				ptQueued[c.ptQueued > 0] = true
 				for at := now - 4; at <= now+8; at++ {
 					got, want := c.pick(at), scanPick(ref, at)
 					if got != want {
@@ -218,6 +220,11 @@ func TestSinglePassPickMatchesScans(t *testing.T) {
 			}
 			if cfg.Policy != FCFS && !(picked[-1] && picked[0] && picked[1]) {
 				t.Fatalf("seeds never covered each outcome (none, head, younger): %v", picked)
+			}
+			// PTPriority's scan runs past the first row hit only while a
+			// page-table read is queued: both sides must be exercised.
+			if cfg.Policy != FCFS && cfg.PTPriority && !(ptQueued[false] && ptQueued[true]) {
+				t.Fatalf("seeds never covered queues with and without a page-table read: %v", ptQueued)
 			}
 		})
 	}
@@ -235,6 +242,7 @@ func TestCachedHorizonMatchesRecompute(t *testing.T) {
 				c, now := seededChannel(cfg, rng)
 				if seed%3 == 0 {
 					c.queue = c.queue[:0] // an idle queue: FCFS's new head
+					c.ptQueued = 0
 				}
 				for step := 0; step < 6; step++ {
 					at := now - 4 + clock.Global(step*3)

@@ -1,7 +1,8 @@
 package mem
 
-// Queue is a FIFO of requests backed by a ring buffer. The zero value is
-// an empty queue ready to use.
+// Queue is a FIFO of requests backed by a ring buffer whose capacity is
+// a power of two, so a position wraps by mask. The zero value is an
+// empty queue ready to use.
 type Queue struct {
 	buf  []*Request
 	head int
@@ -19,7 +20,7 @@ func (q *Queue) Push(r *Request) {
 	if q.n == len(q.buf) {
 		q.grow()
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = r
+	q.buf[q.slot(q.n)] = r
 	q.n++
 }
 
@@ -30,8 +31,11 @@ func (q *Queue) At(i int) *Request {
 		//lint:allow nolibpanic mirrors the built-in slice bounds panic; callers index within Len() by construction
 		panic("mem: queue index out of range")
 	}
-	return q.buf[(q.head+i)%len(q.buf)]
+	return q.buf[q.slot(i)]
 }
+
+// slot returns the ring index of the i-th request from the head.
+func (q *Queue) slot(i int) int { return (q.head + i) & (len(q.buf) - 1) }
 
 // RemoveAt removes and returns the i-th request from the head,
 // preserving the order of the remaining requests. It shifts the head
@@ -42,12 +46,12 @@ func (q *Queue) RemoveAt(i int) *Request {
 		//lint:allow nolibpanic mirrors the built-in slice bounds panic; callers index within Len() by construction
 		panic("mem: queue index out of range")
 	}
-	r := q.buf[(q.head+i)%len(q.buf)]
+	r := q.buf[q.slot(i)]
 	for j := i; j > 0; j-- {
-		q.buf[(q.head+j)%len(q.buf)] = q.buf[(q.head+j-1)%len(q.buf)]
+		q.buf[q.slot(j)] = q.buf[q.slot(j-1)]
 	}
 	q.buf[q.head] = nil
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = q.slot(1)
 	q.n--
 	return r
 }
@@ -59,7 +63,7 @@ func (q *Queue) grow() {
 	}
 	nb := make([]*Request, newCap)
 	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
+		nb[i] = q.buf[q.slot(i)]
 	}
 	q.buf = nb
 	q.head = 0

@@ -49,6 +49,9 @@ func (s CoreStats) AvgWalkCycles() float64 {
 	return float64(s.WalkCycles) / float64(s.Walks)
 }
 
+// mshrEntry holds the requests waiting on one pending walk. A walk's
+// completion hands them on and returns the entry, its waiter slice
+// kept, to the MMU's free list.
 type mshrEntry struct {
 	waiters []*mem.Request
 }
@@ -72,6 +75,12 @@ type MMU struct {
 	// mshr[core] maps a VPN with a pending walk to its waiting
 	// requests.
 	mshr []map[uint64]*mshrEntry
+
+	// Retired walk jobs and MSHR entries, reused by the next walk and
+	// the next miss on a new page: once the MMU is warm, translation
+	// allocates nothing.
+	freeJobs    []*walkJob
+	freeEntries []*mshrEntry
 
 	// issueQ[core] holds translated requests awaiting DRAM admission.
 	issueQ  []mem.Queue
@@ -229,7 +238,9 @@ func (m *MMU) Submit(now clock.Global, r *mem.Request) mem.Admission {
 	m.portUsed[core]++
 	m.stats[core].Translations++
 	m.stats[core].TLBMisses++
-	m.mshr[core][vpn] = &mshrEntry{waiters: []*mem.Request{r}}
+	e := m.newEntry()
+	e.waiters = append(e.waiters, r)
+	m.mshr[core][vpn] = e
 	m.walkFIFO = append(m.walkFIFO, walkRequest{core: core, vpn: vpn, at: now})
 	m.queued[core]++
 	if m.obs != nil {
@@ -361,10 +372,10 @@ func (m *MMU) dispatchWalks(now clock.Global) {
 			m.pool.grab(wr.core)
 		}
 		m.queued[wr.core]--
-		ppn, ptes := m.tables[wr.core].Walk(wr.vpn)
-		job := &walkJob{core: wr.core, vpn: wr.vpn, ppn: ppn, pteAddrs: ptes, startedAt: now, owner: owner}
+		job := m.newJob(wr.core, wr.vpn, now, owner)
+		job.ppn, job.pteAddrs = m.tables[wr.core].Walk(wr.vpn, job.pteAddrs)
 		if m.cfg.WalkMemory == FixedWalkLatency {
-			job.readyAt = now + clock.Global(len(ptes))*m.cfg.EffectiveWalkLatency()
+			job.readyAt = now + clock.Global(len(job.pteAddrs))*m.cfg.EffectiveWalkLatency()
 		}
 		m.active = append(m.active, job)
 		if m.obs != nil {
@@ -405,7 +416,7 @@ func (m *MMU) progressWalks(now clock.Global) {
 			continue
 		}
 		if job.pte == nil {
-			job.pte = &mem.Request{
+			job.read = mem.Request{
 				Core:  job.core,
 				Addr:  job.pteAddrs[job.level],
 				VAddr: job.vpn << m.cfg.PageSize.Shift(),
@@ -413,6 +424,7 @@ func (m *MMU) progressWalks(now clock.Global) {
 				Kind:  mem.Read,
 				Class: mem.PageTable,
 			}
+			job.pte = &job.read
 		}
 		if m.backend.HasSpace(m.backend.Route(job.pte)) && m.backend.Enqueue(now, job.pte) {
 			job.waiting = true
@@ -467,6 +479,9 @@ func (m *MMU) completeWalk(now clock.Global, job *walkJob) {
 		}
 		full := m.MSHRFull(job.core)
 		delete(m.mshr[job.core], job.vpn)
+		clear(e.waiters)
+		e.waiters = e.waiters[:0]
+		m.freeEntries = append(m.freeEntries, e)
 		if full && m.OnMSHRFreed != nil {
 			m.OnMSHRFreed(now, job.core)
 		}
@@ -475,6 +490,31 @@ func (m *MMU) completeWalk(now clock.Global, job *walkJob) {
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindWalkEnd, Core: int32(job.core), A: int64(job.vpn), B: lat})
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindMSHRFree, Core: int32(job.core), A: int64(len(m.mshr[job.core]))})
 	}
+	m.freeJobs = append(m.freeJobs, job)
+}
+
+// newJob returns a walk job for core's vpn, granted at now to a walker
+// of owner, reusing a retired job and its PTE address slice.
+func (m *MMU) newJob(core int, vpn uint64, now clock.Global, owner int) *walkJob {
+	var job *walkJob
+	if n := len(m.freeJobs); n > 0 {
+		job = m.freeJobs[n-1]
+		m.freeJobs = m.freeJobs[:n-1]
+	} else {
+		job = new(walkJob)
+	}
+	*job = walkJob{core: core, vpn: vpn, pteAddrs: job.pteAddrs[:0], startedAt: now, owner: owner}
+	return job
+}
+
+// newEntry returns an empty MSHR entry, reusing a retired one.
+func (m *MMU) newEntry() *mshrEntry {
+	if n := len(m.freeEntries); n > 0 {
+		e := m.freeEntries[n-1]
+		m.freeEntries = m.freeEntries[:n-1]
+		return e
+	}
+	return new(mshrEntry)
 }
 
 // drainWindow bounds how far into a core's issue queue the drain looks

@@ -64,6 +64,11 @@ type PageTable struct {
 	bitsPerLv uint
 	root      *ptNode
 	alloc     *PhysAllocator
+	// The page Translate resolved last, if memoOK, and the PTE
+	// addresses of its walk, which Translate discards.
+	memoVPN, memoPPN uint64
+	memoOK           bool
+	ptes             []uint64
 }
 
 // NewPageTable creates an empty table whose node frames come from
@@ -94,9 +99,6 @@ func (t *PageTable) newNode() *ptNode {
 	}
 }
 
-// Levels returns the number of levels in a full walk.
-func (t *PageTable) Levels() int { return t.levels }
-
 // indexAt extracts the radix index of vpn at the given level, where
 // level 0 is the root.
 func (t *PageTable) indexAt(vpn uint64, level int) uint64 {
@@ -108,15 +110,14 @@ func (t *PageTable) indexAt(vpn uint64, level int) uint64 {
 // Walk resolves vpn, allocating intermediate nodes and the backing
 // physical page on first touch (the simulator models a pre-faulted
 // address space: allocation itself is free, but the walk's PTE reads
-// cost DRAM accesses). It returns the physical page base and the
-// physical addresses of the PTEs a hardware walker reads, one per level,
-// in walk order.
-func (t *PageTable) Walk(vpn uint64) (ppn uint64, pteAddrs []uint64) {
-	pteAddrs = make([]uint64, 0, t.levels)
+// cost a DRAM access or a fixed latency each). It returns the physical
+// page base and ptes with the physical addresses of the PTEs a
+// hardware walker reads appended, one per level, in walk order.
+func (t *PageTable) Walk(vpn uint64, ptes []uint64) (uint64, []uint64) {
 	node := t.root
 	for lv := 0; lv < t.levels-1; lv++ {
 		idx := t.indexAt(vpn, lv)
-		pteAddrs = append(pteAddrs, node.pa+idx*8)
+		ptes = append(ptes, node.pa+idx*8)
 		child, ok := node.children[idx]
 		if !ok {
 			child = t.newNode()
@@ -125,21 +126,25 @@ func (t *PageTable) Walk(vpn uint64) (ppn uint64, pteAddrs []uint64) {
 		node = child
 	}
 	idx := t.indexAt(vpn, t.levels-1)
-	pteAddrs = append(pteAddrs, node.pa+idx*8)
+	ptes = append(ptes, node.pa+idx*8)
 	ppn, ok := node.leaves[idx]
 	if !ok {
 		ppn = t.alloc.AllocPage()
 		node.leaves[idx] = ppn
 	}
-	return ppn, pteAddrs
+	return ppn, ptes
 }
 
 // Translate resolves a full virtual address to a physical address,
 // allocating on first touch, without modeling walk cost. Used by the
-// translation-disabled mode and by tests.
+// translation-disabled mode and by tests. A page once resolved never
+// moves, so Translate remembers the last page it resolved and skips
+// the radix walk while requests stay on it.
 func (t *PageTable) Translate(vaddr uint64) uint64 {
-	shift := t.pageSize.Shift()
-	vpn := vaddr >> shift
-	ppn, _ := t.Walk(vpn)
-	return ppn | (vaddr & (uint64(t.pageSize) - 1))
+	vpn := vaddr >> t.pageSize.Shift()
+	if !t.memoOK || t.memoVPN != vpn {
+		t.memoVPN, t.memoOK = vpn, true
+		t.memoPPN, t.ptes = t.Walk(vpn, t.ptes[:0])
+	}
+	return t.memoPPN | (vaddr & (uint64(t.pageSize) - 1))
 }

@@ -1,6 +1,7 @@
 package mmu
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -88,20 +89,17 @@ func newTestTable(p PageSize, levels int) *PageTable {
 func TestWalkReturnsOneAddressPerLevel(t *testing.T) {
 	for _, levels := range []int{2, 3, 4} {
 		pt := newTestTable(Page4K, levels)
-		_, ptes := pt.Walk(42)
+		_, ptes := pt.Walk(42, nil)
 		if len(ptes) != levels {
 			t.Errorf("levels=%d: got %d PTE addresses", levels, len(ptes))
-		}
-		if pt.Levels() != levels {
-			t.Errorf("Levels() = %d, want %d", pt.Levels(), levels)
 		}
 	}
 }
 
 func TestWalkDeterministic(t *testing.T) {
 	pt := newTestTable(Page4K, 4)
-	ppn1, ptes1 := pt.Walk(7)
-	ppn2, ptes2 := pt.Walk(7)
+	ppn1, ptes1 := pt.Walk(7, nil)
+	ppn2, ptes2 := pt.Walk(7, nil)
 	if ppn1 != ppn2 {
 		t.Errorf("ppn changed: %#x vs %#x", ppn1, ppn2)
 	}
@@ -119,7 +117,7 @@ func TestWalkDistinctVPNsGetDistinctPages(t *testing.T) {
 	pt := newTestTable(Page4K, 4)
 	seen := map[uint64]bool{}
 	for vpn := uint64(0); vpn < 200; vpn++ {
-		ppn, _ := pt.Walk(vpn)
+		ppn, _ := pt.Walk(vpn, nil)
 		if seen[ppn] {
 			t.Fatalf("ppn %#x reused for vpn %d", ppn, vpn)
 		}
@@ -132,8 +130,8 @@ func TestWalkDistinctVPNsGetDistinctPages(t *testing.T) {
 
 func TestWalkSharesUpperLevels(t *testing.T) {
 	pt := newTestTable(Page4K, 4)
-	_, a := pt.Walk(0)
-	_, b := pt.Walk(1) // adjacent page: same upper levels, different leaf
+	_, a := pt.Walk(0, nil)
+	_, b := pt.Walk(1, nil) // adjacent page: same upper levels, different leaf
 	for lv := 0; lv < 3; lv++ {
 		if a[lv] != b[lv] {
 			t.Errorf("level %d differs for adjacent vpns", lv)
@@ -146,8 +144,8 @@ func TestWalkSharesUpperLevels(t *testing.T) {
 
 func TestWalkDistantVPNsDivergeEarly(t *testing.T) {
 	pt := newTestTable(Page4K, 4)
-	_, a := pt.Walk(0)
-	_, b := pt.Walk(1 << 30) // far apart: diverge at the root index
+	_, a := pt.Walk(0, nil)
+	_, b := pt.Walk(1<<30, nil) // far apart: diverge at the root index
 	if a[0] == b[0] {
 		t.Error("distant vpns should use different root PTEs")
 	}
@@ -193,7 +191,7 @@ func TestQuickWalkAddressesAreNotDataPages(t *testing.T) {
 	pt := NewPageTable(Page4K, 0, alloc)
 	f := func(vpnRaw uint16) bool {
 		vpn := uint64(vpnRaw)
-		ppn, ptes := pt.Walk(vpn)
+		ppn, ptes := pt.Walk(vpn, nil)
 		for _, a := range ptes {
 			if a >= ppn && a < ppn+uint64(Page4K) {
 				return false
@@ -203,5 +201,28 @@ func TestQuickWalkAddressesAreNotDataPages(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTranslateMemoMatchesWalk checks the memoized Translate against
+// Walk over interleaved streams, as a core's loads and stores
+// interleave, and over scattered pages.
+func TestTranslateMemoMatchesWalk(t *testing.T) {
+	memo, ref := newTestTable(Page4K, 4), newTestTable(Page4K, 4)
+	rng := rand.New(rand.NewSource(2))
+	streams := []uint64{0, 1 << 24, 5 << 28}
+	for i := 0; i < 20000; i++ {
+		var va uint64
+		if i%5 == 4 {
+			va = uint64(rng.Int63n(1 << 40))
+		} else {
+			s := &streams[rng.Intn(len(streams))]
+			va = *s
+			*s += 64
+		}
+		ppn, _ := ref.Walk(va>>12, nil)
+		if got, want := memo.Translate(va), ppn|va&4095; got != want {
+			t.Fatalf("va %#x: Translate %#x, Walk %#x", va, got, want)
+		}
 	}
 }

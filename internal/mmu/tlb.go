@@ -36,9 +36,6 @@ func NewTLB(entries, assoc int) *TLB {
 	return &TLB{sets: sets}
 }
 
-// Sets returns the number of sets.
-func (t *TLB) Sets() int { return len(t.sets) }
-
 func (t *TLB) setIndex(asid int, vpn uint64) int {
 	// As in hardware, the set index comes from the address bits alone
 	// (not the ASID). In a shared TLB, co-runners whose footprints
@@ -87,18 +84,6 @@ func (t *TLB) Insert(asid int, vpn, ppn uint64) {
 		}
 	}
 	set[victim] = tlbEntry{valid: true, asid: asid, vpn: vpn, ppn: ppn, used: t.clock}
-}
-
-// Flush invalidates all entries for the given ASID; asid < 0 flushes
-// everything.
-func (t *TLB) Flush(asid int) {
-	for _, set := range t.sets {
-		for i := range set {
-			if set[i].valid && (asid < 0 || set[i].asid == asid) {
-				set[i].valid = false
-			}
-		}
-	}
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no lookups.

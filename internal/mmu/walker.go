@@ -9,21 +9,26 @@ import (
 // walkJob tracks one in-flight page-table walk. The walker issues one
 // PTE read per level, serially — level i+1's node address depends on the
 // PTE fetched at level i — so a full walk costs `levels` dependent DRAM
-// round-trips.
+// round-trips. The MMU reuses a job once its walk completes.
 type walkJob struct {
-	core      int
-	vpn       uint64
-	ppn       uint64
+	core int
+	vpn  uint64
+	ppn  uint64
+	// pteAddrs holds the PTE addresses the walk reads, one per level;
+	// a fixed-latency walk costs their count times the per-level
+	// latency. The slice is kept when the job is reused.
 	pteAddrs  []uint64
 	level     int // next level to issue (DRAM-backed mode)
 	waiting   bool
 	startedAt clock.Global
 	// readyAt is the completion cycle under FixedWalkLatency.
 	readyAt clock.Global
-	// pte is the level's PTE read (DRAM-backed mode), built once per
-	// level and kept while its channel is full and while it is in
-	// flight (waiting), so ReadDone can find its walk.
-	pte *mem.Request
+	// pte points at read, the level's PTE read (DRAM-backed mode),
+	// built once per level and kept while its channel is full and
+	// while it is in flight (waiting), so ReadDone can find its walk;
+	// nil between levels.
+	pte  *mem.Request
+	read mem.Request
 	// owner is the home core of the walker servicing this job (equals
 	// core except under DWS stealing).
 	owner int

@@ -2,6 +2,7 @@ package npu
 
 import (
 	"fmt"
+	"slices"
 
 	"mnpusim/internal/clock"
 	"mnpusim/internal/invariant"
@@ -93,6 +94,11 @@ type Core struct {
 
 	inflight int
 
+	// free holds requests whose bursts completed, for buildRequest to
+	// reuse: after Complete returns, nothing else holds a core's data
+	// request.
+	free []*mem.Request
+
 	finishedFirst bool
 
 	// Obs, if non-nil, receives structured probe events (tile start and
@@ -130,9 +136,6 @@ func NewCore(id int, arch ArchConfig, sched *tile.Schedule, dom clock.Domain, su
 	c.loadEmit = newEmitter(sched.Tasks[0].Loads, arch.BlockBytes)
 	return c, nil
 }
-
-// Schedule returns the tile schedule the core executes.
-func (c *Core) Schedule() *tile.Schedule { return c.sched }
 
 // Stats snapshots the counters.
 func (c *Core) Stats() Stats { return c.stats }
@@ -283,19 +286,37 @@ func (c *Core) nextRequest() *mem.Request {
 		if addr, ok := c.storeQueue[0].emit(); ok {
 			return c.buildRequest(addr, mem.Write)
 		}
-		c.storeQueue = c.storeQueue[1:]
+		// Shift rather than reslice, so completeTile's appends reuse
+		// the backing array.
+		c.storeQueue = slices.Delete(c.storeQueue, 0, 1)
 	}
 	return nil
 }
 
+// requestSlab is how many requests a core allocates at once when its
+// free list runs dry.
+const requestSlab = 64
+
+// buildRequest takes a request from the free list, refilling the list
+// with a fresh slab when it is empty.
 func (c *Core) buildRequest(addr uint64, kind mem.Kind) *mem.Request {
-	return &mem.Request{Core: c.id, VAddr: addr, Size: uint32(c.arch.BlockBytes), Kind: kind, Class: mem.Data}
+	if len(c.free) == 0 {
+		slab := make([]mem.Request, requestSlab)
+		for i := range slab {
+			c.free = append(c.free, &slab[i])
+		}
+	}
+	r := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	*r = mem.Request{Core: c.id, VAddr: addr, Size: uint32(c.arch.BlockBytes), Kind: kind, Class: mem.Data}
+	return r
 }
 
 // Complete retires one of the core's requests whose burst finished at
-// global cycle done.
+// global cycle done, and takes r back for reuse: the caller must not
+// touch r afterwards.
 //
-//lint:allow wakecontract audited stimulus seam: only dram.Memory.OnComplete calls it, at a burst's retirement; the kernel's hook then re-arms this core at the completion cycle
+//lint:allow wakecontract audited stimulus seam: only dram.Memory.OnComplete calls it, at a burst's retirement, before the core ticks on done; the kernel's hook then re-arms this core at NextEventAfter(done-1), its post-completion horizon, and skipTo settles the bookkeeping of any cycle it sleeps through
 func (c *Core) Complete(done clock.Global, r *mem.Request) {
 	c.inflight--
 	if r.Kind == mem.Read {
@@ -309,6 +330,7 @@ func (c *Core) Complete(done clock.Global, r *mem.Request) {
 		c.Obs.Emit(obs.Event{Cycle: done, Kind: obs.KindDMAComplete,
 			Core: int32(c.id), A: int64(c.inflight)})
 	}
+	c.free = append(c.free, r)
 }
 
 // swapReady reports whether the current load tile is complete (all its

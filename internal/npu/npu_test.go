@@ -149,7 +149,9 @@ func (noMSHR) ChargeMSHRStalls(int, int64) {}
 
 // completer delivers a fake submitter's completions as the
 // simulator's completion hook does: to the core (mustCore wires it),
-// then to arm, the wake-driven twin's re-arm, if set.
+// then to arm, the wake-driven twin's re-arm, if set, at the core's
+// post-completion horizon. Completions land before the core ticks on
+// their cycle, so that horizon is NextEventAfter(now-1).
 type completer struct {
 	core *Core
 	arm  func(at clock.Global)
@@ -160,7 +162,7 @@ func (c *completer) wire(core *Core) { c.core = core }
 func (c *completer) deliver(now clock.Global, r *mem.Request) {
 	c.core.Complete(now, r)
 	if c.arm != nil {
-		c.arm(now)
+		c.arm(c.core.NextEventAfter(now - 1))
 	}
 }
 
@@ -275,11 +277,11 @@ func TestCoreExecutesSchedule(t *testing.T) {
 	if st.FirstIterCycles <= 0 {
 		t.Fatal("no first-iteration latency recorded")
 	}
-	if st.FirstIterMACs != c.Schedule().TotalMACs {
-		t.Errorf("MACs = %d, want %d", st.FirstIterMACs, c.Schedule().TotalMACs)
+	if st.FirstIterMACs != c.sched.TotalMACs {
+		t.Errorf("MACs = %d, want %d", st.FirstIterMACs, c.sched.TotalMACs)
 	}
 	wantLoads := int64(0)
-	for _, task := range c.Schedule().Tasks {
+	for _, task := range c.sched.Tasks {
 		wantLoads += task.LoadBytes()
 	}
 	if st.BytesLoaded < wantLoads {

@@ -19,8 +19,9 @@ import (
 // lands first. Two identical cores run the same schedule against
 // submitters with the same fixed completion delay — the reference ticks
 // every global cycle, the other only at its armed wake cycle (re-armed
-// by each completion delivery, with SkipTo catching up skipped windows
-// exactly as the kernel's coreComp does). A state change the contract
+// by each completion delivery at the core's post-completion horizon,
+// with SkipTo catching up skipped windows exactly as the kernel's
+// coreComp does). A state change the contract
 // failed to announce shifts a DMA issue or the finish cycle.
 func TestCoreWakeContract(t *testing.T) {
 	cases := []struct {

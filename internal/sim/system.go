@@ -198,21 +198,27 @@ func newSystem(cfg Config, event bool) (*system, error) {
 	}
 
 	// A retired burst goes to its consumer, which the event kernel, if
-	// any, then wakes on the completion cycle: the MMU for a page-table
-	// read, the issuing core for data.
+	// any, then wakes: the MMU for a page-table read on the completion
+	// cycle, the issuing core for data at its post-completion horizon.
+	// The core has not ticked on done (channels tick first), so its
+	// horizon after done-1 is the first cycle on which a tick would do
+	// more than the bookkeeping skipTo settles: a completion that leaves
+	// the core nothing new to do does not wake it.
 	chs := memory.Channels()
 	cores := make([]*npu.Core, n)
 	var ek *eventKernel
 	memory.OnComplete = func(done clock.Global, r *mem.Request) {
-		id := chs
 		if r.Class == mem.PageTable {
 			unit.ReadDone(r)
-		} else {
-			cores[r.Core].Complete(done, r)
-			id += 1 + r.Core
+			if ek != nil {
+				ek.wake(chs, done)
+			}
+			return
 		}
+		id := chs + 1 + r.Core
+		cores[r.Core].Complete(done, r) // takes r back for reuse
 		if ek != nil {
-			ek.wake(id, done)
+			ek.wake(id, ek.comps[id].next(done-1))
 		}
 	}
 
