@@ -67,11 +67,14 @@ type channel struct {
 	// due[rank] is refreshDue for the cycle pick is choosing at.
 	due []bool
 
-	// horizon caches horizonNow between ticks while horizonOK holds.
-	// Only a tick changes the timers it reads; an admission can only
-	// lower it, by the new request's earliestProgress.
-	horizon   clock.Global
-	horizonOK bool
+	// queueAt caches the queue's horizon (queueHorizon) while queueOK
+	// holds. Only an issued command or a refresh action (PREA, REF
+	// start) moves the bank, bus and activation timers it reads, so only
+	// those drop it; a tick that only retires bursts or waits on a held
+	// refresh keeps it, and an admission can only lower it, by the new
+	// request's earliestProgress.
+	queueAt clock.Global
+	queueOK bool
 
 	// lastTick tracks tick monotonicity under -tags=invariants.
 	lastTick clock.Global
@@ -152,8 +155,8 @@ func newChannel(m *Memory, id int) *channel {
 func (c *channel) canAccept() bool { return len(c.queue) < c.cfg.QueueDepth }
 
 // enqueue admits a request; the caller must have checked canAccept. A
-// cached horizon falls to the new request's earliest command, which
-// under FCFS counts only if the request is the head.
+// cached queue horizon falls to the new request's earliest command,
+// which under FCFS counts only if the request is the head.
 func (c *channel) enqueue(req *mem.Request, loc Location) {
 	c.queue = append(c.queue, pending{
 		req:   req,
@@ -165,15 +168,16 @@ func (c *channel) enqueue(req *mem.Request, loc Location) {
 	if req.Class == mem.PageTable {
 		c.ptQueued++
 	}
-	if c.horizonOK && (c.cfg.Policy != FCFS || len(c.queue) == 1) {
-		c.horizon = min(c.horizon, c.earliestProgress(&c.queue[len(c.queue)-1]))
+	if c.queueOK && (c.cfg.Policy != FCFS || len(c.queue) == 1) {
+		c.queueAt = min(c.queueAt, c.earliestProgress(&c.queue[len(c.queue)-1]))
 	}
 }
 
 // tick advances the controller by one global cycle: retire completions,
-// handle refresh, then issue at most one DRAM command.
+// handle refresh, then issue at most one DRAM command. While the cached
+// queue horizon lies ahead no queued request can issue, so the tick
+// skips pick.
 func (c *channel) tick(now clock.Global) {
-	c.horizonOK = false
 	if invariant.Enabled {
 		invariant.Check(now > c.lastTick,
 			"dram: channel %d ticked backwards: %d after %d", c.id, now, c.lastTick)
@@ -193,16 +197,18 @@ func (c *channel) tick(now clock.Global) {
 	}
 	c.retire(now)
 	if c.handleRefresh(now) {
+		c.queueOK = false
 		return
 	}
-	if len(c.queue) == 0 {
-		return
+	if len(c.queue) == 0 || (c.queueOK && c.queueHorizon() > now) {
+		return // nothing queued, or nothing queued can issue yet
 	}
 	idx := c.pick(now)
 	if idx < 0 {
 		return
 	}
 	c.issue(now, idx)
+	c.queueOK = false
 }
 
 func (c *channel) retire(now clock.Global) {
@@ -547,35 +553,22 @@ func (c *channel) finishAt(at clock.Global, req *mem.Request) {
 // nextEventAfter returns the earliest future cycle at which this channel
 // needs attention: horizonNow, or now+1 if that has passed (a due
 // refresh, or a command that could issue now, proceeds cycle by
-// cycle). The horizon is recomputed only after a tick; an admission
-// lowers the cached value in O(1) (enqueue), so the kernel's enqueue
-// seam does not rescan the queue.
+// cycle).
 func (c *channel) nextEventAfter(now clock.Global) clock.Global {
-	if !c.horizonOK {
-		c.horizon = c.horizonNow()
-		c.horizonOK = true
-	} else if invariant.Enabled {
-		fresh := c.horizonNow()
-		invariant.Check(c.horizon == fresh,
-			"dram: channel %d cached horizon %d, recomputed %d", c.id, c.horizon, fresh)
+	if next := c.horizonNow(); next > now {
+		return next
 	}
-	if c.horizon <= now {
-		return now + 1
-	}
-	return c.horizon
+	return now + 1
 }
 
 // horizonNow returns the earliest cycle at which the channel's state
 // can change without new work arriving, which may already have passed:
 // a rank's refresh deadline (a skipped window never spans a bank-state
 // change, and a refresh that is due runs cycle by cycle), a burst
-// completion, or the first cycle a queued request could issue a
-// command. Between command issues the controller state is frozen —
-// every timer (bank, CAS window, bus) is an absolute cycle — so that
-// last cycle is exact, not a bound. Under FCFS only the head request
-// is ever considered.
+// completion, or the queue's horizon. The deadlines and completions
+// are read afresh; the queue's horizon comes from its cache.
 func (c *channel) horizonNow() clock.Global {
-	var next clock.Global = clock.FarFuture
+	next := c.queueHorizon()
 	if c.cfg.Timing.REFI > 0 {
 		for _, at := range c.nextRefresh {
 			next = min(next, at)
@@ -584,6 +577,31 @@ func (c *channel) horizonNow() clock.Global {
 	for _, cmp := range c.completions {
 		next = min(next, cmp.at)
 	}
+	return next
+}
+
+// queueHorizon returns the first cycle a queued request could issue a
+// command, recomputing it only when no cached value holds (queueOK).
+// Between command issues the controller state is frozen — every timer
+// (bank, CAS window, bus) is an absolute cycle — so the cycle is exact,
+// not a bound. Under -tags=invariants a cached value is checked
+// against a scan from scratch.
+func (c *channel) queueHorizon() clock.Global {
+	if !c.queueOK {
+		c.queueAt, c.queueOK = c.scanQueue(), true
+	} else if invariant.Enabled {
+		fresh := c.scanQueue()
+		invariant.Check(c.queueAt == fresh,
+			"dram: channel %d cached queue horizon %d, recomputed %d", c.id, c.queueAt, fresh)
+	}
+	return c.queueAt
+}
+
+// scanQueue returns the minimum earliestProgress over the queue, or a
+// far-future sentinel for an empty one. Under FCFS only the head
+// request is ever considered.
+func (c *channel) scanQueue() clock.Global {
+	var next clock.Global = clock.FarFuture
 	n := len(c.queue)
 	if c.cfg.Policy == FCFS {
 		n = min(n, 1)

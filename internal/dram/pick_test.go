@@ -83,7 +83,7 @@ func scanCASReady(c *channel, now clock.Global, p *pending) bool {
 }
 
 // scanNextEventAfter is the horizon recomputed from scratch on every
-// call, with a due refresh answered first, as before the cache.
+// call, with a due refresh answered first: no cached value is read.
 func scanNextEventAfter(c *channel, now clock.Global) clock.Global {
 	var next clock.Global = clock.FarFuture
 	if c.cfg.Timing.REFI > 0 {
@@ -97,15 +97,22 @@ func scanNextEventAfter(c *channel, now clock.Global) clock.Global {
 	for _, cmp := range c.completions {
 		next = min(next, cmp.at)
 	}
+	next = min(next, scanQueueHorizon(c))
+	if next <= now {
+		return now + 1
+	}
+	return next
+}
+
+// scanQueueHorizon is the queue's horizon recomputed from scratch.
+func scanQueueHorizon(c *channel) clock.Global {
+	var next clock.Global = clock.FarFuture
 	n := len(c.queue)
 	if c.cfg.Policy == FCFS && n > 1 {
 		n = 1
 	}
 	for i := 0; i < n; i++ {
 		next = min(next, c.earliestProgress(&c.queue[i]))
-	}
-	if next <= now {
-		return now + 1
 	}
 	return next
 }
@@ -230,13 +237,17 @@ func TestSinglePassPickMatchesScans(t *testing.T) {
 	}
 }
 
-// TestCachedHorizonMatchesRecompute checks the horizon cache against a
-// recompute from scratch over seeded channel states: once cached, then
-// lowered by seeded admissions, at cycles before, at and after the
-// drawn one (which also covers a refresh falling due).
+// TestCachedHorizonMatchesRecompute checks the queue-horizon cache
+// against a recompute from scratch over seeded channel states: once
+// cached, lowered by seeded admissions, and kept or dropped by ticks,
+// at cycles before, at and after the drawn one (which also covers a
+// refresh falling due). The ticks must include ones that only retire
+// bursts, which keep the cache, and ones that issue a command, which
+// drop it.
 func TestCachedHorizonMatchesRecompute(t *testing.T) {
 	for name, cfg := range pickConfigs() {
 		t.Run(name, func(t *testing.T) {
+			retireOnly, dropped := 0, 0
 			for seed := int64(1); seed <= 500; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				c, now := seededChannel(cfg, rng)
@@ -244,15 +255,36 @@ func TestCachedHorizonMatchesRecompute(t *testing.T) {
 					c.queue = c.queue[:0] // an idle queue: FCFS's new head
 					c.ptQueued = 0
 				}
-				for step := 0; step < 6; step++ {
-					at := now - 4 + clock.Global(step*3)
-					if got, want := c.nextEventAfter(at), scanNextEventAfter(c, at); got != want {
-						t.Fatalf("seed %d step %d cycle %d: horizon %d, recomputed %d", seed, step, at, got, want)
+				// A due refresh answers now+1 whatever the queue holds,
+				// so the cached queue horizon is compared on its own too.
+				check := func(step int, at clock.Global, after string) {
+					t.Helper()
+					if c.queueOK && c.queueAt != scanQueueHorizon(c) {
+						t.Fatalf("seed %d step %d cycle %d, %s: cached queue horizon %d, recomputed %d", seed, step, at, after, c.queueAt, scanQueueHorizon(c))
 					}
-					if len(c.queue) < cfg.QueueDepth {
-						c.enqueue(seededRequest(rng), seededLocation(cfg, rng))
+					if got, want := c.nextEventAfter(at), scanNextEventAfter(c, at); got != want {
+						t.Fatalf("seed %d step %d cycle %d, %s: horizon %d, recomputed %d", seed, step, at, after, got, want)
 					}
 				}
+				for step := 0; step < 6; step++ {
+					at := now - 4 + clock.Global(step*3)
+					check(step, at, "before an admission")
+					if len(c.queue) < cfg.QueueDepth {
+						c.enqueue(seededRequest(rng), seededLocation(cfg, rng))
+						check(step, at, "after an admission")
+					}
+					inFlight := len(c.completions)
+					c.tick(at)
+					switch {
+					case !c.queueOK:
+						dropped++
+					case len(c.completions) < inFlight:
+						retireOnly++
+					}
+				}
+			}
+			if retireOnly == 0 || dropped == 0 {
+				t.Fatalf("ticks covered %d retire-only and %d command or refresh ticks, want both", retireOnly, dropped)
 			}
 		})
 	}

@@ -182,13 +182,20 @@ func (t *tee) Emit(e Event) {
 	}
 }
 
-// Tee returns a sink forwarding every event to all non-nil sinks. With
-// zero non-nil sinks it returns nil (preserving the nil fast path);
-// with one it returns that sink unwrapped.
+// Tee returns a sink forwarding every event to all non-nil sinks, in
+// argument order. A sink that is itself a tee contributes its sinks in
+// its place, so a tee of tees dispatches each event once per sink
+// rather than once per level. With zero non-nil sinks it returns nil
+// (preserving the nil fast path); with one it returns that sink
+// unwrapped.
 func Tee(sinks ...Sink) Sink {
 	var live []Sink
 	for _, s := range sinks {
-		if s != nil {
+		switch s := s.(type) {
+		case nil:
+		case *tee:
+			live = append(live, s.sinks...)
+		default:
 			live = append(live, s)
 		}
 	}

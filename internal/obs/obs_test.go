@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestKindStrings(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
@@ -43,5 +46,36 @@ func TestTeeFansOut(t *testing.T) {
 	s.Emit(Event{Kind: KindTLBMiss})
 	if a != 2 || b != 2 {
 		t.Errorf("fan-out counts = %d, %d", a, b)
+	}
+}
+
+// TestTeeFlattensNestedTees checks that a tee of tees is one flat tee:
+// each event reaches every sink once, in argument order with nested
+// sinks in their tee's place, nil sinks are dropped at every level, and
+// a nest holding one live sink comes back as that sink.
+func TestTeeFlattensNestedTees(t *testing.T) {
+	var order []string
+	sink := func(name string) Sink { return Func(func(Event) { order = append(order, name) }) }
+	inner := Tee(sink("a"), nil, sink("b"))
+	got := Tee(nil, inner, sink("c"), Tee(sink("d"), Tee(sink("e"), sink("f"))), nil)
+	flat, ok := got.(*tee)
+	if !ok {
+		t.Fatalf("Tee of tees is %T, want *tee", got)
+	}
+	for _, s := range flat.sinks {
+		if _, nested := s.(*tee); nested {
+			t.Fatalf("a nested tee survived: %v", flat.sinks)
+		}
+	}
+	got.Emit(Event{})
+	if want := "a b c d e f"; strings.Join(order, " ") != want {
+		t.Errorf("one event reached %v, want %s", order, want)
+	}
+
+	single := sink("only")
+	if got := Tee(nil, Tee(nil, single), nil); got == nil {
+		t.Fatal("a nest holding one live sink is nil")
+	} else if _, ok := got.(Func); !ok {
+		t.Errorf("a nest holding one live sink is %T, want the sink unwrapped", got)
 	}
 }

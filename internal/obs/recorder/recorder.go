@@ -1,9 +1,10 @@
 // Package recorder is the simulator's flight recorder: an always-on,
 // allocation-free bounded ring buffer of probe events that tees behind
 // whatever sink a run already has. When nothing goes wrong it costs a
-// mutex and a few stores per event and is never read; when a job hangs,
-// trips an invariant, errors out, or is cancelled, the last window of
-// events per component is still there to dump and replay.
+// mutex, a few compares and a struct copy per event and is never read;
+// when a job hangs, trips an invariant, errors out, or is cancelled, the
+// last window of events per component is still there to dump and
+// replay.
 //
 // Layout: one ring per event source — ring 0 for system events
 // (run/phase/skip, Core == -1), one ring per core, one ring per DRAM
@@ -46,20 +47,31 @@ type ring struct {
 	dropped int64
 }
 
+// push appends e, evicting the oldest event once the ring is full. An
+// index wraps by one comparison: start and n never exceed the capacity,
+// so start+n overshoots it by less than one lap.
 func (r *ring) push(e obs.Event) {
 	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = e
+		r.buf[r.wrap(r.start+r.n)] = e
 		r.n++
 		return
 	}
 	r.buf[r.start] = e
-	r.start = (r.start + 1) % len(r.buf)
+	r.start = r.wrap(r.start + 1)
 	r.dropped++
+}
+
+// wrap maps an index in [0, 2*cap) onto the buffer.
+func (r *ring) wrap(i int) int {
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return i
 }
 
 // at returns the i-th oldest event.
 func (r *ring) at(i int) obs.Event {
-	return r.buf[(r.start+i)%len(r.buf)]
+	return r.buf[r.wrap(r.start+i)]
 }
 
 // Recorder is an obs.Sink recording the trailing window of events per

@@ -1,142 +1,225 @@
 package obs
 
-import (
-	"fmt"
-	"sync"
+import "strconv"
+
+// family is one per-core or per-channel counter metric the sink folds
+// into; its registry name is the family prefix plus the index.
+type family uint8
+
+const (
+	famTilesStarted family = iota
+	famTilesFinished
+	famSPMSwaps
+	famDMAIssued
+	famDMACompleted
+	famIterations
+	famTLBHits
+	famTLBMisses
+	famTLBCoalesced
+	famMSHRAlloc
+	famMSHRFree
+	famWalksStarted
+	famWalks
+	famBytesCompleted
+	famEnqueued
+	famCASReads
+	famCASWrites
+	famRowHits
+	famRowMisses
+	famRowConflicts
+	famRefreshes
+	numFamilies
 )
 
-// metricKey identifies one pre-resolved metric handle: an event kind
-// plus the component indices that select the metric's name.
-type metricKey struct {
-	kind Kind
-	core int32
-	unit int32
+var familyPrefix = [numFamilies]string{
+	famTilesStarted:   "npu.tiles_started.core",
+	famTilesFinished:  "npu.tiles_finished.core",
+	famSPMSwaps:       "npu.spm_swaps.core",
+	famDMAIssued:      "npu.dma_issued.core",
+	famDMACompleted:   "npu.dma_completed.core",
+	famIterations:     "npu.iterations.core",
+	famTLBHits:        "mmu.tlb_hits.core",
+	famTLBMisses:      "mmu.tlb_misses.core",
+	famTLBCoalesced:   "mmu.tlb_coalesced.core",
+	famMSHRAlloc:      "mmu.mshr_alloc.core",
+	famMSHRFree:       "mmu.mshr_free.core",
+	famWalksStarted:   "mmu.walks_started.core",
+	famWalks:          "mmu.walks.core",
+	famBytesCompleted: "dram.bytes_completed.core",
+	famEnqueued:       "dram.enqueued.ch",
+	famCASReads:       "dram.cas_reads.ch",
+	famCASWrites:      "dram.cas_writes.ch",
+	famRowHits:        "dram.row_hits.ch",
+	famRowMisses:      "dram.row_misses.ch",
+	famRowConflicts:   "dram.row_conflicts.ch",
+	famRefreshes:      "dram.refreshes.ch",
 }
 
-// RegistrySink folds the probe stream into registry counters and
-// histograms, pre-resolving metric handles per (kind, core, unit) so
-// steady-state emission is a map read plus an atomic add. It is safe
-// for concurrent use, so one sink can accumulate across the parallel
-// experiment runner.
-type RegistrySink struct {
-	reg *Registry
+// scalar is one run-wide counter the sink folds into.
+type scalar uint8
 
-	mu       sync.RWMutex
-	counters map[metricKey]*Counter
-	hists    map[metricKey]*Histogram
+const (
+	scRuns scalar = iota
+	scGlobalCycles
+	scLoopIters
+	scSkipWindows
+	scSkippedCycles
+	numScalars
+)
+
+var scalarName = [numScalars]string{
+	scRuns:          "sim.runs",
+	scGlobalCycles:  "sim.global_cycles",
+	scLoopIters:     "sim.loop_iters",
+	scSkipWindows:   "sim.skip_windows",
+	scSkippedCycles: "sim.skipped_cycles",
+}
+
+// walkCyclesPrefix names the per-core walk-latency histograms.
+const walkCyclesPrefix = "mmu.walk_cycles.core"
+
+// maxDense bounds the core or channel index whose handle the sink
+// keeps. A stream from a real system never comes near it, but a
+// damaged flight-recorder dump replayed through its Snapshot can carry
+// any index, and the table must not grow to match. An event past it
+// (or with a negative index) is still counted, by a registry lookup
+// per event.
+const maxDense = 256
+
+// RegistrySink folds the probe stream into registry counters and
+// histograms. It resolves each handle from the registry by name once,
+// on the first event that needs it, and keeps it in a dense table
+// indexed by family and core or channel, so steady-state emission is a
+// switch on the kind, a slice index and an atomic add into the shared
+// registry. Nothing is registered before an event asks for it, so the
+// snapshot holds only metrics the stream touched.
+//
+// A sink is not safe for concurrent use: build one per run (sim.Run
+// does) and emit from that run's goroutine. The registry it adds into
+// may be shared by any number of sinks running concurrently, and a
+// reader sees the counts move while the run emits.
+type RegistrySink struct {
+	reg     *Registry
+	scalars [numScalars]*Counter
+	// counters[f][i] is family f's counter for core or channel i, nil
+	// until first used.
+	counters [numFamilies][]*Counter
+	// walkCycles[i] is core i's walk-latency histogram.
+	walkCycles []*Histogram
 }
 
 // NewRegistrySink returns a sink accumulating into reg.
 func NewRegistrySink(reg *Registry) *RegistrySink {
-	return &RegistrySink{
-		reg:      reg,
-		counters: map[metricKey]*Counter{},
-		hists:    map[metricKey]*Histogram{},
-	}
+	return &RegistrySink{reg: reg}
 }
 
-func (s *RegistrySink) counter(k metricKey, name func() string) *Counter {
-	s.mu.RLock()
-	c, ok := s.counters[k]
-	s.mu.RUnlock()
-	if ok {
-		return c
+// add adds n to family f's counter for index i.
+func (s *RegistrySink) add(f family, i int32, n int64) {
+	if hs := s.counters[f]; uint(i) < uint(len(hs)) && hs[i] != nil {
+		hs[i].Add(n)
+		return
 	}
-	c = s.reg.Counter(name())
-	s.mu.Lock()
-	s.counters[k] = c
-	s.mu.Unlock()
+	s.counter(f, i).Add(n)
+}
+
+// counter resolves family f's counter for index i from the registry,
+// keeping it when i fits the dense table.
+func (s *RegistrySink) counter(f family, i int32) *Counter {
+	c := s.reg.Counter(familyPrefix[f] + strconv.Itoa(int(i)))
+	if i >= 0 && i < maxDense {
+		s.counters[f] = keep(s.counters[f], i, c)
+	}
 	return c
 }
 
-func (s *RegistrySink) histogram(k metricKey, name func() string) *Histogram {
-	s.mu.RLock()
-	h, ok := s.hists[k]
-	s.mu.RUnlock()
-	if ok {
-		return h
+// addScalar adds n to run-wide counter m.
+func (s *RegistrySink) addScalar(m scalar, n int64) {
+	c := s.scalars[m]
+	if c == nil {
+		c = s.reg.Counter(scalarName[m])
+		s.scalars[m] = c
 	}
-	h = s.reg.Histogram(name(), DefaultLatencyBounds())
-	s.mu.Lock()
-	s.hists[k] = h
-	s.mu.Unlock()
-	return h
+	c.Add(n)
 }
 
-func (s *RegistrySink) coreCounter(e Event, metric string) *Counter {
-	return s.counter(metricKey{kind: e.Kind, core: e.Core}, func() string {
-		return fmt.Sprintf("%s.core%d", metric, e.Core)
-	})
+// observeWalk records one walk latency in core i's histogram.
+func (s *RegistrySink) observeWalk(i int32, v int64) {
+	if hs := s.walkCycles; uint(i) < uint(len(hs)) && hs[i] != nil {
+		hs[i].Observe(v)
+		return
+	}
+	h := s.reg.Histogram(walkCyclesPrefix+strconv.Itoa(int(i)), DefaultLatencyBounds())
+	if i >= 0 && i < maxDense {
+		s.walkCycles = keep(s.walkCycles, i, h)
+	}
+	h.Observe(v)
 }
 
-func (s *RegistrySink) chanCounter(e Event, metric string) *Counter {
-	return s.counter(metricKey{kind: e.Kind, unit: e.Unit}, func() string {
-		return fmt.Sprintf("%s.ch%d", metric, e.Unit)
-	})
+// keep stores v at index i of hs, growing hs to hold it.
+func keep[T any](hs []*T, i int32, v *T) []*T {
+	if n := int(i) + 1; n > len(hs) {
+		hs = append(hs, make([]*T, n-len(hs))...)
+	}
+	hs[i] = v
+	return hs
 }
 
 // Emit folds one event into the registry.
 func (s *RegistrySink) Emit(e Event) {
 	switch e.Kind {
 	case KindRunStart:
-		s.reg.Counter("sim.runs").Inc()
+		s.addScalar(scRuns, 1)
 	case KindRunEnd:
-		s.reg.Counter("sim.global_cycles").Add(e.A)
-		s.reg.Counter("sim.loop_iters").Add(e.B)
+		s.addScalar(scGlobalCycles, e.A)
+		s.addScalar(scLoopIters, e.B)
 	case KindSkipWindow:
-		s.counter(metricKey{kind: e.Kind}, func() string { return "sim.skip_windows" }).Inc()
-		s.counter(metricKey{kind: e.Kind, unit: 1}, func() string { return "sim.skipped_cycles" }).Add(e.A)
+		s.addScalar(scSkipWindows, 1)
+		s.addScalar(scSkippedCycles, e.A)
 	case KindTileStart:
-		s.coreCounter(e, "npu.tiles_started").Inc()
+		s.add(famTilesStarted, e.Core, 1)
 	case KindTileFinish:
-		s.coreCounter(e, "npu.tiles_finished").Inc()
+		s.add(famTilesFinished, e.Core, 1)
 	case KindSPMSwap:
-		s.coreCounter(e, "npu.spm_swaps").Inc()
+		s.add(famSPMSwaps, e.Core, 1)
 	case KindDMAIssue:
-		s.coreCounter(e, "npu.dma_issued").Inc()
+		s.add(famDMAIssued, e.Core, 1)
 	case KindDMAComplete:
-		s.coreCounter(e, "npu.dma_completed").Inc()
+		s.add(famDMACompleted, e.Core, 1)
 	case KindIterDone:
-		s.coreCounter(e, "npu.iterations").Inc()
+		s.add(famIterations, e.Core, 1)
 	case KindTLBHit:
-		s.coreCounter(e, "mmu.tlb_hits").Inc()
+		s.add(famTLBHits, e.Core, 1)
 	case KindTLBMiss:
-		s.coreCounter(e, "mmu.tlb_misses").Inc()
+		s.add(famTLBMisses, e.Core, 1)
 		if e.A == 1 {
-			s.counter(metricKey{kind: e.Kind, core: e.Core, unit: 1}, func() string {
-				return fmt.Sprintf("mmu.tlb_coalesced.core%d", e.Core)
-			}).Inc()
+			s.add(famTLBCoalesced, e.Core, 1)
 		}
 	case KindMSHRAlloc:
-		s.coreCounter(e, "mmu.mshr_alloc").Inc()
+		s.add(famMSHRAlloc, e.Core, 1)
 	case KindMSHRFree:
-		s.coreCounter(e, "mmu.mshr_free").Inc()
+		s.add(famMSHRFree, e.Core, 1)
 	case KindWalkStart:
-		s.coreCounter(e, "mmu.walks_started").Inc()
+		s.add(famWalksStarted, e.Core, 1)
 	case KindWalkEnd:
-		s.coreCounter(e, "mmu.walks").Inc()
-		s.histogram(metricKey{kind: e.Kind, core: e.Core}, func() string {
-			return fmt.Sprintf("mmu.walk_cycles.core%d", e.Core)
-		}).Observe(e.B)
+		s.add(famWalks, e.Core, 1)
+		s.observeWalk(e.Core, e.B)
 	case KindDRAMEnqueue:
-		s.chanCounter(e, "dram.enqueued").Inc()
+		s.add(famEnqueued, e.Unit, 1)
 	case KindDRAMIssue:
 		if e.B == 0 {
-			s.chanCounter(e, "dram.cas_reads").Inc()
+			s.add(famCASReads, e.Unit, 1)
 		} else {
-			s.counter(metricKey{kind: e.Kind, unit: e.Unit, core: 1}, func() string {
-				return fmt.Sprintf("dram.cas_writes.ch%d", e.Unit)
-			}).Inc()
+			s.add(famCASWrites, e.Unit, 1)
 		}
 	case KindRowHit:
-		s.chanCounter(e, "dram.row_hits").Inc()
+		s.add(famRowHits, e.Unit, 1)
 	case KindRowMiss:
-		s.chanCounter(e, "dram.row_misses").Inc()
+		s.add(famRowMisses, e.Unit, 1)
 	case KindRowConflict:
-		s.chanCounter(e, "dram.row_conflicts").Inc()
+		s.add(famRowConflicts, e.Unit, 1)
 	case KindRefresh:
-		s.chanCounter(e, "dram.refreshes").Inc()
+		s.add(famRefreshes, e.Unit, 1)
 	case KindTransfer:
-		s.coreCounter(e, "dram.bytes_completed").Add(e.A)
+		s.add(famBytesCompleted, e.Core, e.A)
 	}
 }

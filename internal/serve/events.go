@@ -19,17 +19,24 @@ const sseRetryMS = 1000
 
 // jobProgress accumulates a running job's live counters. The simulation
 // goroutine writes it through the job's probe sink; SSE streams read it
-// concurrently, so every field is atomic.
+// concurrently, so every field they read is atomic.
 type jobProgress struct {
 	cycle         atomic.Int64 // latest observed global cycle
 	iters         atomic.Int64 // completed inferences across cores
 	skips         atomic.Int64 // event-driven fast-forward windows taken
 	skippedCycles atomic.Int64 // global cycles covered by those windows
+
+	// last is the writer's copy of cycle. Only Emit reads or writes it,
+	// so a run of events on one cycle stores the shared cycle once.
+	last int64
 }
 
 // Emit implements obs.Sink.
 func (p *jobProgress) Emit(e obs.Event) {
-	p.cycle.Store(e.Cycle.Int64())
+	if c := e.Cycle.Int64(); c != p.last {
+		p.last = c
+		p.cycle.Store(c)
+	}
 	switch e.Kind {
 	case obs.KindSkipWindow:
 		p.skips.Add(1)

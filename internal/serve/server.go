@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"mnpusim/internal/obs"
+	"mnpusim/internal/obs/attrib"
 	"mnpusim/internal/obs/dtrace"
 	"mnpusim/internal/obs/hostprof"
 	"mnpusim/internal/obs/recorder"
@@ -399,14 +400,8 @@ func (s *Server) runJob(job *Job) {
 		ctx, cancel = context.WithTimeout(ctx, job.timeout)
 		defer cancel()
 	}
-	cfg := job.cfg
-	if cfg.Metrics == nil {
-		cfg.Metrics = s.reg
-	}
-	rec := recorder.New(cfg.Cores(), cfg.DRAM.Channels, recorder.DefaultRingCap)
+	cfg, attr, rec := observed(job.cfg, s.reg, &job.progress)
 	job.setRecorder(rec)
-	attr := sim.NewAttribution(cfg)
-	cfg.Obs = obs.Tee(cfg.Obs, attr, &job.progress, rec)
 
 	// The anomaly watchdog: a job that reaches this fraction of its
 	// deadline still running is already an interesting run; capture its
@@ -472,6 +467,22 @@ func (s *Server) runJob(job *Job) {
 		job.finish(StatusFailed, nil, nil, err.Error())
 		s.log.Warn("job failed", "job", job.ID, "err", err)
 	}
+}
+
+// observed returns cfg carrying the probe stack every served run
+// carries: a stall-cycle attribution engine, the job's progress sink
+// and a flight recorder, teed into cfg.Obs in that order, and the
+// registry fold (cfg.Metrics, reg unless the config names its own),
+// which sim.Run tees behind them. It returns the engine and the
+// recorder for the caller to read.
+func observed(cfg sim.Config, reg *obs.Registry, progress *jobProgress) (sim.Config, *attrib.Engine, *recorder.Recorder) {
+	if cfg.Metrics == nil {
+		cfg.Metrics = reg
+	}
+	rec := recorder.New(cfg.Cores(), cfg.DRAM.Channels, recorder.DefaultRingCap)
+	attr := sim.NewAttribution(cfg)
+	cfg.Obs = obs.Tee(cfg.Obs, attr, progress, rec)
+	return cfg, attr, rec
 }
 
 // runSimulation invokes the simulation seam with the job's ID as a
